@@ -23,6 +23,7 @@ from .models import (
     ExpFamilyModel,
     LocationModel,
     ReissCoefficients,
+    ResolvedTest,
     TestSetup,
     cauchy_location_model,
     cornish_fisher_critical,
@@ -35,6 +36,7 @@ from .models import (
     power_mean_test,
     power_median_test,
     reiss_coefficients,
+    resolve_test,
     ump_critical_value,
 )
 from .mtsim import SimConfig, SimResult, convergence_sweep, simulate

@@ -22,15 +22,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import numkernel as nk
-from .models import (
-    ExpFamilyModel,
-    LocationModel,
-    ModelError,
-    TestSetup,
-    median_cdf_exact,
-    ump_critical_value,
-)
-from .numkernel import IntegralValue, QuadratureConfig, QuadratureNonConvergence
+from .models import ExpFamilyModel, ModelError, TestSetup, resolve_test
+# Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
+from .models import ump_critical_value  # noqa: F401
+from .numkernel import IntegralValue, QuadratureConfig
 from .priors import Prior, natural_lambda_alt
 from .results import RatePair, RateResult
 
@@ -53,46 +48,6 @@ class JointProbabilities:
     lambda_alt: float
     B: float
     B_tilde: float
-
-
-# Width of the directly-gridded core around theta0; beyond it the integrand
-# tail is handled through a log substitution.
-_CORE_WIDTH = 8.0
-
-
-def _make_power(model, setup: TestSetup) -> Tuple[Callable, int]:
-    """Vectorized exact power function and the natural direction of the test."""
-    n = setup.n
-    if setup.statistic == "mean_ump":
-        if not isinstance(model, ExpFamilyModel):
-            raise ModelError("mean_ump requires an ExpFamilyModel")
-        k = ump_critical_value(model, setup)
-        mu0 = float(model.mu(np.asarray(setup.theta0, dtype=float)))
-        sigma0 = float(model.sigma(np.asarray(setup.theta0, dtype=float)))
-        cdf = model.mean_statistic_cdf
-        rootn = math.sqrt(n)
-
-        def power(th):
-            th = np.asarray(th, dtype=float)
-            mu = np.asarray(model.mu(th), dtype=float)
-            sigma = np.asarray(model.sigma(th), dtype=float)
-            threshold = (rootn * (mu0 - mu) + k * sigma0) / sigma
-            return 1.0 - np.asarray(cdf(th, n, threshold), dtype=float)
-
-        return power, model.natural_direction
-
-    if not isinstance(model, LocationModel):
-        raise ModelError("median requires a LocationModel")
-    if setup.theta0 != 0.0:
-        raise ModelError("the median test uses the location convention theta0 = 0")
-    z = nk.upper_quantile_z(setup.alpha)
-    scale = 2.0 * model.f0 * math.sqrt(n)
-
-    def power(th):
-        th = np.asarray(th, dtype=float)
-        return 1.0 - np.asarray(median_cdf_exact(model, n, z - scale * th), dtype=float)
-
-    return power, 1
 
 
 def _support_interval(model, prior: Prior) -> Tuple[float, float]:
@@ -142,79 +97,22 @@ def _find_cut(
     return theta0 + away * hi_s
 
 
-def _integrate_with_tail(
-    f: Callable,
-    near: float,
-    far: float,
-    cfg: QuadratureConfig,
-) -> IntegralValue:
-    """Integrate f between ``far`` and ``near`` where ``near`` anchors the core.
-
-    The first _CORE_WIDTH of the interval next to ``near`` is gridded
-    directly; any remainder toward ``far`` is mapped through theta =
-    split -+ (e^v - 1), which compresses polynomially decaying tails.
-    Non-convergent pieces propagate their best estimates.
-    """
-    away = -1.0 if far < near else 1.0
-    span = abs(near - far)
-    split = near + away * min(span, _CORE_WIDTH)
-    pieces = []
-    failed = False
-
-    def run(fun, a, b):
-        nonlocal failed
-        try:
-            pieces.append(nk.integrate(fun, a, b, cfg))
-        except QuadratureNonConvergence as exc:
-            failed = True
-            pieces.append(exc.result)
-
-    lo, hi = (split, near) if away < 0 else (near, split)
-    run(f, lo, hi)
-    if span > _CORE_WIDTH:
-        vmax = math.log1p(span - _CORE_WIDTH)
-
-        def mapped(v):
-            v = np.asarray(v, dtype=float)
-            ev = np.exp(v)
-            theta = split + away * (ev - 1.0)
-            return np.asarray(f(theta), dtype=float) * ev
-
-        run(mapped, 0.0, vmax)
-    value = float(sum(p.value for p in pieces))
-    err = float(sum(p.error_bound for p in pieces))
-    panels = int(sum(p.panels for p in pieces))
-    result = IntegralValue(value, err, panels=panels, converged=not failed,
-                           truncation_radius=abs(far - near))
-    if failed:
-        raise QuadratureNonConvergence(result)
-    return result
-
-
 def exact_joint(
     model,
     prior: Prior,
     setup: TestSetup,
     cfg: Optional[QuadratureConfig] = None,
-    domain: str = "theta",
 ) -> JointProbabilities:
     """Joint probabilities P(null, reject) and P(alt, accept) by quadrature.
 
-    ``domain`` selects integration in the parameter itself ("theta") or, for
-    the mean statistic, in the locally rescaled coordinate
-    x = sigma0 sqrt(n) (natural - natural0) - z_alpha ("transformed"); the two
-    agree within their error bounds and the transformed route exists as an
-    independent check.
-
-    Quadrature non-convergence is propagated as
-    :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
+    Both integrals run in the parameter itself, from theta0 out to the
+    truncation point of each tail. Quadrature non-convergence is propagated
+    as :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
     result.
     """
     cfg = cfg or nk.DEFAULT_QUADRATURE
-    if domain not in ("theta", "transformed"):
-        raise ModelError(f"unknown domain {domain!r}")
-    power, direction = _make_power(model, setup)
-    theta0 = float(setup.theta0)
+    test = resolve_test(model, setup)
+    power, direction, theta0 = test.power, test.direction, test.theta0
     lo, hi = _support_interval(model, prior)
     if not (lo < theta0 < hi):
         raise ModelError(f"theta0={theta0} must be interior to ({lo}, {hi})")
@@ -254,34 +152,12 @@ def exact_joint(
         th = np.asarray(th, dtype=float)
         return (1.0 - np.asarray(power(th), dtype=float)) * np.asarray(g(th), dtype=float)
 
-    if domain == "theta":
-        A = _integrate_with_tail(integrand_null, theta0, null_cut, cfg)
-        At = _integrate_with_tail(integrand_alt, theta0, alt_cut, cfg)
-    else:
-        if setup.statistic != "mean_ump":
-            raise ModelError("the transformed domain applies to the mean statistic")
-        n = setup.n
-        sigma0 = float(model.sigma(np.asarray(theta0, dtype=float)))
-        z = nk.upper_quantile_z(setup.alpha)
-        scale = sigma0 * math.sqrt(n)
+    def tail_integral(f, cut):
+        res = nk.integrate_split(f, min(theta0, cut), max(theta0, cut), theta0, cfg)
+        return res.with_extra_error(cut_tol, truncation_radius=abs(cut - theta0))
 
-        def to_x(th: float) -> float:
-            return scale * direction * (th - theta0) - z
-
-        def from_x(x):
-            return theta0 + direction * (np.asarray(x, dtype=float) + z) / scale
-
-        def integrand_null_x(x):
-            return integrand_null(from_x(x)) / scale
-
-        def integrand_alt_x(x):
-            return integrand_alt(from_x(x)) / scale
-
-        A = _integrate_with_tail(integrand_null_x, -z, to_x(null_cut), cfg)
-        At = _integrate_with_tail(integrand_alt_x, -z, to_x(alt_cut), cfg)
-
-    A = A.with_extra_error(cut_tol)
-    At = At.with_extra_error(cut_tol)
+    A = tail_integral(integrand_null, null_cut)
+    At = tail_integral(integrand_alt, alt_cut)
     B = A.value + lam - At.value
     return JointProbabilities(A=A, A_tilde=At, lambda_alt=lam, B=B, B_tilde=1.0 - B)
 

@@ -300,20 +300,7 @@ def power_mean_test(model: ExpFamilyModel, theta, setup: TestSetup):
     """Exact power of the level-alpha UMP mean test at theta; vectorized."""
     if setup.statistic != "mean_ump":
         raise ModelError("power_mean_test applies to the mean_ump statistic")
-    if model.mean_statistic_cdf is None:
-        raise ExactCdfUnavailable(
-            f"model {model.name!r} has no exact mean-statistic CDF"
-        )
-    k = ump_critical_value(model, setup)
-    theta = np.asarray(theta, dtype=float)
-    n = setup.n
-    mu0 = float(model.mu(np.asarray(setup.theta0, dtype=float)))
-    sigma0 = float(model.sigma(np.asarray(setup.theta0, dtype=float)))
-    mu = np.asarray(model.mu(theta), dtype=float)
-    sigma = np.asarray(model.sigma(theta), dtype=float)
-    threshold = (math.sqrt(n) * (mu0 - mu) + k * sigma0) / sigma
-    out = 1.0 - np.asarray(model.mean_statistic_cdf(theta, n, threshold), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return resolve_test(model, setup).power(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +403,110 @@ def power_median_test(model: LocationModel, theta, setup: TestSetup, mode: str =
     """
     if setup.statistic != "median":
         raise ModelError("power_median_test applies to the median statistic")
-    if setup.theta0 != 0.0:
-        raise ModelError("the median test uses the location convention theta0 = 0")
     if mode not in ("exact", "edgeworth"):
         raise ModelError(f"unknown mode {mode!r}")
+    if mode == "exact":
+        return resolve_test(model, setup).power(theta)
+    if setup.theta0 != 0.0:
+        raise ModelError("the median test uses the location convention theta0 = 0")
     n = setup.n
     z = nk.upper_quantile_z(setup.alpha)
     theta = np.asarray(theta, dtype=float)
     # P_theta(2 f0 sqrt(n)(T_n - theta) > z - 2 f0 sqrt(n) theta)
     tcrit = z - 2.0 * model.f0 * math.sqrt(n) * theta
-    if mode == "exact":
-        out = 1.0 - np.asarray(median_cdf_exact(model, n, tcrit), dtype=float)
-    else:
-        out = 1.0 - np.asarray(median_cdf_edgeworth(model, n, tcrit), dtype=float)
+    out = 1.0 - np.asarray(median_cdf_edgeworth(model, n, tcrit), dtype=float)
     return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# The resolved test shared by the quadrature and simulation routes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ResolvedTest:
+    """A level-alpha one-sided test resolved once from (model, setup).
+
+    ``direction`` is +1 when the alternative is {theta > theta0} and -1 when
+    the natural parameter is the negated user parameter. ``power(theta)`` is
+    the exact power, vectorized; ``rejects(sample)`` applies the rejection
+    rule to each row of an (experiments, n) sample; ``is_null(theta)`` marks
+    parameters in the null region; ``sampler(theta, u)`` maps uniforms to
+    observations.
+    """
+
+    __test__ = False  # not a pytest collectible despite the name
+
+    theta0: float
+    direction: int
+    power: Callable
+    rejects: Callable
+    is_null: Callable
+    sampler: Callable
+
+
+def _missing_sampler(name: str) -> Callable:
+    def sampler(theta, u):
+        raise ModelError(f"model {name!r} has no sampler")
+
+    return sampler
+
+
+def resolve_test(model, setup: TestSetup) -> ResolvedTest:
+    """Critical value, power, rejection rule and null region of ``setup``.
+
+    Raises :class:`ModelError` when the statistic does not fit the model and
+    :class:`ExactCdfUnavailable` when the mean test has no exact CDF.
+    """
+    n = setup.n
+    rootn = math.sqrt(n)
+    theta0 = float(setup.theta0)
+    if setup.statistic == "mean_ump":
+        if not isinstance(model, ExpFamilyModel):
+            raise ModelError("mean_ump requires an ExpFamilyModel")
+        k = ump_critical_value(model, setup)
+        mu0 = float(model.mu(np.asarray(theta0, dtype=float)))
+        sigma0 = float(model.sigma(np.asarray(theta0, dtype=float)))
+        cdf = model.mean_statistic_cdf
+
+        def power(theta):
+            theta = np.asarray(theta, dtype=float)
+            mu = np.asarray(model.mu(theta), dtype=float)
+            sigma = np.asarray(model.sigma(theta), dtype=float)
+            threshold = (rootn * (mu0 - mu) + k * sigma0) / sigma
+            out = 1.0 - np.asarray(cdf(theta, n, threshold), dtype=float)
+            return float(out) if out.ndim == 0 else out
+
+        mean_threshold = mu0 + k * sigma0 / rootn
+
+        def rejects(sample):
+            return sample.mean(axis=1) > mean_threshold
+
+        direction = model.natural_direction
+        sampler = model.sample_from_uniform or _missing_sampler(model.name)
+    elif isinstance(model, LocationModel):
+        if setup.theta0 != 0.0:
+            raise ModelError("the median test uses the location convention theta0 = 0")
+        z = nk.upper_quantile_z(setup.alpha)
+        scale = 2.0 * model.f0 * rootn
+
+        def power(theta):
+            theta = np.asarray(theta, dtype=float)
+            out = 1.0 - np.asarray(median_cdf_exact(model, n, z - scale * theta), dtype=float)
+            return float(out) if out.ndim == 0 else out
+
+        median_threshold = z / scale
+        k_idx = median_order_index(n) - 1  # 0-based
+
+        def rejects(sample):
+            return np.partition(sample, k_idx, axis=1)[:, k_idx] > median_threshold
+
+        direction = 1
+        sampler = model.sample_from_uniform
+    else:
+        raise ModelError("median requires a LocationModel")
+
+    def is_null(theta):
+        return theta <= theta0 if direction == 1 else theta >= theta0
+
+    return ResolvedTest(theta0, direction, power, rejects, is_null, sampler)

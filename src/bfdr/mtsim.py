@@ -21,21 +21,16 @@ never change any value and equal seeds reproduce results bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numkernel as nk
-from .models import (
-    ExpFamilyModel,
-    LocationModel,
-    ModelError,
-    TestSetup,
-    median_order_index,
-    ump_critical_value,
-)
+from .models import ModelError, ResolvedTest, TestSetup, resolve_test
+# Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
+from .models import ump_critical_value  # noqa: F401
 from .priors import Prior, PriorError
 
 _PHILOX_MULT = np.uint64(0xD2B74407B1CE6E93)
@@ -172,96 +167,48 @@ class SimResult:
         return np.sqrt(np.clip(f * (1.0 - f), 0.0, None) / R)
 
 
-def _test_machinery(model, setup: TestSetup):
-    """Pre-resolve the rejection rule and the null-region indicator."""
-    n = setup.n
-    if setup.statistic == "mean_ump":
-        if not isinstance(model, ExpFamilyModel):
-            raise ModelError("mean_ump requires an ExpFamilyModel")
-        if model.sample_from_uniform is None:
-            raise ModelError(f"model {model.name!r} has no sampler")
-        k = ump_critical_value(model, setup)
-        mu0 = float(model.mu(np.asarray(setup.theta0, dtype=float)))
-        sigma0 = float(model.sigma(np.asarray(setup.theta0, dtype=float)))
-        threshold = mu0 + k * sigma0 / math.sqrt(n)
-
-        def rejects(theta, sample):
-            return sample.mean(axis=1) > threshold
-
-        if model.natural_direction == 1:
-            null = lambda theta: theta <= setup.theta0
-        else:
-            null = lambda theta: theta >= setup.theta0
-        sampler = model.sample_from_uniform
-        return rejects, null, sampler
-
-    if not isinstance(model, LocationModel):
-        raise ModelError("median requires a LocationModel")
-    if setup.theta0 != 0.0:
-        raise ModelError("the median test uses the location convention theta0 = 0")
-    z = nk.upper_quantile_z(setup.alpha)
-    threshold = z / (2.0 * model.f0 * math.sqrt(n))
-    k_idx = median_order_index(n) - 1  # 0-based
-
-    def rejects(theta, sample):
-        med = np.partition(sample, k_idx, axis=1)[:, k_idx]
-        return med > threshold
-
-    null = lambda theta: theta <= 0.0
-    return rejects, null, model.sample_from_uniform
-
-
-def _chunk_tallies(config: SimConfig, replication: int, start: int, stop: int, machinery):
-    rejects, null, sampler = machinery
+def _chunk_tallies(config: SimConfig, test: ResolvedTest, job: Tuple[int, int, int]):
+    """(replication, V, R, W) over experiments [start, stop) of one replication."""
+    replication, start, stop = job
     n = config.setup.n
     u = uniform_block(config.seed, replication, start, stop, 1 + n)
     theta = np.asarray(config.prior.ppf(u[:, 0]), dtype=float)
-    sample = np.asarray(sampler(theta[:, None], u[:, 1:]), dtype=float)
-    rej = rejects(theta, sample)
-    is_null = null(theta)
+    sample = np.asarray(test.sampler(theta[:, None], u[:, 1:]), dtype=float)
+    rej = test.rejects(sample)
+    is_null = test.is_null(theta)
     v = int(np.sum(rej & is_null))
     r = int(np.sum(rej))
     w = int(np.sum(~rej & ~is_null))
-    return v, r, w
+    return replication, v, r, w
 
 
 def simulate(config: SimConfig) -> SimResult:
-    """Run the simulation; identical seeds give bit-identical results."""
-    machinery = _test_machinery(config.model, config.setup)
+    """Run the simulation; identical seeds give bit-identical results.
+
+    The (replication, chunk) jobs run in order on the calling thread at one
+    worker, and on min(workers, jobs, CPUs) threads otherwise; the stream is
+    partition-free, so the tallies are the same either way.
+    """
+    test = resolve_test(config.model, config.setup)
     m, reps = config.m, config.replications
-    chunks = [(s, min(s + _CHUNK, m)) for s in range(0, m, _CHUNK)]
+    jobs = [(r, s, min(s + _CHUNK, m)) for r in range(reps) for s in range(0, m, _CHUNK)]
+
+    def run_job(job):
+        return _chunk_tallies(config, test, job)
+
+    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+    if workers == 1:
+        partials = list(map(run_job, jobs))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(run_job, jobs))
     V = np.zeros(reps, dtype=np.int64)
     R = np.zeros(reps, dtype=np.int64)
     W = np.zeros(reps, dtype=np.int64)
-
-    def run_rep(r):
-        v = rr = w = 0
-        for s, e in chunks:
-            cv, cr, cw = _chunk_tallies(config, r, s, e, machinery)
-            v += cv
-            rr += cr
-            w += cw
-        return r, v, rr, w
-
-    if config.workers == 1:
-        results = [run_rep(r) for r in range(reps)]
-    else:
-        jobs = [(r, s, e) for r in range(reps) for s, e in chunks]
-
-        def run_job(job):
-            r, s, e = job
-            return (r,) + _chunk_tallies(config, r, s, e, machinery)
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(run_job, jobs))
-        acc = {}
-        for r, v, rr, w in partials:
-            pv, pr, pw = acc.get(r, (0, 0, 0))
-            acc[r] = (pv + v, pr + rr, pw + w)
-        results = [(r,) + acc[r] for r in range(reps)]
-
-    for r, v, rr, w in results:
-        V[r], R[r], W[r] = v, rr, w
+    for r, v, rr, w in partials:
+        V[r] += v
+        R[r] += rr
+        W[r] += w
 
     S = R - V
     fdr = V / np.maximum(R, 1)

@@ -1,12 +1,12 @@
 """Special functions and deterministic quadrature used by every other module.
 
 All functions are pure and accept either scalars or numpy arrays where noted.
-The quadrature is deliberately simple and fully deterministic: the
+The quadrature is deliberately simple and fully deterministic: one
 ``riemann_avg`` scheme refines a uniform grid by panel doubling, taking the
 average of the lower and upper Riemann sums (equivalently, the trapezoid
 rule) until two successive refinements agree to the requested tolerance.
-An adaptive Simpson scheme is available when the integrand has localized
-structure on a wide interval.
+Infinite limits go through a tangent map, and :func:`integrate_split`
+compresses the far tails of a wide interval logarithmically.
 """
 
 from __future__ import annotations
@@ -105,13 +105,11 @@ class QuadratureConfig:
     """Tolerance and refinement budget for :func:`integrate`.
 
     ``max_refinements`` bounds the panel-doubling depth of ``riemann_avg``
-    (2**max_refinements panels at most) and the recursion depth of the
-    adaptive scheme.
+    (2**max_refinements panels at most).
     """
 
     abs_tol: float = 1e-8
     max_refinements: int = 20
-    scheme: str = "riemann_avg"
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
@@ -120,17 +118,15 @@ class QuadratureConfig:
             raise DomainError(
                 f"max_refinements must be >= 1, got {self.max_refinements}"
             )
-        if self.scheme not in ("riemann_avg", "adaptive"):
-            raise DomainError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
 class IntegralValue:
     """A quadrature result with an a-posteriori error bound.
 
-    ``error_bound`` is the half-gap between the last two refinements for
+    ``error_bound`` is the half-gap between the last two refinements of
     ``riemann_avg`` (the spread of the bracketing Riemann sums at
-    convergence), or the accumulated local estimate for ``adaptive``.
+    convergence), summed over the pieces of a split integral.
     ``truncation_radius`` records where an unbounded domain was cut, when a
     caller did so.
     """
@@ -166,43 +162,12 @@ def _map_infinite(f: Callable, a: float, b: float):
     faster than 1/x^2 and introduces an error the refinement estimate picks
     up otherwise.
     """
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-
-    if a_inf and b_inf:
-        lo, hi = -0.5 * math.pi, 0.5 * math.pi
-
-        def w(u):
-            u = np.asarray(u, dtype=float)
-            t = np.tan(u)
-            ok = np.isfinite(t) & (np.abs(t) < _TAN_MAP_CUTOFF)
-            out = np.zeros_like(u)
-            if np.any(ok):
-                ts = t[ok]
-                out[ok] = np.asarray(f(ts), dtype=float) * (1.0 + ts * ts)
-            return out
-
-        return w, lo, hi
-
-    if b_inf:
-        lo, hi = 0.0, 0.5 * math.pi
-        base = a
-
-        def w(u):
-            u = np.asarray(u, dtype=float)
-            t = np.tan(u)
-            ok = np.isfinite(t) & (np.abs(t) < _TAN_MAP_CUTOFF)
-            out = np.zeros_like(u)
-            if np.any(ok):
-                ts = t[ok]
-                out[ok] = np.asarray(f(base + ts), dtype=float) * (1.0 + ts * ts)
-            return out
-
-        return w, lo, hi
-
-    # a infinite, b finite: integrate f(b - t), t in (0, inf), reversed.
-    lo, hi = 0.0, 0.5 * math.pi
-    base = b
+    if math.isinf(a) and math.isinf(b):
+        lo, base, sign = -0.5 * math.pi, 0.0, 1.0
+    elif math.isinf(b):
+        lo, base, sign = 0.0, a, 1.0
+    else:  # a infinite, b finite: integrate f(b - t), t in (0, inf)
+        lo, base, sign = 0.0, b, -1.0
 
     def w(u):
         u = np.asarray(u, dtype=float)
@@ -211,10 +176,10 @@ def _map_infinite(f: Callable, a: float, b: float):
         out = np.zeros_like(u)
         if np.any(ok):
             ts = t[ok]
-            out[ok] = np.asarray(f(base - ts), dtype=float) * (1.0 + ts * ts)
+            out[ok] = np.asarray(f(base + sign * ts), dtype=float) * (1.0 + ts * ts)
         return out
 
-    return w, lo, hi
+    return w, lo, 0.5 * math.pi
 
 
 def _riemann_avg(w, lo: float, hi: float, cfg: QuadratureConfig) -> IntegralValue:
@@ -248,60 +213,6 @@ def _riemann_avg(w, lo: float, hi: float, cfg: QuadratureConfig) -> IntegralValu
     )
 
 
-def _adaptive(w, lo: float, hi: float, cfg: QuadratureConfig) -> IntegralValue:
-    """Adaptive Simpson with the usual |S2-S1|/15 local error estimate.
-
-    The interval is pre-split into a coarse fixed grid first so features
-    narrower than the initial Simpson stencil cannot be skipped outright.
-    """
-
-    def simpson(a, b, fa, fm, fb):
-        return (b - a) * (fa + 4.0 * fm + fb) / 6.0
-
-    evals = [0]
-
-    def ev(x):
-        evals[0] += 1
-        return float(w(np.array([x]))[0])
-
-    failed = [False]
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = ev(lm), ev(rm)
-        left = simpson(a, m, fa, flm, fm)
-        right = simpson(m, b, fm, frm, fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol or depth >= cfg.max_refinements:
-            if abs(delta) > 15.0 * tol:
-                failed[0] = True
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        lv, le = recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
-        rv, re = recurse(m, b, fm, frm, fb, right, 0.5 * tol, depth + 1)
-        return lv + rv, le + re
-
-    if hi == lo:
-        return IntegralValue(0.0, 0.0, panels=0)
-    presplit = 16
-    edges = np.linspace(lo, hi, presplit + 1)
-    fvals = [ev(e) for e in edges]
-    value = 0.0
-    err = 0.0
-    for i in range(presplit):
-        a, b = float(edges[i]), float(edges[i + 1])
-        fa, fb = fvals[i], fvals[i + 1]
-        fm = ev(0.5 * (a + b))
-        whole = simpson(a, b, fa, fm, fb)
-        v, e = recurse(a, b, fa, fm, fb, whole, cfg.abs_tol / presplit, 0)
-        value += v
-        err += e
-    result = IntegralValue(value, err, panels=evals[0], converged=not failed[0])
-    if failed[0]:
-        raise QuadratureNonConvergence(result)
-    return result
-
-
 def integrate_split(
     f: Callable,
     a: float,
@@ -314,8 +225,8 @@ def integrate_split(
 
     A core of +-``core_width`` around the anchor is gridded directly; the
     remaining tails are compressed through theta = edge +- (e^v - 1), which
-    turns polynomial decay into exponential decay in v. Piece tolerances sum
-    to ``cfg.abs_tol``.
+    turns polynomial decay into exponential decay in v. Each piece is refined
+    to ``cfg`` and the reported bound is the sum of the pieces' bounds.
     """
     if not a <= anchor <= b:
         raise DomainError(f"anchor {anchor} outside [{a}, {b}]")
@@ -323,14 +234,13 @@ def integrate_split(
     hi_core = min(b, anchor + core_width)
     pieces = []
     failed = False
-    sub_cfg = QuadratureConfig(cfg.abs_tol / 3.0, cfg.max_refinements, cfg.scheme)
 
     def run(fun, lo, hi):
         nonlocal failed
         if hi <= lo:
             return
         try:
-            pieces.append(integrate(fun, lo, hi, sub_cfg))
+            pieces.append(integrate(fun, lo, hi, cfg))
         except QuadratureNonConvergence as exc:
             failed = True
             pieces.append(exc.result)
@@ -386,6 +296,4 @@ def integrate(
         w, lo, hi = _map_infinite(f, a, b)
     else:
         w, lo, hi = (lambda x: np.asarray(f(np.asarray(x, dtype=float)), dtype=float)), a, b
-    if cfg.scheme == "adaptive":
-        return _adaptive(w, lo, hi, cfg)
     return _riemann_avg(w, lo, hi, cfg)

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import special as _sp
-from scipy import stats as _stats
 
 from . import numkernel as nk
 
@@ -231,6 +230,19 @@ def scale_prior(base: Prior, tau: float) -> Prior:
 # ---------------------------------------------------------------------------
 
 
+def _on_positive(th, fn: Callable):
+    """``fn`` applied to the positive entries of ``th``, zero elsewhere.
+
+    A scalar ``th`` gives a float; ``fn`` always receives a 1-d array.
+    """
+    th = np.asarray(th, dtype=float)
+    flat = np.atleast_1d(th)
+    out = np.zeros_like(flat)
+    pos = flat > 0.0
+    out[pos] = fn(flat[pos])
+    return float(out[0]) if th.ndim == 0 else out
+
+
 def normal_prior(tau: float = 1.0) -> Prior:
     """theta ~ N(0, tau^2)."""
     if not tau > 0.0:
@@ -294,8 +306,8 @@ def student_t_prior(m: float, tau: float = 1.0) -> Prior:
         g1=lambda th: h1(np.asarray(th, dtype=float) / tau) / tau**2,
         g2=lambda th: h2(np.asarray(th, dtype=float) / tau) / tau**3,
         support=(-math.inf, math.inf),
-        cdf=lambda th: _stats.t.cdf(np.asarray(th, dtype=float) / tau, df=m),
-        ppf=lambda u: tau * _stats.t.ppf(np.asarray(u, dtype=float), df=m),
+        cdf=lambda th: _sp.stdtr(m, np.asarray(th, dtype=float) / tau),
+        ppf=lambda u: tau * _sp.stdtrit(m, np.asarray(u, dtype=float)),
     )
 
 
@@ -341,34 +353,15 @@ def gamma_mode1_prior(r: float) -> Prior:
     log_norm = r * math.log(s) - math.lgamma(r)
 
     def g(th):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        out = np.zeros_like(th)
-        pos = th > 0.0
-        out[pos] = np.exp(log_norm + (r - 1.0) * np.log(th[pos]) - s * th[pos])
-        return float(out[0]) if scalar else out
+        return _on_positive(th, lambda tp: np.exp(log_norm + (r - 1.0) * np.log(tp) - s * tp))
 
     def g1(th):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        gv = np.asarray(g(th), dtype=float)
-        out = np.zeros_like(th)
-        pos = th > 0.0
-        out[pos] = gv[pos] * ((r - 1.0) / th[pos] - s)
-        return float(out[0]) if scalar else out
+        return _on_positive(th, lambda tp: g(tp) * ((r - 1.0) / tp - s))
 
     def g2(th):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        gv = np.asarray(g(th), dtype=float)
-        out = np.zeros_like(th)
-        pos = th > 0.0
-        tp = th[pos]
-        out[pos] = gv[pos] * (((r - 1.0) / tp - s) ** 2 - (r - 1.0) / tp**2)
-        return float(out[0]) if scalar else out
+        return _on_positive(
+            th, lambda tp: g(tp) * (((r - 1.0) / tp - s) ** 2 - (r - 1.0) / tp**2)
+        )
 
     return Prior(
         name=f"gamma-mode1:{r:g}",
@@ -395,47 +388,29 @@ def f_mode1_prior(r: float, s: float) -> Prior:
     log_norm = (
         math.lgamma(r + s) - math.lgamma(r) - math.lgamma(s) + r * (math.log(r) - math.log(s * tau))
     )
+    b = r / (s * tau)
 
     def g(th):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        out = np.zeros_like(th)
-        pos = th > 0.0
-        u = r * th[pos] / (s * tau)
-        out[pos] = np.exp(
-            log_norm + (r - 1.0) * np.log(th[pos]) - (r + s) * np.log1p(u)
-        )
-        return float(out[0]) if scalar else out
+        def on_pos(tp):
+            u = r * tp / (s * tau)
+            return np.exp(log_norm + (r - 1.0) * np.log(tp) - (r + s) * np.log1p(u))
 
-    def _logderiv(th):
+        return _on_positive(th, on_pos)
+
+    def _logderiv(tp):
         # d/dth log g = (r-1)/th - (r+s) * (r/(s tau)) / (1 + r th/(s tau))
-        b = r / (s * tau)
-        return (r - 1.0) / th - (r + s) * b / (1.0 + b * th)
+        return (r - 1.0) / tp - (r + s) * b / (1.0 + b * tp)
 
     def g1(th):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        gv = np.asarray(g(th), dtype=float)
-        out = np.zeros_like(th)
-        pos = th > 0.0
-        out[pos] = gv[pos] * _logderiv(th[pos])
-        return float(out[0]) if scalar else out
+        return _on_positive(th, lambda tp: g(tp) * _logderiv(tp))
 
     def g2(th):
-        th = np.asarray(th, dtype=float)
-        scalar = th.ndim == 0
-        th = np.atleast_1d(th)
-        gv = np.asarray(g(th), dtype=float)
-        out = np.zeros_like(th)
-        pos = th > 0.0
-        b = r / (s * tau)
-        tp = th[pos]
-        ld = _logderiv(tp)
-        ld1 = -(r - 1.0) / tp**2 + (r + s) * b * b / (1.0 + b * tp) ** 2
-        out[pos] = gv[pos] * (ld * ld + ld1)
-        return float(out[0]) if scalar else out
+        def on_pos(tp):
+            ld = _logderiv(tp)
+            ld1 = -(r - 1.0) / tp**2 + (r + s) * b * b / (1.0 + b * tp) ** 2
+            return g(tp) * (ld * ld + ld1)
+
+        return _on_positive(th, on_pos)
 
     return Prior(
         name=f"f-mode1:{r:g}:{s:g}",
@@ -443,8 +418,11 @@ def f_mode1_prior(r: float, s: float) -> Prior:
         g1=g1,
         g2=g2,
         support=(0.0, math.inf),
-        cdf=lambda th: _stats.f.cdf(np.asarray(th, dtype=float) / tau, 2.0 * r, 2.0 * s),
-        ppf=lambda u: tau * _stats.f.ppf(np.asarray(u, dtype=float), 2.0 * r, 2.0 * s),
+        # fdtr is NaN below 0 where the CDF is 0, so clip as the gamma prior does
+        cdf=lambda th: _sp.fdtr(
+            2.0 * r, 2.0 * s, np.clip(np.asarray(th, dtype=float) / tau, 0.0, None)
+        ),
+        ppf=lambda u: tau * _sp.fdtri(2.0 * r, 2.0 * s, np.asarray(u, dtype=float)),
     )
 
 

@@ -29,6 +29,80 @@ MC_A_N1_SE = 0.0000272
 ORTHANT_A_N1 = 0.0074905216
 
 
+# Independent high-precision (A, At): mpmath's own special functions and
+# tanh-sinh quadrature on closed-form power functions and prior densities.
+def _mp():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 25
+    return mp
+
+
+def _mp_z(mp, alpha):
+    return -mp.sqrt(2) * mp.erfinv(2 * mp.mpf(alpha) - 1)
+
+
+def _mp_normal_mean(prior_pdf, alpha, n):
+    """N(theta, 1) data, reject when sqrt(n) Xbar > z_alpha; null theta <= 0."""
+    mp = _mp()
+    z = _mp_z(mp, alpha)
+    power = lambda th: 1 - mp.ncdf(z - mp.sqrt(n) * th)
+    g = prior_pdf(mp)
+    A = mp.quad(lambda th: power(th) * g(th), [-mp.inf, -5, -1, 0])
+    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, 1, 5, mp.inf])
+    return A, At
+
+
+def _mp_normal_pdf(mp):
+    return mp.npdf
+
+
+def _mp_cauchy_pdf(mp):
+    return lambda th: 1 / (mp.pi * (1 + th * th))
+
+
+def _mp_exp_rate_gamma2(alpha, n):
+    """Exp(theta) data, reject for a large sum; theta ~ Gamma(2, 1); null theta >= 1."""
+    mp = _mp()
+    c0 = mp.findroot(lambda c: mp.gammainc(n, c, mp.inf, regularized=True) - alpha, n)
+    power = lambda th: mp.gammainc(n, th * c0, mp.inf, regularized=True)
+    g = lambda th: th * mp.exp(-th)
+    A = mp.quad(lambda th: power(th) * g(th), [1, 3, 10, mp.inf])
+    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, 0.5, 1])
+    return A, At
+
+
+def _mp_cauchy_median_n1(alpha):
+    """One Cauchy(theta) observation, reject when X > z_alpha pi/2; Cauchy prior."""
+    mp = _mp()
+    c = _mp_z(mp, alpha) * mp.pi / 2
+    power = lambda th: mp.mpf(1) / 2 - mp.atan(c - th) / mp.pi
+    g = _mp_cauchy_pdf(mp)
+    A = mp.quad(lambda th: power(th) * g(th), [-mp.inf, -10, -1, 0])
+    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, 1, 10, mp.inf])
+    return A, At
+
+
+MPMATH_CASES = {
+    "nn-5": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 5), None,
+             lambda: _mp_normal_mean(_mp_normal_pdf, 0.05, 5)),
+    "nn-30": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 30), None,
+              lambda: _mp_normal_mean(_mp_normal_pdf, 0.05, 30)),
+    "nc-5": (NORMAL, priors.cauchy_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 5), None,
+             lambda: _mp_normal_mean(_mp_cauchy_pdf, 0.05, 5)),
+    "nc-30": (NORMAL, priors.cauchy_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 30), None,
+              lambda: _mp_normal_mean(_mp_cauchy_pdf, 0.05, 30)),
+    "exp-gamma-5": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.05, 5),
+                    None, lambda: _mp_exp_rate_gamma2(0.05, 5)),
+    "exp-gamma-30": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.05, 30),
+                     None, lambda: _mp_exp_rate_gamma2(0.05, 30)),
+    "nn-10-tol1e-9": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 10),
+                      QuadratureConfig(abs_tol=1e-9),
+                      lambda: _mp_normal_mean(_mp_normal_pdf, 0.05, 10)),
+    "cc-median-1-tol1e-9": (CLOC, priors.cauchy_prior(1.0), TestSetup("median", 0.0, 0.05, 1),
+                            QuadratureConfig(abs_tol=1e-9), lambda: _mp_cauchy_median_n1(0.05)),
+}
+
+
 def _joint(A, At, lam):
     B = A + lam - At
     return JointProbabilities(
@@ -74,26 +148,6 @@ class TestExactJoint:
             assert 0.0 <= joint.A_tilde.value <= lam + tol
             assert joint.B + joint.B_tilde == 1.0
 
-    def test_theta_and_transformed_domains_agree(self):
-        for model, prior, th0 in (
-            (NORMAL, priors.normal_prior(1.0), 0.0),
-            (NORMAL, priors.cauchy_prior(1.0), 0.0),
-            (EXP, priors.gamma_mode1_prior(2.0), 1.0),
-        ):
-            for n in (5, 30):
-                setup = TestSetup("mean_ump", th0, 0.05, n)
-                j1 = exact_joint(model, prior, setup, domain="theta")
-                j2 = exact_joint(model, prior, setup, domain="transformed")
-                tol_A = j1.A.error_bound + j2.A.error_bound + 1e-12
-                tol_At = j1.A_tilde.error_bound + j2.A_tilde.error_bound + 1e-12
-                assert abs(j1.A.value - j2.A.value) <= tol_A
-                assert abs(j1.A_tilde.value - j2.A_tilde.value) <= tol_At
-
-    def test_transformed_domain_requires_mean_statistic(self):
-        setup = TestSetup("median", 0.0, 0.05, 9)
-        with pytest.raises(models.ModelError):
-            exact_joint(NLOC, priors.normal_prior(1.0), setup, domain="transformed")
-
     def test_non_convergence_propagates_best_estimate(self):
         cfg = QuadratureConfig(abs_tol=1e-14, max_refinements=5)
         setup = TestSetup("mean_ump", 0.0, 0.05, 10)
@@ -102,22 +156,13 @@ class TestExactJoint:
         assert math.isfinite(excinfo.value.result.value)
         assert not excinfo.value.result.converged
 
-    def test_quadrature_schemes_agree(self):
-        # includes the fat-tailed single-observation Cauchy case
-        for model, prior, setup in (
-            (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 10)),
-            (CLOC, priors.cauchy_prior(1.0), TestSetup("median", 0.0, 0.05, 1)),
-        ):
-            j_r = exact_joint(model, prior, setup, QuadratureConfig(abs_tol=1e-9))
-            j_a = exact_joint(
-                model, prior, setup, QuadratureConfig(abs_tol=1e-9, scheme="adaptive")
-            )
-            assert abs(j_r.A.value - j_a.A.value) <= (
-                j_r.A.error_bound + j_a.A.error_bound + 1e-12
-            )
-            assert abs(j_r.A_tilde.value - j_a.A_tilde.value) <= (
-                j_r.A_tilde.error_bound + j_a.A_tilde.error_bound + 1e-12
-            )
+    @pytest.mark.parametrize("case", sorted(MPMATH_CASES))
+    def test_matches_mpmath_quadrature(self, case):
+        model, prior, setup, cfg, oracle = MPMATH_CASES[case]
+        joint = exact_joint(model, prior, setup, cfg)
+        A_mp, At_mp = oracle()
+        assert abs(joint.A.value - float(A_mp)) <= joint.A.error_bound
+        assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
 
 
 class TestExactRates:

@@ -351,3 +351,45 @@ class TestPowerMedianTest:
     def test_requires_location_convention(self):
         with pytest.raises(models.ModelError):
             models.power_median_test(NLOC, 0.1, TestSetup("median", 0.3, 0.05, 9))
+
+
+class TestResolvedTest:
+    def test_exp_rate_runs_against_the_user_parameter(self):
+        test = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, 0.05, 8))
+        assert test.direction == -1 and test.theta0 == 1.0
+        np.testing.assert_array_equal(
+            test.is_null(np.array([0.5, 1.0, 2.0])), [False, True, True]
+        )
+        # the power rises toward the alternative theta < theta0
+        assert test.power(0.5) > test.power(1.0) > test.power(2.0)
+        assert test.power(1.0) == pytest.approx(0.05, abs=1e-12)
+
+    def test_median_rejection_threshold(self):
+        setup = TestSetup("median", 0.0, 0.05, 3)
+        test = models.resolve_test(NLOC, setup)
+        cut = Z95 / (2.0 * NLOC.f0 * math.sqrt(3))
+        rows = np.array([[-9.0, cut * 1.001, 9.0], [-9.0, cut * 0.999, 9.0]])
+        np.testing.assert_array_equal(test.rejects(rows), [True, False])
+        np.testing.assert_array_equal(test.is_null(np.array([-0.1, 0.0, 0.1])), [True, True, False])
+
+    def test_statistic_must_fit_model(self):
+        with pytest.raises(models.ModelError):
+            models.resolve_test(NLOC, TestSetup("mean_ump", 0.0, 0.05, 5))
+        with pytest.raises(models.ModelError):
+            models.resolve_test(NORMAL, TestSetup("median", 0.0, 0.05, 5))
+
+    def test_missing_sampler_raises_model_error_when_sampling(self):
+        no_sampler = models.ExpFamilyModel(
+            name="no-sampler",
+            theta_lo=NORMAL.theta_lo,
+            theta_hi=NORMAL.theta_hi,
+            mu=NORMAL.mu,
+            sigma=NORMAL.sigma,
+            rho3=NORMAL.rho3,
+            rho4=NORMAL.rho4,
+            mean_statistic_cdf=NORMAL.mean_statistic_cdf,
+        )
+        test = models.resolve_test(no_sampler, TestSetup("mean_ump", 0.0, 0.05, 5))
+        assert test.power(0.0) == pytest.approx(0.05, abs=1e-12)
+        with pytest.raises(models.ModelError):
+            test.sampler(0.0, np.full((1, 5), 0.5))

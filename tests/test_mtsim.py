@@ -64,6 +64,29 @@ class TestUniformBlock:
         assert 99.0 - 3.0 * math.sqrt(198.0) <= chi2 <= 99.0 + 3.0 * math.sqrt(198.0)
 
 
+class TestPhiloxKnownAnswers:
+    """Philox-2x64-10 against the Random123 known-answer vectors (Salmon et al., SC'11)."""
+
+    @pytest.mark.parametrize(
+        "ctr,key,expected",
+        [
+            ((0, 0), 0, (0xCA00A0459843D731, 0x66C24222C9A845B5)),
+            ((2**64 - 1, 2**64 - 1), 2**64 - 1, (0x65B021D60CD8310F, 0x4D02F3222F86DF20)),
+            (
+                (0x243F6A8885A308D3, 0x13198A2E03707344),
+                0xA4093822299F31D0,
+                (0x0A5E742C2997341C, 0xB0F883D38000DE5D),
+            ),
+        ],
+        ids=["zeros", "ones", "pi"],
+    )
+    def test_random123_vector(self, ctr, key, expected):
+        c0 = np.array([ctr[0]], dtype=np.uint64)
+        c1 = np.array([ctr[1]], dtype=np.uint64)
+        x0, x1 = mtsim._philox2x64(c0, c1, np.uint64(key))
+        assert (int(x0[0]), int(x1[0])) == expected
+
+
 class TestSimulate:
     def test_no_true_nulls_gives_zero_fdr(self):
         # gamma prior lives on (0, inf): every theta is in the alternative
@@ -133,6 +156,32 @@ class TestSimulate:
         np.testing.assert_array_equal(serial.S, parallel.S)
         np.testing.assert_array_equal(serial.R, parallel.R)
         assert serial.fdr_hat == parallel.fdr_hat
+
+    def test_worker_count_clamped_to_jobs(self, monkeypatch):
+        # 3 replications of one chunk each: 3 jobs, whatever the worker count
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(mtsim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mtsim.os, "cpu_count", lambda: 64)
+        serial = simulate(_config(m=500, replications=3))
+        wide = simulate(_config(m=500, replications=3, workers=10**6))
+        assert seen == [3]
+        np.testing.assert_array_equal(serial.V, wide.V)
+        np.testing.assert_array_equal(serial.R, wide.R)
+        assert serial.eps_hat == wide.eps_hat
 
     def test_pooled_and_per_replication_estimators(self):
         cfg = _config(m=8000, replications=6)

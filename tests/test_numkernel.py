@@ -135,6 +135,18 @@ class TestIntegrate:
         res = nk.integrate(nk.std_normal_pdf, -np.inf, 0.0)
         assert res.value == pytest.approx(0.5, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "a,b,truth",
+        [
+            (-np.inf, 0.0, 0.15865525393145707),  # Phi(-1)
+            (0.0, np.inf, 0.8413447460685429),  # Phi(1)
+            (-np.inf, np.inf, 1.0),
+        ],
+    )
+    def test_infinite_limits_of_shifted_gaussian(self, a, b, truth):
+        res = nk.integrate(lambda x: nk.std_normal_pdf(x - 1.0), a, b)
+        assert res.value == pytest.approx(truth, abs=1e-7)
+
     def test_reversed_limits_flip_sign(self):
         fwd = nk.integrate(lambda x: x * x, 0.0, 2.0)
         rev = nk.integrate(lambda x: x * x, 2.0, 0.0)
@@ -160,15 +172,7 @@ class TestIntegrate:
     )
     def test_schemes_agree(self, f, a, b, truth):
         r1 = nk.integrate(f, a, b, nk.QuadratureConfig(abs_tol=1e-9))
-        r2 = nk.integrate(f, a, b, nk.QuadratureConfig(abs_tol=1e-9, scheme="adaptive"))
-        assert abs(r1.value - r2.value) <= r1.error_bound + r2.error_bound + 1e-9
         assert r1.value == pytest.approx(truth, abs=1e-7)
-
-    def test_adaptive_handles_localized_spike(self):
-        # narrow bump on a wide interval
-        f = lambda x: np.exp(-((x - 3.0) ** 2) * 200.0)
-        res = nk.integrate(f, -50.0, 50.0, nk.QuadratureConfig(abs_tol=1e-10, scheme="adaptive"))
-        assert res.value == pytest.approx(math.sqrt(math.pi / 200.0), rel=1e-6)
 
 
 class TestConfigValidation:
@@ -179,10 +183,6 @@ class TestConfigValidation:
     def test_bad_refinements(self):
         with pytest.raises(nk.DomainError):
             nk.QuadratureConfig(max_refinements=0)
-
-    def test_bad_scheme(self):
-        with pytest.raises(nk.DomainError):
-            nk.QuadratureConfig(scheme="simpson")
 
     def test_negative_error_bound_rejected(self):
         with pytest.raises(nk.DomainError):

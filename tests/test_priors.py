@@ -1,6 +1,9 @@
 """Built-in prior families: closed forms, normalization, scaling, tail masses."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,3 +275,35 @@ class TestSpecParsing:
     def test_bad_numeric(self):
         with pytest.raises(priors.PriorError):
             priors.parse_prior_spec("normal:abc")
+
+
+class TestSpecialFunctionBackends:
+    """The t and F priors run on scipy.special; scipy.stats is the oracle."""
+
+    @pytest.mark.parametrize("m,tau", [(1.0, 1.0), (4.0, 1.0), (2.5, 0.3), (30.0, 2.0)])
+    def test_student_t_matches_scipy_stats(self, m, tau):
+        stats = pytest.importorskip("scipy.stats")
+        p = priors.student_t_prior(m, tau)
+        th = np.linspace(-40.0, 40.0, 801)
+        np.testing.assert_array_equal(p.cdf(th), stats.t.cdf(th / tau, df=m))
+        u = np.linspace(1e-6, 1.0 - 1e-6, 501)
+        np.testing.assert_array_equal(p.ppf(u), tau * stats.t.ppf(u, df=m))
+
+    @pytest.mark.parametrize("r,s", [(2.0, 2.0), (3.0, 4.0), (1.5, 0.5)])
+    def test_f_matches_scipy_stats(self, r, s):
+        stats = pytest.importorskip("scipy.stats")
+        p = priors.f_mode1_prior(r, s)
+        tau = r * (s + 1.0) / (s * (r - 1.0))
+        th = np.linspace(-5.0, 60.0, 801)
+        np.testing.assert_array_equal(p.cdf(th), stats.f.cdf(th / tau, 2.0 * r, 2.0 * s))
+        u = np.linspace(0.0, 1.0 - 1e-6, 501)
+        np.testing.assert_array_equal(p.ppf(u), tau * stats.f.ppf(u, 2.0 * r, 2.0 * s))
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, bfdr.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
