@@ -78,15 +78,6 @@ class RunConfig:
     fmt: str = "csv"
 
 
-def _round10(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return float(f"{x:.10g}")
-
-
 def _fmt_cell(x) -> str:
     if x is None:
         return ""
@@ -98,6 +89,13 @@ def _fmt_cell(x) -> str:
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return f"{x:.10g}"
+
+
+def _round10(x):
+    """JSON value of a cell: floats carry the CSV cell's 10 digits."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    return float(_fmt_cell(x))
 
 
 def _emit(rows: List[dict], header: List[str], config: RunConfig) -> None:

@@ -87,13 +87,7 @@ def _find_cut(
             return theta0 + away * smax
         s = min(2.0 * s, smax)
     lo_s = 0.0 if s <= 1e-3 else s / 2.0
-    hi_s = s
-    for _ in range(30):
-        mid = 0.5 * (lo_s + hi_s)
-        if h(theta0 + away * mid) > tol:
-            lo_s = mid
-        else:
-            hi_s = mid
+    _, hi_s = nk.bisect(lambda t: h(theta0 + away * t) > tol, lo_s, s, 30)
     return theta0 + away * hi_s
 
 
@@ -119,45 +113,34 @@ def exact_joint(
     lam = natural_lambda_alt(prior, theta0, direction)
     cut_tol = cfg.abs_tol / 10.0
 
-    cdf = prior.cdf
+    cdf, g = prior.cdf, prior.g
 
-    def null_tail_bound(th: float) -> float:
-        p = float(np.clip(power(np.asarray([th]))[0], 0.0, 1.0))
-        if cdf is None:
-            return p
-        mass = float(cdf(th)) if direction == 1 else 1.0 - float(cdf(th))
-        return p * mass
+    def side(alt: bool) -> IntegralValue:
+        # The null region runs from theta0 away against the power direction and
+        # weighs rejection; the alternative runs with it and weighs acceptance.
+        away = direction if alt else -direction
+        limit = lo if away == -1 else hi
 
-    def alt_tail_bound(th: float) -> float:
-        p = 1.0 - float(np.clip(power(np.asarray([th]))[0], 0.0, 1.0))
-        if cdf is None:
-            return p
-        mass = 1.0 - float(cdf(th)) if direction == 1 else float(cdf(th))
-        return p * mass
+        def weight(p):
+            return 1.0 - p if alt else p
 
-    # Null region runs from theta0 away against the power direction; the
-    # alternative runs with it.
-    null_limit = lo if direction == 1 else hi
-    alt_limit = hi if direction == 1 else lo
-    null_cut = _find_cut(null_tail_bound, theta0, -direction, null_limit, cut_tol)
-    alt_cut = _find_cut(alt_tail_bound, theta0, direction, alt_limit, cut_tol)
+        def tail_bound(th: float) -> float:
+            p = weight(float(np.clip(power(np.asarray([th]))[0], 0.0, 1.0)))
+            if cdf is None:
+                return p
+            mass = float(cdf(th)) if away == -1 else 1.0 - float(cdf(th))
+            return p * mass
 
-    g = prior.g
+        def integrand(th):
+            th = np.asarray(th, dtype=float)
+            return weight(np.asarray(power(th), dtype=float)) * np.asarray(g(th), dtype=float)
 
-    def integrand_null(th):
-        th = np.asarray(th, dtype=float)
-        return np.asarray(power(th), dtype=float) * np.asarray(g(th), dtype=float)
-
-    def integrand_alt(th):
-        th = np.asarray(th, dtype=float)
-        return (1.0 - np.asarray(power(th), dtype=float)) * np.asarray(g(th), dtype=float)
-
-    def tail_integral(f, cut):
-        res = nk.integrate_split(f, min(theta0, cut), max(theta0, cut), theta0, cfg)
+        cut = _find_cut(tail_bound, theta0, away, limit, cut_tol)
+        res = nk.integrate_split(integrand, min(theta0, cut), max(theta0, cut), theta0, cfg)
         return res.with_extra_error(cut_tol, truncation_radius=abs(cut - theta0))
 
-    A = tail_integral(integrand_null, null_cut)
-    At = tail_integral(integrand_alt, alt_cut)
+    A = side(alt=False)
+    At = side(alt=True)
     B = A.value + lam - At.value
     return JointProbabilities(A=A, A_tilde=At, lambda_alt=lam, B=B, B_tilde=1.0 - B)
 

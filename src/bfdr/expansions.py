@@ -266,12 +266,11 @@ def median_coefficients(
     prior: Prior,
     alpha: float,
     n: int,
-    f23_variant: str = "general",
 ) -> CoefficientSet:
     """Series coefficients for the median test; n enters only through parity."""
     if not (0.0 < alpha < 1.0):
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
-    rc = reiss_coefficients(model, n, f23_variant)
+    rc = reiss_coefficients(model, n)
     f0 = model.f0
     g0 = float(prior.g(np.asarray(0.0)))
     g1 = float(prior.g1(np.asarray(0.0)))

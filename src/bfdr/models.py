@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 from . import numkernel as nk
@@ -258,8 +257,10 @@ def cauchy_location_model() -> LocationModel:
 def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     """Critical value k with P_theta0(sqrt(n)(Xbar - mu0)/sigma0 > k) = alpha.
 
-    Solved on the model's exact mean-statistic CDF; tends to z_alpha as n
-    grows. Raises :class:`ExactCdfUnavailable` when the model lacks the CDF.
+    Solved on the model's exact mean-statistic CDF by bisection to the last
+    bit: k is the smallest double with cdf(k) >= 1 - alpha. Tends to z_alpha
+    as n grows. Raises :class:`ExactCdfUnavailable` when the model lacks the
+    CDF.
     """
     if setup.statistic != "mean_ump":
         raise ModelError("ump_critical_value applies to the mean_ump statistic")
@@ -271,19 +272,19 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     target = 1.0 - setup.alpha
     cdf = model.mean_statistic_cdf
 
-    def shortfall(k):
-        return float(cdf(setup.theta0, setup.n, k)) - target
+    def below(k):
+        return float(cdf(setup.theta0, setup.n, k)) < target
 
     lo, hi = -1.0, 1.0
-    while shortfall(lo) > 0.0:
+    while not below(lo):
         lo *= 2.0
         if lo < -1e6:
             raise ModelError("failed to bracket the critical value from below")
-    while shortfall(hi) < 0.0:
+    while below(hi):
         hi *= 2.0
         if hi > 1e6:
             raise ModelError("failed to bracket the critical value from above")
-    return float(_opt.brentq(shortfall, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    return nk.bisect(below, lo, hi)[1]
 
 
 def cornish_fisher_critical(rho30: float, rho40: float, alpha: float, n: int) -> float:
@@ -355,14 +356,12 @@ def median_pdf_exact(model: LocationModel, n: int, t):
     return float(dens) if dens.ndim == 0 else dens
 
 
-def reiss_coefficients(
-    model: LocationModel, n: int, f23_variant: str = "general"
-) -> ReissCoefficients:
+def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
     """Correction-polynomial coefficients for the sample-median CDF at size n.
 
-    ``f23_variant`` selects between the general formula
-    1/4 - (1 - 2{n/2})^2 / 2 (default) and the worked-example variant
-    1/4 - (1/2 - {n/2})^2; the two differ for even n.
+    f23 follows the general formula 1/4 - (1 - 2{n/2})^2 / 2; the worked-example
+    variant 1/4 - (1/2 - {n/2})^2 differs from it for even n and tracks the
+    exact CDF less closely.
     """
     n = int(n)
     frac = 0.0 if n % 2 == 0 else 0.5  # fractional part of n/2
@@ -372,19 +371,14 @@ def reiss_coefficients(
     f12 = -(1.0 - 2.0 * frac)
     f21 = -((f0p / (f0 * f0)) ** 2) / 32.0
     f22 = 0.25 + (0.5 - frac) * f0p / (2.0 * f0 * f0) + f0pp / (24.0 * f0**3)
-    if f23_variant == "general":
-        f23 = 0.25 - (1.0 - 2.0 * frac) ** 2 / 2.0
-    elif f23_variant == "example":
-        f23 = 0.25 - (0.5 - frac) ** 2
-    else:
-        raise ModelError(f"unknown f23_variant {f23_variant!r}")
+    f23 = 0.25 - (1.0 - 2.0 * frac) ** 2 / 2.0
     return ReissCoefficients(f11, f12, f21, f22, f23, parity)
 
 
-def median_cdf_edgeworth(model: LocationModel, n: int, t, f23_variant: str = "general"):
+def median_cdf_edgeworth(model: LocationModel, n: int, t):
     """Two-term expansion of the standardized sample-median CDF; vectorized."""
     n = int(n)
-    rc = reiss_coefficients(model, n, f23_variant)
+    rc = reiss_coefficients(model, n)
     t = np.asarray(t, dtype=float)
     phi = nk.std_normal_pdf(t)
     out = (

@@ -20,6 +20,8 @@ never change any value and equal seeds reproduce results bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -168,7 +170,7 @@ class SimResult:
 
 
 def _chunk_tallies(config: SimConfig, test: ResolvedTest, job: Tuple[int, int, int]):
-    """(replication, V, R, W) over experiments [start, stop) of one replication."""
+    """(V, R, W) over experiments [start, stop) of one replication."""
     replication, start, stop = job
     n = config.setup.n
     u = uniform_block(config.seed, replication, start, stop, 1 + n)
@@ -179,37 +181,35 @@ def _chunk_tallies(config: SimConfig, test: ResolvedTest, job: Tuple[int, int, i
     v = int(np.sum(rej & is_null))
     r = int(np.sum(rej))
     w = int(np.sum(~rej & ~is_null))
-    return replication, v, r, w
+    return v, r, w
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """Run the simulation; identical seeds give bit-identical results.
+def _prefix_tallies(config: SimConfig, test: ResolvedTest, stops: Sequence[int]) -> dict:
+    """Per-replication (V, R, W) over experiments [0, m) for every m in ``stops``.
 
-    The (replication, chunk) jobs run in order on the calling thread at one
-    worker, and on min(workers, jobs, CPUs) threads otherwise; the stream is
-    partition-free, so the tallies are the same either way.
+    One pass over [0, max(stops)) in chunks that end at the multiples of
+    ``_CHUNK`` and at every stop, so each prefix is a sum of whole chunks.
     """
-    test = resolve_test(config.model, config.setup)
-    m, reps = config.m, config.replications
-    jobs = [(r, s, min(s + _CHUNK, m)) for r in range(reps) for s in range(0, m, _CHUNK)]
+    bounds = sorted(set(range(0, max(stops), _CHUNK)) | set(stops))
+    reps = config.replications
+    jobs = [(r, a, b) for r in range(reps) for a, b in zip(bounds, bounds[1:])]
 
-    def run_job(job):
-        return _chunk_tallies(config, test, job)
-
+    run_job = functools.partial(_chunk_tallies, config, test)
     workers = min(config.workers, len(jobs), os.cpu_count() or 1)
     if workers == 1:
         partials = list(map(run_job, jobs))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_job, jobs))
-    V = np.zeros(reps, dtype=np.int64)
-    R = np.zeros(reps, dtype=np.int64)
-    W = np.zeros(reps, dtype=np.int64)
-    for r, v, rr, w in partials:
-        V[r] += v
-        R[r] += rr
-        W[r] += w
+    # Jobs are replication-major, so the (reps, chunks, 3) reshape is exact.
+    counts = np.asarray(partials, dtype=np.int64).reshape(reps, len(bounds) - 1, 3)
+    prefix = np.cumsum(counts, axis=1)
+    return {m: prefix[:, bounds.index(m) - 1].T for m in stops}
 
+
+def _result(config: SimConfig, V: np.ndarray, R: np.ndarray, W: np.ndarray) -> SimResult:
+    """Rate estimators from the per-replication tallies of ``config``."""
+    m, reps = config.m, config.replications
     S = R - V
     fdr = V / np.maximum(R, 1)
     fdr_hat = float(fdr.mean())
@@ -245,6 +245,18 @@ def simulate(config: SimConfig) -> SimResult:
     )
 
 
+def simulate(config: SimConfig) -> SimResult:
+    """Run the simulation; identical seeds give bit-identical results.
+
+    The (replication, chunk) jobs run in order on the calling thread at one
+    worker, and on min(workers, jobs, CPUs) threads otherwise; the stream is
+    partition-free, so the tallies are the same either way.
+    """
+    test = resolve_test(config.model, config.setup)
+    tallies = _prefix_tallies(config, test, [config.m])
+    return _result(config, *tallies[config.m])
+
+
 @dataclass(frozen=True)
 class SweepRow:
     m: int
@@ -258,27 +270,22 @@ def convergence_sweep(
     m_grid: Sequence[int],
     delta_ref: Optional[float] = None,
 ) -> list:
-    """One simulation per m with a shared stream prefix, so rows are comparable.
+    """Rows for every m in ``m_grid``, read off one simulation pass.
 
-    Experiment i draws the same data in every row that includes it; growing m
-    extends the experiment set rather than reshuffling it. ``gap`` reports
+    Experiment i draws the same data in every row that includes it, so each
+    row equals :func:`simulate` at that m and growing m extends the
+    experiment set rather than reshuffling it. One pass to max(m) tallies
+    every prefix. Rows keep the grid's order. ``gap`` reports
     |fdr_hat - delta_ref| when a reference is supplied.
     """
     if not m_grid:
         raise ModelError("m_grid must be non-empty")
+    configs = [dataclasses.replace(config, m=int(m)) for m in m_grid]
+    test = resolve_test(config.model, config.setup)
+    tallies = _prefix_tallies(config, test, [c.m for c in configs])
     rows = []
-    for m in m_grid:
-        res = simulate(
-            SimConfig(
-                model=config.model,
-                prior=config.prior,
-                setup=config.setup,
-                m=int(m),
-                seed=config.seed,
-                replications=config.replications,
-                workers=config.workers,
-            )
-        )
+    for c in configs:
+        res = _result(c, *tallies[c.m])
         gap = None if delta_ref is None else abs(res.fdr_hat - delta_ref)
-        rows.append(SweepRow(m=int(m), fdr_hat=res.fdr_hat, se_fdr=res.se_fdr, gap=gap))
+        rows.append(SweepRow(m=c.m, fdr_hat=res.fdr_hat, se_fdr=res.se_fdr, gap=gap))
     return rows

@@ -6,14 +6,17 @@ The quadrature is deliberately simple and fully deterministic: one
 average of the lower and upper Riemann sums (equivalently, the trapezoid
 rule) until two successive refinements agree to the requested tolerance.
 Infinite limits go through a tangent map, and :func:`integrate_split`
-compresses the far tails of a wide interval logarithmically.
+compresses the far tails of a wide interval logarithmically. :func:`bisect`
+is the one bracket-halving solver behind every monotone search in bfdr (the
+critical value, the truncation cut and the prior tail points).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import special as _sp
@@ -23,6 +26,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Largest |x| treated as a usable abscissa after an infinite-limit change of
 #: variables; beyond it the mapped integrand is taken to be zero.
 _TAN_MAP_CUTOFF = 1e15
+
+#: Half-width of the directly gridded core of :func:`integrate_split`.
+_CORE_WIDTH = 8.0
 
 
 class NumKernelError(Exception):
@@ -87,6 +93,26 @@ def gamma_upper_quantile(shape: float, rate: float, alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return float(_sp.gammainccinv(shape, alpha)) / rate
+
+
+def bisect(
+    below: Callable[[float], bool], lo: float, hi: float, steps: Optional[int] = None
+) -> Tuple[float, float]:
+    """Halve the bracket [lo, hi] of a monotone predicate; returns (lo, hi).
+
+    ``below(lo)`` must be true and ``below(hi)`` false; each step moves one end
+    to ``0.5 * (lo + hi)``. With ``steps`` the bracket is halved that many
+    times; without, until lo and hi are adjacent doubles.
+    """
+    for _ in itertools.count() if steps is None else range(steps):
+        mid = 0.5 * (lo + hi)
+        if steps is None and (mid == lo or mid == hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -219,19 +245,18 @@ def integrate_split(
     b: float,
     anchor: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    core_width: float = 8.0,
 ) -> IntegralValue:
     """Integrate over a possibly very wide finite interval containing ``anchor``.
 
-    A core of +-``core_width`` around the anchor is gridded directly; the
+    A core of +-``_CORE_WIDTH`` around the anchor is gridded directly; the
     remaining tails are compressed through theta = edge +- (e^v - 1), which
     turns polynomial decay into exponential decay in v. Each piece is refined
     to ``cfg`` and the reported bound is the sum of the pieces' bounds.
     """
     if not a <= anchor <= b:
         raise DomainError(f"anchor {anchor} outside [{a}, {b}]")
-    lo_core = max(a, anchor - core_width)
-    hi_core = min(b, anchor + core_width)
+    lo_core = max(a, anchor - _CORE_WIDTH)
+    hi_core = min(b, anchor + _CORE_WIDTH)
     pieces = []
     failed = False
 

@@ -69,33 +69,25 @@ class Prior:
 
 
 def _invert_monotone(cdf: Callable, target: float, lo: float, hi: float) -> float:
-    """Bisection solve of cdf(x) = target over (lo, hi), endpoints may be inf."""
+    """Smallest double x in (lo, hi) with cdf(x) >= target; endpoints may be inf."""
+
+    def below(x):
+        return float(cdf(x)) < target
+
     # Expand a finite bracket first.
     left = lo if math.isfinite(lo) else -1.0
     right = hi if math.isfinite(hi) else 1.0
     if not math.isfinite(lo):
-        while float(cdf(left)) > target:
+        while not below(left):
             left *= 4.0
             if left < -1e300:
                 return -1e300
     if not math.isfinite(hi):
-        while float(cdf(right)) < target:
+        while below(right):
             right *= 4.0
             if right > 1e300:
                 return 1e300
-    if math.isfinite(lo):
-        left = max(left, lo)
-    if math.isfinite(hi):
-        right = min(right, hi)
-    for _ in range(200):
-        mid = 0.5 * (left + right)
-        if float(cdf(mid)) < target:
-            left = mid
-        else:
-            right = mid
-        if right - left <= 1e-12 * max(1.0, abs(left), abs(right)):
-            break
-    return 0.5 * (left + right)
+    return nk.bisect(below, left, right)[1]
 
 
 def _validation_grid(prior: Prior) -> np.ndarray:

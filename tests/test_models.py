@@ -7,6 +7,7 @@ binomial SE 0.000321. Other frozen constants come from 40-digit mpmath or
 exact arithmetic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestBuiltinModels:
             )
 
 
+def _example_variant(rc, n):
+    """The worked-example coefficients: f23 = 1/4 - (1/2 - {n/2})^2."""
+    frac = 0.0 if n % 2 == 0 else 0.5
+    return dataclasses.replace(rc, f23=0.25 - (0.5 - frac) ** 2)
+
+
 class TestUmpCriticalValue:
     @pytest.mark.parametrize("n", [1, 5, 30])
     def test_normal_pivot_is_exact(self, n):
@@ -103,6 +110,17 @@ class TestUmpCriticalValue:
             gaps.append(abs(k - Z95))
         assert gaps[1] < gaps[0] / 8.0
         assert gaps[1] < 6e-3
+
+    @pytest.mark.parametrize(
+        "alpha", [round(0.01 * i, 2) for i in range(1, 31)] + [1e-3, 1e-4, 1e-6]
+    )
+    @pytest.mark.parametrize("n", [1, 4, 10, 11, 20, 30])
+    @pytest.mark.parametrize("model,th0", [(NORMAL, 0.0), (EXP, 1.0)], ids=["normal", "exp"])
+    def test_smallest_double_reaching_the_level(self, model, th0, n, alpha):
+        k = models.ump_critical_value(model, TestSetup("mean_ump", th0, alpha, n))
+        target = 1.0 - alpha
+        assert float(model.mean_statistic_cdf(th0, n, k)) >= target
+        assert float(model.mean_statistic_cdf(th0, n, math.nextafter(k, -math.inf))) < target
 
     def test_missing_cdf_signals_fallback(self):
         bare = models.ExpFamilyModel(
@@ -264,10 +282,13 @@ class TestReissCoefficients:
         assert rc.f22 == pytest.approx(0.25 - math.pi**2 / 12.0, rel=1e-14)
 
     def test_example_variant_even(self):
-        rc = models.reiss_coefficients(NLOC, 20, f23_variant="example")
-        assert rc.f23 == 0.0
-        rc_odd = models.reiss_coefficients(NLOC, 21, f23_variant="example")
-        assert rc_odd.f23 == pytest.approx(0.25, rel=1e-14)
+        # the worked-example f23 vanishes for even n, where the general
+        # formula gives -1/4, and coincides with it for odd n
+        rc_even = models.reiss_coefficients(NLOC, 20)
+        assert rc_even.f23 == -0.25
+        assert _example_variant(rc_even, 20).f23 == 0.0
+        rc_odd = models.reiss_coefficients(NLOC, 21)
+        assert _example_variant(rc_odd, 21).f23 == pytest.approx(rc_odd.f23, rel=1e-14)
 
     def test_parity_constraint_enforced(self):
         with pytest.raises(models.ModelError):
@@ -319,9 +340,13 @@ class TestMedianCdfEdgeworth:
         ts = np.linspace(-3.0, 3.0, 61)
         exact = models.median_cdf_exact(NLOC, 104, ts)
         gap_general = np.max(np.abs(models.median_cdf_edgeworth(NLOC, 104, ts) - exact))
-        gap_example = np.max(
-            np.abs(models.median_cdf_edgeworth(NLOC, 104, ts, f23_variant="example") - exact)
+        rc = _example_variant(models.reiss_coefficients(NLOC, 104), 104)
+        example = (
+            nk.std_normal_cdf(ts)
+            + nk.std_normal_pdf(ts) * rc.r1(ts) / math.sqrt(104)
+            + nk.std_normal_pdf(ts) * rc.r2(ts) / 104
         )
+        gap_example = np.max(np.abs(example - exact))
         assert gap_general < gap_example
 
 

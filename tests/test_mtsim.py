@@ -258,6 +258,18 @@ class TestConvergenceSweep:
                 wins += 1
         assert wins >= 8
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_simulate_at_each_m(self, workers):
+        # unsorted grid, a repeated m, a stop on a chunk boundary and one inside
+        grid = [20000, 8192, 9000, 20000]
+        cfg = _config(replications=3, workers=workers)
+        rows = convergence_sweep(cfg, grid)
+        assert [row.m for row in rows] == grid
+        for row in rows:
+            res = simulate(_config(m=row.m, replications=3, workers=workers))
+            assert row.fdr_hat == res.fdr_hat
+            assert row.se_fdr == res.se_fdr
+
     def test_empty_grid_rejected(self):
         with pytest.raises(models.ModelError):
             convergence_sweep(_config(m=1), [])

@@ -122,6 +122,33 @@ class TestLogBinomial:
             nk.log_binomial(-1, 0)
 
 
+class TestBisect:
+    @staticmethod
+    def _tail(s):
+        # a monotone tail bound of the kind the truncation search refines
+        return math.exp(-0.5 * (1.3 + s) ** 2) > 1e-9
+
+    def test_fixed_steps_match_the_cut_refine_loop(self):
+        for lo, hi in ((0.0, 1e-3), (3.2, 6.4), (2.048, 8.192)):
+            ref_lo, ref_hi = lo, hi
+            for _ in range(30):
+                mid = 0.5 * (ref_lo + ref_hi)
+                if self._tail(mid):
+                    ref_lo = mid
+                else:
+                    ref_hi = mid
+            assert nk.bisect(self._tail, lo, hi, 30) == (ref_lo, ref_hi)
+
+    @pytest.mark.parametrize("target", [0.5, 0.95, 1.0 - 1e-6, 1e-300])
+    def test_full_precision_returns_adjacent_doubles(self, target):
+        lo, hi = nk.bisect(lambda x: nk.std_normal_cdf(x) < target, -40.0, 40.0)
+        assert math.nextafter(lo, math.inf) == hi
+        assert nk.std_normal_cdf(lo) < target <= nk.std_normal_cdf(hi)
+
+    def test_bracket_across_zero_ends_at_zero(self):
+        assert nk.bisect(lambda x: x < 0.0, -1.0, 1.0) == (-5e-324, 0.0)
+
+
 class TestIntegrate:
     def test_linear(self):
         res = nk.integrate(lambda x: x, 0.0, 1.0)

@@ -303,7 +303,8 @@ class TestSpecialFunctionBackends:
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, bfdr.cli; print('scipy.stats' in sys.modules)"
+        code = ("import sys, bfdr.cli; "
+                "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
