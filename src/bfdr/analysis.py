@@ -119,7 +119,8 @@ def n_alpha(
         statistic = "mean_ump"
     elif isinstance(model, LocationModel):
         statistic = "median"
-        theta0 = 0.0
+        if theta0 != 0.0:
+            raise ModelError("the median test uses the location convention theta0 = 0")
     else:
         raise ModelError(f"unsupported model type {type(model).__name__}")
 

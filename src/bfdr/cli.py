@@ -258,6 +258,8 @@ def _validate(args: argparse.Namespace) -> tuple:
         violations.append(f"sample sizes must be >= 1: {ns}")
 
     cfg.theta0 = getattr(args, "theta0", None)
+    if cfg.model_spec in ("normal-median", "cauchy-median") and cfg.theta0 not in (None, 0.0):
+        violations.append("the median test uses the location convention theta0 = 0")
     cfg.method = getattr(args, "method", "both")
     cfg.order = getattr(args, "order", 3)
 

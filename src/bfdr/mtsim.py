@@ -13,9 +13,10 @@ rate delta_n as m grows. The pooled ratios sum(V)/sum(R) and
 sum(W)/sum(m - R) estimate delta_n and eps_n directly.
 
 Randomness is counter-based: every uniform variate is a pure function of
-(seed, replication, experiment, draw index) through a vectorized
-Philox-2x64-10 block cipher, so partitioning experiments across workers can
-never change any value and equal seeds reproduce results bit for bit.
+(seed, replication, experiment, draw index) through the Philox-4x64-10 block
+cipher (numpy's C implementation, addressed by key and counter), so
+partitioning experiments across workers can never change any value and
+equal seeds reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -35,61 +36,9 @@ from .models import ModelError, ResolvedTest, TestSetup, resolve_test
 from .models import ump_critical_value  # noqa: F401
 from .priors import Prior, PriorError
 
-_PHILOX_MULT = np.uint64(0xD2B74407B1CE6E93)
-_PHILOX_WEYL = np.uint64(0x9E3779B97F4A7C15)
-_KEY_STRIDE = np.uint64(0xC2B2AE3D27D4EB4F)
-_LO32 = np.uint64(0xFFFFFFFF)
-_ROUNDS = 10
-
 # Experiments are processed in fixed-size chunks; the chunk size is a stream
 # constant, not a tuning knob, so worker counts cannot influence results.
 _CHUNK = 8192
-
-
-def _mulhilo(a: np.ndarray, b: np.uint64) -> Tuple[np.ndarray, np.ndarray]:
-    """Full 64x64 -> 128 bit product via 32-bit limbs (numpy has no u128)."""
-    a_hi = a >> np.uint64(32)
-    a_lo = a & _LO32
-    b_hi = b >> np.uint64(32)
-    b_lo = b & _LO32
-    hh = a_hi * b_hi
-    hl = a_hi * b_lo
-    lh = a_lo * b_hi
-    ll = a_lo * b_lo
-    mid = (ll >> np.uint64(32)) + (hl & _LO32) + (lh & _LO32)
-    hi = hh + (hl >> np.uint64(32)) + (lh >> np.uint64(32)) + (mid >> np.uint64(32))
-    lo = a * b
-    return hi, lo
-
-
-def _philox2x64(c0: np.ndarray, c1: np.ndarray, key: np.uint64) -> Tuple[np.ndarray, np.ndarray]:
-    """Ten rounds of the Philox-2x64 bijection on counter words (c0, c1)."""
-    x0 = c0.astype(np.uint64, copy=True)
-    x1 = c1.astype(np.uint64, copy=True)
-    k = key
-    with np.errstate(over="ignore"):
-        for _ in range(_ROUNDS):
-            hi, lo = _mulhilo(x0, _PHILOX_MULT)
-            x0 = hi ^ k ^ x1
-            x1 = lo
-            k = k + _PHILOX_WEYL
-    return x0, x1
-
-
-def _splitmix64(x: int) -> np.uint64:
-    x = np.uint64(x & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        z = x
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return z
-
-
-def _stream_key(seed: int, replication: int) -> np.uint64:
-    with np.errstate(over="ignore"):
-        return _splitmix64(seed) + np.uint64(replication) * _KEY_STRIDE
 
 
 def uniform_block(
@@ -97,19 +46,21 @@ def uniform_block(
 ) -> np.ndarray:
     """Uniforms in (0, 1) for experiments [start, stop), ``cols`` per row.
 
-    Entry (i, j) depends only on (seed, replication, start + i, j); callers
-    may therefore split the experiment range arbitrarily.
+    Philox-4x64-10 is keyed by (seed mod 2**64, replication) and its counter
+    runs row-major over (experiment, block of four columns). Entry (i, j)
+    depends only on (seed, replication, start + i, j, cols); for a fixed
+    ``cols`` (the simulator always asks for 1 + n) callers may therefore
+    split the experiment range arbitrarily. Each call builds its own
+    generator, so worker threads never share one.
     """
     rows = stop - start
-    nblk = (cols + 1) // 2
-    key = _stream_key(seed, replication)
-    c0 = np.repeat(np.arange(start, stop, dtype=np.uint64), nblk)
-    c1 = np.tile(np.arange(nblk, dtype=np.uint64), rows)
-    x0, x1 = _philox2x64(c0, c1, key)
-    out = np.empty((rows * nblk, 2), dtype=np.float64)
-    out[:, 0] = ((x0 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    out[:, 1] = ((x1 >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return out.reshape(rows, 2 * nblk)[:, :cols]
+    nblk = (cols + 3) // 4
+    key = (seed & 0xFFFFFFFFFFFFFFFF) | (replication << 64)
+    # numpy advances the counter before each block, so start one behind.
+    bitgen = np.random.Philox(counter=(start * nblk - 1) % 2**256, key=key)
+    x = bitgen.random_raw(rows * nblk * 4)
+    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return u.reshape(rows, 4 * nblk)[:, :cols]
 
 
 @dataclass(frozen=True)

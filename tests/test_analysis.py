@@ -137,6 +137,11 @@ class TestNAlpha:
         with pytest.raises(AnalysisError):
             n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05, method="guess")
 
+    @pytest.mark.parametrize("method", ["exact", "series3"])
+    def test_median_rejects_nonzero_theta0(self, method):
+        with pytest.raises(models.ModelError, match="theta0 = 0"):
+            n_alpha(CLOC, priors.cauchy_prior(1.0), 1.0, 0.05, method=method, theta0=0.5)
+
 
 class TestStatisticGap:
     def test_standard_point(self):

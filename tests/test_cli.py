@@ -202,6 +202,25 @@ class TestValidationAndErrors:
         assert record["error"] == "config"
         assert len(record["violations"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nalpha", "--model", "cauchy-median", "--prior", "cauchy:1", "--alpha", "0.05",
+             "--tau-grid", "1"],
+            ["rates", "--model", "normal-median", "--prior", "normal:1", "--alpha", "0.05",
+             "--n", "11", "--method", "series"],
+        ],
+        ids=["nalpha", "rates-series"],
+    )
+    def test_median_rejects_nonzero_theta0(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--theta0", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["violations"] == ["the median test uses the location convention theta0 = 0"]
+        # the location convention itself stays accepted
+        assert run_cli(argv + ["--theta0", "0"], capsys)[0] == 0
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "--model", "normal-mean", "--prior", "normal:1",

@@ -28,10 +28,14 @@ def _config(**kw):
 
 
 class TestUniformBlock:
-    def test_counter_addressing_is_partition_free(self):
-        full = uniform_block(7, 3, 0, 100, 5)
-        tail = uniform_block(7, 3, 50, 100, 5)
-        np.testing.assert_array_equal(full[50:], tail)
+    # splits that are multiples of neither 4 nor _CHUNK, one crossing a chunk
+    @pytest.mark.parametrize("cols", [1, 3, 4, 5, 11, 12])
+    @pytest.mark.parametrize("a,b,c", [(0, 50, 101), (7, 13, 30), (8190, 8195, 8203)])
+    def test_counter_addressing_is_partition_free(self, cols, a, b, c):
+        whole = uniform_block(7, 3, a, c, cols)
+        parts = np.vstack([uniform_block(7, 3, a, b, cols), uniform_block(7, 3, b, c, cols)])
+        assert whole.shape == (c - a, cols)
+        np.testing.assert_array_equal(whole, parts)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(uniform_block(1, 0, 0, 64, 3), uniform_block(1, 0, 0, 64, 3))
@@ -64,27 +68,44 @@ class TestUniformBlock:
         assert 99.0 - 3.0 * math.sqrt(198.0) <= chi2 <= 99.0 + 3.0 * math.sqrt(198.0)
 
 
+def _words(*words):
+    """The integer whose 64-bit words, lowest first, are ``words``."""
+    return sum(w << (64 * i) for i, w in enumerate(words))
+
+
 class TestPhiloxKnownAnswers:
-    """Philox-2x64-10 against the Random123 known-answer vectors (Salmon et al., SC'11)."""
+    """Philox-4x64-10 against the Random123 known-answer vectors (Salmon et al., SC'11).
+
+    Each vector runs through bfdr's own addressing: the seed and replication
+    are the two key words, and experiment c of a four-column block sits at
+    counter c.
+    """
 
     @pytest.mark.parametrize(
         "ctr,key,expected",
         [
-            ((0, 0), 0, (0xCA00A0459843D731, 0x66C24222C9A845B5)),
-            ((2**64 - 1, 2**64 - 1), 2**64 - 1, (0x65B021D60CD8310F, 0x4D02F3222F86DF20)),
             (
-                (0x243F6A8885A308D3, 0x13198A2E03707344),
-                0xA4093822299F31D0,
-                (0x0A5E742C2997341C, 0xB0F883D38000DE5D),
+                _words(0, 0, 0, 0),
+                (0, 0),
+                (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B),
+            ),
+            (
+                _words(*[2**64 - 1] * 4),
+                (2**64 - 1, 2**64 - 1),
+                (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0),
+            ),
+            (
+                _words(0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+                (0x452821E638D01377, 0xBE5466CF34E90C6C),
+                (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6),
             ),
         ],
         ids=["zeros", "ones", "pi"],
     )
     def test_random123_vector(self, ctr, key, expected):
-        c0 = np.array([ctr[0]], dtype=np.uint64)
-        c1 = np.array([ctr[1]], dtype=np.uint64)
-        x0, x1 = mtsim._philox2x64(c0, c1, np.uint64(key))
-        assert (int(x0[0]), int(x1[0])) == expected
+        u = uniform_block(key[0], key[1], ctr, ctr + 1, 4)[0]
+        want = [((x >> 11) + 0.5) * 2.0**-53 for x in expected]
+        assert u.tolist() == want
 
 
 class TestSimulate:
@@ -125,7 +146,9 @@ class TestSimulate:
 
     def test_median_statistic(self):
         setup = TestSetup("median", 0.0, 0.05, 11)
-        cfg = _config(model=NLOC, setup=setup, m=40000, replications=5, seed=3)
+        # se_fdr is a standard deviation over replications: 20 of them keep
+        # the 3-SE band honest where 5 (4 degrees of freedom) do not
+        cfg = _config(model=NLOC, setup=setup, m=10000, replications=20, seed=3)
         res = simulate(cfg)
         delta = exact.exact_rates(
             exact.exact_joint(NLOC, priors.normal_prior(1.0), setup)
