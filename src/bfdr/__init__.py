@@ -44,7 +44,6 @@ from .numkernel import (
     IntegralValue,
     QuadratureConfig,
     QuadratureNonConvergence,
-    gamma_upper_quantile,
     integrate,
     log_binomial,
     std_normal_cdf,
@@ -58,7 +57,6 @@ from .priors import (
     f_mode1_prior,
     gamma_mode1_prior,
     lambda_alt,
-    lambda_null,
     make_prior,
     normal_prior,
     scale_prior,

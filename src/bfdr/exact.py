@@ -126,8 +126,6 @@ def exact_joint(
 
         def tail_bound(th: float) -> float:
             p = weight(float(np.clip(power(np.asarray([th]))[0], 0.0, 1.0)))
-            if cdf is None:
-                return p
             mass = float(cdf(th)) if away == -1 else 1.0 - float(cdf(th))
             return p * mass
 

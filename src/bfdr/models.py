@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
@@ -29,14 +29,6 @@ class ModelError(ValueError):
     """Invalid model construction or test setup."""
 
 
-class ExactCdfUnavailable(ModelError):
-    """The model has no exact mean-statistic CDF.
-
-    Callers should fall back to :func:`cornish_fisher_critical` and the
-    Edgeworth power route, flagging results as approximate.
-    """
-
-
 @dataclass(frozen=True)
 class ExpFamilyModel:
     """One-parameter exponential family in a user-facing parameterization.
@@ -45,7 +37,7 @@ class ExpFamilyModel:
     standard deviation and standardized third/fourth cumulant ratios of one
     observation, written as vectorized functions of the user parameter.
     ``mean_statistic_cdf(theta, n, t)`` is the exact CDF of
-    sqrt(n)(Xbar - mu(theta))/sigma(theta) when available.
+    sqrt(n)(Xbar - mu(theta))/sigma(theta).
     ``sample_from_uniform(theta, u)`` maps iid uniforms to observations.
     """
 
@@ -56,8 +48,8 @@ class ExpFamilyModel:
     sigma: Callable
     rho3: Callable
     rho4: Callable
-    mean_statistic_cdf: Optional[Callable] = None
-    sample_from_uniform: Optional[Callable] = None
+    mean_statistic_cdf: Callable
+    sample_from_uniform: Callable
     natural_direction: int = 1
 
     def __post_init__(self):
@@ -91,7 +83,7 @@ class LocationModel:
     f0pp: float
     pdf: Callable
     cdf: Callable
-    ppf: Optional[Callable] = None
+    ppf: Callable
 
     def __post_init__(self):
         if not self.f0 > 0.0:
@@ -100,8 +92,6 @@ class LocationModel:
             raise ModelError(f"model {self.name!r}: standard member must have median 0")
 
     def sample_from_uniform(self, theta, u):
-        if self.ppf is None:
-            raise ModelError(f"model {self.name!r} has no quantile function for sampling")
         return np.asarray(theta, dtype=float) + np.asarray(self.ppf(u), dtype=float)
 
 
@@ -259,16 +249,10 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
 
     Solved on the model's exact mean-statistic CDF by bisection to the last
     bit: k is the smallest double with cdf(k) >= 1 - alpha. Tends to z_alpha
-    as n grows. Raises :class:`ExactCdfUnavailable` when the model lacks the
-    CDF.
+    as n grows.
     """
     if setup.statistic != "mean_ump":
         raise ModelError("ump_critical_value applies to the mean_ump statistic")
-    if model.mean_statistic_cdf is None:
-        raise ExactCdfUnavailable(
-            f"model {model.name!r} has no exact mean-statistic CDF; "
-            "use cornish_fisher_critical instead"
-        )
     target = 1.0 - setup.alpha
     cdf = model.mean_statistic_cdf
 
@@ -439,18 +423,10 @@ class ResolvedTest:
     sampler: Callable
 
 
-def _missing_sampler(name: str) -> Callable:
-    def sampler(theta, u):
-        raise ModelError(f"model {name!r} has no sampler")
-
-    return sampler
-
-
 def resolve_test(model, setup: TestSetup) -> ResolvedTest:
     """Critical value, power, rejection rule and null region of ``setup``.
 
-    Raises :class:`ModelError` when the statistic does not fit the model and
-    :class:`ExactCdfUnavailable` when the mean test has no exact CDF.
+    Raises :class:`ModelError` when the statistic does not fit the model.
     """
     n = setup.n
     rootn = math.sqrt(n)
@@ -477,7 +453,7 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
             return sample.mean(axis=1) > mean_threshold
 
         direction = model.natural_direction
-        sampler = model.sample_from_uniform or _missing_sampler(model.name)
+        sampler = model.sample_from_uniform
     elif isinstance(model, LocationModel):
         if setup.theta0 != 0.0:
             raise ModelError("the median test uses the location convention theta0 = 0")

@@ -34,7 +34,7 @@ import numpy as np
 from .models import ModelError, ResolvedTest, TestSetup, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
-from .priors import Prior, PriorError
+from .priors import Prior
 
 # Experiments are processed in fixed-size chunks; the chunk size is a stream
 # constant, not a tuning knob, so worker counts cannot influence results.
@@ -82,11 +82,6 @@ class SimConfig:
             raise ModelError(f"replications must be >= 1, got {self.replications}")
         if self.workers < 1:
             raise ModelError(f"workers must be >= 1, got {self.workers}")
-        if self.prior.ppf is None:
-            raise PriorError(
-                f"prior {self.prior.name!r} has no quantile function; "
-                "simulation draws parameters by inverse CDF"
-            )
 
 
 @dataclass(frozen=True)

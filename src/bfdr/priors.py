@@ -1,7 +1,7 @@
 """Proper prior densities with two derivatives, tail masses, and scaling.
 
 A :class:`Prior` bundles a density ``g`` with its first two derivatives, its
-support, and (when available in closed form) its CDF and quantile function.
+support, its CDF and its quantile function.
 The CDF drives mass-aware domain truncation in the quadrature layer and the
 quantile function drives inverse-CDF sampling in the simulator.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy import special as _sp
@@ -29,7 +29,7 @@ class PriorError(ValueError):
 
 @dataclass(frozen=True)
 class Prior:
-    """Density g with derivatives g', g'' and optional CDF/quantile.
+    """Density g with derivatives g', g'', CDF and quantile function.
 
     All callables are vectorized over numpy arrays. ``support`` is an open
     interval; the density is zero outside it.
@@ -40,8 +40,8 @@ class Prior:
     g1: Callable
     g2: Callable
     support: Tuple[float, float]
-    cdf: Optional[Callable] = None
-    ppf: Optional[Callable] = None
+    cdf: Callable
+    ppf: Callable
 
     @property
     def support_lo(self) -> float:
@@ -54,10 +54,8 @@ class Prior:
     def tail_bounds(self, mass: float) -> Tuple[float, float]:
         """Interval (L, U) with at most ``mass`` prior mass outside each end.
 
-        Requires a CDF; used to truncate unbounded integration domains.
+        Used to truncate unbounded integration domains.
         """
-        if self.cdf is None:
-            raise PriorError(f"prior {self.name!r} has no CDF for tail bounds")
         lo, hi = self.support
         L = lo if math.isfinite(lo) else _invert_monotone(self.cdf, mass, lo, hi)
         U = (
@@ -90,50 +88,53 @@ def _invert_monotone(cdf: Callable, target: float, lo: float, hi: float) -> floa
     return nk.bisect(below, left, right)[1]
 
 
+#: Construction-time tolerances of :func:`validate_prior`: total mass, first
+#: derivative (ten times this for the second), and the cdf/ppf round trip.
+_NORM_TOL = 1e-6
+_DERIV_TOL = 1e-5
+_ROUND_TRIP_TOL = 1e-9
+
+
 def _validation_grid(prior: Prior) -> np.ndarray:
-    lo, hi = prior.support
-    if prior.cdf is not None:
-        L, U = prior.tail_bounds(0.02)
-    else:
-        L = lo if math.isfinite(lo) else -8.0
-        U = hi if math.isfinite(hi) else 8.0
+    L, U = prior.tail_bounds(0.02)
     pad = 1e-3 * (U - L)
     return np.linspace(L + pad, U - pad, 41)
 
 
-def validate_prior(prior: Prior, norm_tol: float = 1e-6, deriv_tol: float = 1e-5):
-    """Construction-time checks: unit mass and derivative consistency.
+def validate_prior(prior: Prior):
+    """Construction-time checks: unit mass, derivatives and the cdf/ppf round trip.
 
     Raises :class:`PriorError` on failure. Derivatives are compared against
-    central finite differences of ``g`` on a support-spanning grid.
+    central finite differences of ``g`` on a support-spanning grid, and
+    cdf(ppf(u)) must return u on a grid of levels in [0.01, 0.99].
     """
     lo, hi = prior.support
     if not lo < hi:
         raise PriorError(f"empty support {prior.support!r}")
-    if prior.cdf is not None:
-        # Truncate where the CDF puts negligible mass; this simultaneously
-        # checks that g integrates to 1 and that g matches its own CDF.
-        cut = norm_tol / 10.0
-        L, U = prior.tail_bounds(cut)
-        anchor = _invert_monotone(prior.cdf, 0.5, lo, hi)
-        res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=cut))
-        total = res.value + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
-    else:
-        res = nk.integrate(prior.g, lo, hi, nk.QuadratureConfig(abs_tol=norm_tol / 10.0))
-        total = res.value
-    if abs(total - 1.0) > norm_tol + res.error_bound:
+    # Truncate where the CDF puts negligible mass; this simultaneously checks
+    # that g integrates to 1 and that g matches its own CDF.
+    cut = _NORM_TOL / 10.0
+    L, U = prior.tail_bounds(cut)
+    anchor = _invert_monotone(prior.cdf, 0.5, lo, hi)
+    res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=cut))
+    total = res.value + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
+    if abs(total - 1.0) > _NORM_TOL + res.error_bound:
         raise PriorError(f"prior {prior.name!r} mass {total:.8f} != 1")
+    u = np.linspace(0.01, 0.99, 41)
+    gap = np.max(np.abs(np.asarray(prior.cdf(prior.ppf(u)), dtype=float) - u))
+    if not gap <= _ROUND_TRIP_TOL:
+        raise PriorError(f"prior {prior.name!r}: cdf(ppf(u)) misses u by {gap:.3g}")
     grid = _validation_grid(prior)
     g = prior.g
     h1 = 1e-6 * (1.0 + np.abs(grid))
     fd1 = (np.asarray(g(grid + h1)) - np.asarray(g(grid - h1))) / (2.0 * h1)
-    if np.max(np.abs(fd1 - np.asarray(prior.g1(grid)))) > deriv_tol:
+    if np.max(np.abs(fd1 - np.asarray(prior.g1(grid)))) > _DERIV_TOL:
         raise PriorError(f"prior {prior.name!r}: g1 disagrees with finite differences")
     h2 = 1e-4 * (1.0 + np.abs(grid))
     fd2 = (
         np.asarray(g(grid + h2)) - 2.0 * np.asarray(g(grid)) + np.asarray(g(grid - h2))
     ) / (h2 * h2)
-    if np.max(np.abs(fd2 - np.asarray(prior.g2(grid)))) > deriv_tol * 10.0:
+    if np.max(np.abs(fd2 - np.asarray(prior.g2(grid)))) > _DERIV_TOL * 10.0:
         raise PriorError(f"prior {prior.name!r}: g2 disagrees with finite differences")
 
 
@@ -142,24 +143,21 @@ def make_prior(
     g1: Callable,
     g2: Callable,
     support: Tuple[float, float],
-    cdf: Optional[Callable] = None,
-    ppf: Optional[Callable] = None,
+    cdf: Callable,
+    ppf: Callable,
     name: str = "custom",
-    validate: bool = True,
 ) -> Prior:
-    """Assemble a prior from callables; set ``validate=False`` to skip checks."""
+    """Assemble a prior from callables and check it with :func:`validate_prior`."""
     prior = Prior(name, g, g1, g2, (float(support[0]), float(support[1])), cdf, ppf)
-    if validate:
-        validate_prior(prior)
+    validate_prior(prior)
     return prior
 
 
 def lambda_alt(prior: Prior, theta0: float) -> float:
-    """Prior mass of the alternative {theta > theta0}.
+    """Prior mass of the alternative {theta > theta0}, from the CDF.
 
-    Uses the closed-form CDF when present, quadrature otherwise. Degenerate
-    masses (0 or 1) are rejected since the rate expansions divide by both
-    tails.
+    Degenerate masses (0 or 1) are rejected since the rate expansions divide
+    by both tails.
     """
     lo, hi = prior.support
     if not (lo <= theta0 <= hi):
@@ -168,22 +166,14 @@ def lambda_alt(prior: Prior, theta0: float) -> float:
         lam = 1.0
     elif theta0 >= hi:
         lam = 0.0
-    elif prior.cdf is not None:
-        lam = 1.0 - float(prior.cdf(theta0))
     else:
-        res = nk.integrate(prior.g, lo, theta0, nk.QuadratureConfig(abs_tol=1e-10))
-        lam = 1.0 - res.value
+        lam = 1.0 - float(prior.cdf(theta0))
     if not (0.0 < lam < 1.0):
         raise PriorError(
             f"degenerate alternative mass {lam} at theta0={theta0}; "
             "the null and alternative both need positive prior mass"
         )
     return lam
-
-
-def lambda_null(prior: Prior, theta0: float) -> float:
-    """Prior mass of the null {theta <= theta0}."""
-    return 1.0 - lambda_alt(prior, theta0)
 
 
 def natural_lambda_alt(prior: Prior, theta0: float, direction: int) -> float:
@@ -211,8 +201,8 @@ def scale_prior(base: Prior, tau: float) -> Prior:
         g1=lambda th: g1(np.asarray(th, dtype=float) / tau) / tau**2,
         g2=lambda th: g2(np.asarray(th, dtype=float) / tau) / tau**3,
         support=(lo * tau if math.isfinite(lo) else lo, hi * tau if math.isfinite(hi) else hi),
-        cdf=(None if cdf is None else (lambda th: cdf(np.asarray(th, dtype=float) / tau))),
-        ppf=(None if ppf is None else (lambda u: tau * np.asarray(ppf(u), dtype=float))),
+        cdf=lambda th: cdf(np.asarray(th, dtype=float) / tau),
+        ppf=lambda u: tau * np.asarray(ppf(u), dtype=float),
     )
     return new
 

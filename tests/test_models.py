@@ -69,6 +69,8 @@ class TestBuiltinModels:
                 sigma=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
                 rho3=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
                 rho4=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
+                mean_statistic_cdf=NORMAL.mean_statistic_cdf,
+                sample_from_uniform=NORMAL.sample_from_uniform,
             )
 
 
@@ -121,21 +123,6 @@ class TestUmpCriticalValue:
         target = 1.0 - alpha
         assert float(model.mean_statistic_cdf(th0, n, k)) >= target
         assert float(model.mean_statistic_cdf(th0, n, math.nextafter(k, -math.inf))) < target
-
-    def test_missing_cdf_signals_fallback(self):
-        bare = models.ExpFamilyModel(
-            name="no-cdf",
-            theta_lo=-1.0,
-            theta_hi=1.0,
-            mu=lambda th: np.asarray(th, dtype=float),
-            sigma=lambda th: np.ones_like(np.asarray(th, dtype=float)),
-            rho3=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-            rho4=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
-        )
-        with pytest.raises(models.ExactCdfUnavailable):
-            models.ump_critical_value(bare, TestSetup("mean_ump", 0.0, 0.05, 5))
-        with pytest.raises(models.ExactCdfUnavailable):
-            models.power_mean_test(bare, 0.3, TestSetup("mean_ump", 0.0, 0.05, 5))
 
 
 class TestCornishFisher:
@@ -402,19 +389,3 @@ class TestResolvedTest:
             models.resolve_test(NLOC, TestSetup("mean_ump", 0.0, 0.05, 5))
         with pytest.raises(models.ModelError):
             models.resolve_test(NORMAL, TestSetup("median", 0.0, 0.05, 5))
-
-    def test_missing_sampler_raises_model_error_when_sampling(self):
-        no_sampler = models.ExpFamilyModel(
-            name="no-sampler",
-            theta_lo=NORMAL.theta_lo,
-            theta_hi=NORMAL.theta_hi,
-            mu=NORMAL.mu,
-            sigma=NORMAL.sigma,
-            rho3=NORMAL.rho3,
-            rho4=NORMAL.rho4,
-            mean_statistic_cdf=NORMAL.mean_statistic_cdf,
-        )
-        test = models.resolve_test(no_sampler, TestSetup("mean_ump", 0.0, 0.05, 5))
-        assert test.power(0.0) == pytest.approx(0.05, abs=1e-12)
-        with pytest.raises(models.ModelError):
-            test.sampler(0.0, np.full((1, 5), 0.5))

@@ -136,8 +136,10 @@ class TestSimulate:
 
     def test_exp_rate_null_side(self):
         setup = TestSetup("mean_ump", 1.0, 0.05, 8)
+        # se_fdr is a standard deviation over replications: 20 of them keep
+        # the 3-SE band honest where 5 (4 degrees of freedom) do not
         cfg = _config(model=EXP, prior=priors.gamma_mode1_prior(2.0), setup=setup,
-                      m=40000, replications=5, seed=9)
+                      m=10000, replications=20, seed=9)
         res = simulate(cfg)
         delta = exact.exact_rates(
             exact.exact_joint(EXP, priors.gamma_mode1_prior(2.0), setup)
@@ -234,13 +236,6 @@ class TestSimulate:
             _config(replications=0)
         with pytest.raises(models.ModelError):
             _config(workers=0)
-
-    def test_prior_without_quantile_rejected(self):
-        base = priors.normal_prior(1.0)
-        no_ppf = priors.make_prior(base.g, base.g1, base.g2, base.support,
-                                   cdf=base.cdf, validate=False)
-        with pytest.raises(priors.PriorError):
-            _config(prior=no_ppf)
 
 
 class TestConvergenceSweep:

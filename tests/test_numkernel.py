@@ -11,7 +11,7 @@ import pytest
 
 from bfdr import numkernel as nk
 
-from oracles import gamma_upper_quantile_oracle, bisect_quantile
+from oracles import bisect_quantile
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -79,29 +79,6 @@ class TestStdNormalQuantile:
             nk.std_normal_quantile(p)
 
 
-class TestGammaUpperQuantile:
-    def test_exponential_case(self):
-        assert nk.gamma_upper_quantile(1.0, 1.0, 0.05) == pytest.approx(
-            -math.log(0.05), rel=1e-12
-        )
-
-    def test_rate_scaling(self):
-        assert nk.gamma_upper_quantile(1.0, 2.0, 0.05) == pytest.approx(
-            -math.log(0.05) / 2.0, rel=1e-12
-        )
-
-    def test_against_series_cf_oracle(self):
-        ref = gamma_upper_quantile_oracle(10.0, 10.0, 0.05)
-        assert nk.gamma_upper_quantile(10.0, 10.0, 0.05) == pytest.approx(ref, abs=1e-10)
-
-    @pytest.mark.parametrize(
-        "shape,rate,alpha", [(0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.5)]
-    )
-    def test_rejects_bad_parameters(self, shape, rate, alpha):
-        with pytest.raises(nk.DomainError):
-            nk.gamma_upper_quantile(shape, rate, alpha)
-
-
 class TestLogBinomial:
     def test_two_choose_one(self):
         assert nk.log_binomial(2, 1) == pytest.approx(math.log(2.0), abs=1e-14)
@@ -154,30 +131,25 @@ class TestIntegrate:
         res = nk.integrate(lambda x: x, 0.0, 1.0)
         assert res.value == pytest.approx(0.5, abs=max(1e-8, res.error_bound))
 
-    def test_gaussian_mass(self):
-        res = nk.integrate(nk.std_normal_pdf, -np.inf, np.inf)
-        assert res.value == pytest.approx(1.0, abs=1e-7)
-
-    def test_gaussian_half_mass(self):
-        res = nk.integrate(nk.std_normal_pdf, -np.inf, 0.0)
-        assert res.value == pytest.approx(0.5, abs=1e-7)
-
     @pytest.mark.parametrize(
         "a,b,truth",
         [
-            (-np.inf, 0.0, 0.15865525393145707),  # Phi(-1)
-            (0.0, np.inf, 0.8413447460685429),  # Phi(1)
-            (-np.inf, np.inf, 1.0),
+            (-1e8, 0.0, 0.15865525393145707),  # Phi(-1)
+            (0.0, 1e8, 0.8413447460685429),  # Phi(1)
+            (-1e8, 1e8, 1.0),
         ],
     )
-    def test_infinite_limits_of_shifted_gaussian(self, a, b, truth):
-        res = nk.integrate(lambda x: nk.std_normal_pdf(x - 1.0), a, b)
+    def test_wide_limits_of_shifted_gaussian(self, a, b, truth):
+        # asymmetric about the anchor, so a flipped tail map would show
+        res = nk.integrate_split(lambda x: nk.std_normal_pdf(x - 1.0), a, b, 0.0)
         assert res.value == pytest.approx(truth, abs=1e-7)
 
-    def test_reversed_limits_flip_sign(self):
-        fwd = nk.integrate(lambda x: x * x, 0.0, 2.0)
-        rev = nk.integrate(lambda x: x * x, 2.0, 0.0)
-        assert rev.value == pytest.approx(-fwd.value, rel=1e-12)
+    @pytest.mark.parametrize(
+        "a,b", [(-np.inf, 0.0), (0.0, np.inf), (2.0, 0.0), (np.nan, 1.0)]
+    )
+    def test_rejects_infinite_or_reversed_limits(self, a, b):
+        with pytest.raises(nk.DomainError):
+            nk.integrate(lambda x: x * x, a, b)
 
     def test_non_convergence_carries_best_estimate(self):
         cfg = nk.QuadratureConfig(abs_tol=1e-14, max_refinements=5)

@@ -125,7 +125,7 @@ class TestValidation:
     @pytest.mark.parametrize("prior", ALL_BUILTINS, ids=lambda p: p.name)
     def test_unit_mass(self, prior):
         L, U = prior.tail_bounds(1e-9)
-        anchor = float(prior.ppf(0.5)) if prior.ppf is not None else 0.0
+        anchor = float(prior.ppf(0.5))
         res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=1e-8))
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -154,6 +154,7 @@ class TestValidation:
         p = priors.make_prior(
             g, g1, g2, (-math.inf, math.inf),
             cdf=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float))),
+            ppf=lambda u: np.log(u / (1.0 - u)),
             name="logistic",
         )
         assert float(p.g(0.0)) == pytest.approx(0.25, rel=1e-12)
@@ -170,6 +171,7 @@ class TestValidation:
                 lambda x: (np.asarray(x, dtype=float) ** 2 - 1) * g(x),
                 (-math.inf, math.inf),
                 cdf=lambda x: nk.std_normal_cdf(x),
+                ppf=lambda u: nk.std_normal_quantile(u),
             )
 
     def test_wrong_derivative_rejected(self):
@@ -177,16 +179,17 @@ class TestValidation:
         with pytest.raises(priors.PriorError):
             priors.make_prior(
                 base.g, lambda x: np.asarray(base.g1(x)) + 0.01, base.g2,
-                base.support, cdf=base.cdf,
+                base.support, cdf=base.cdf, ppf=base.ppf,
             )
 
-    def test_unsafe_flag_skips_checks(self):
+    def test_quantile_must_invert_the_cdf(self):
+        # a ppf of another prior would make the simulator draw from it silently
         base = priors.normal_prior(1.0)
-        p = priors.make_prior(
-            base.g, lambda x: np.asarray(base.g1(x)) + 0.01, base.g2,
-            base.support, validate=False,
-        )
-        assert p.name == "custom"
+        with pytest.raises(priors.PriorError, match=r"cdf\(ppf"):
+            priors.make_prior(
+                base.g, base.g1, base.g2, base.support,
+                cdf=base.cdf, ppf=lambda u: 2.0 * base.ppf(u),
+            )
 
 
 class TestLambdaAlt:
@@ -213,13 +216,6 @@ class TestLambdaAlt:
             priors.lambda_alt(p, 0.0)  # exactly at the boundary: mass 1
         with pytest.raises(priors.PriorError):
             priors.lambda_alt(p, math.inf)
-
-    def test_quadrature_fallback_matches_cdf(self):
-        base = priors.normal_prior(1.0)
-        no_cdf = priors.make_prior(base.g, base.g1, base.g2, base.support, validate=False)
-        assert priors.lambda_alt(no_cdf, 0.7) == pytest.approx(
-            priors.lambda_alt(base, 0.7), abs=1e-8
-        )
 
 
 class TestScalePrior:
