@@ -37,8 +37,8 @@ class ExpFamilyModel:
     standard deviation and standardized third/fourth cumulant ratios of one
     observation, written as vectorized functions of the user parameter.
     ``mean_statistic_cdf(theta, n, t)`` is the exact CDF of
-    sqrt(n)(Xbar - mu(theta))/sigma(theta).
-    ``sample_from_uniform(theta, u)`` maps iid uniforms to observations.
+    sqrt(n)(Xbar - mu(theta))/sigma(theta), and ``sample_from_uniform(theta, u)``
+    maps iid uniforms to observations of that law.
     """
 
     name: str
@@ -65,6 +65,12 @@ class ExpFamilyModel:
         natural_order = mu if self.natural_direction == 1 else mu[::-1]
         if np.any(np.diff(natural_order) < -1e-12):
             raise ModelError(f"model {self.name!r}: mean not non-decreasing in the natural parameter")
+        # n = 1 round trip of the sampler; a decreasing sampler returns 1 - u
+        th, u = grid[[8, 16, 24], None], np.linspace(0.01, 0.99, 41)
+        x = np.asarray(self.sample_from_uniform(th, u), dtype=float)
+        back = np.asarray(self.mean_statistic_cdf(th, 1, (x - self.mu(th)) / self.sigma(th)), dtype=float)
+        if min(np.max(np.abs(back - u)), np.max(np.abs(back - (1.0 - u)))) > 1e-9:
+            raise ModelError(f"model {self.name!r}: sample_from_uniform does not follow mean_statistic_cdf")
 
     def _interior_grid(self) -> np.ndarray:
         lo = self.theta_lo if math.isfinite(self.theta_lo) else -8.0
@@ -75,7 +81,7 @@ class ExpFamilyModel:
 
 @dataclass(frozen=True)
 class LocationModel:
-    """Location family f(x - theta) whose standard member has median 0."""
+    """Location family f(x - theta), standard member of median 0; ppf inverts cdf."""
 
     name: str
     f0: float
@@ -90,6 +96,9 @@ class LocationModel:
             raise ModelError(f"model {self.name!r}: f(0) must be positive")
         if abs(float(self.cdf(0.0)) - 0.5) > 1e-12:
             raise ModelError(f"model {self.name!r}: standard member must have median 0")
+        u = np.linspace(0.01, 0.99, 41)
+        if np.max(np.abs(np.asarray(self.cdf(self.ppf(u)), dtype=float) - u)) > 1e-9:
+            raise ModelError(f"model {self.name!r}: cdf(ppf(u)) does not return u")
 
     def sample_from_uniform(self, theta, u):
         return np.asarray(theta, dtype=float) + np.asarray(self.ppf(u), dtype=float)

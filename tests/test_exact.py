@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfdr import exact, expansions, models, priors
 from bfdr import numkernel as nk
@@ -41,14 +43,17 @@ def _mp_z(mp, alpha):
     return -mp.sqrt(2) * mp.erfinv(2 * mp.mpf(alpha) - 1)
 
 
-def _mp_normal_mean(prior_pdf, alpha, n):
-    """N(theta, 1) data, reject when sqrt(n) Xbar > z_alpha; null theta <= 0."""
+def _mp_normal_mean(prior_pdf, alpha, n, scale=1):
+    """N(theta, 1) data, reject when sqrt(n) Xbar > z_alpha; null theta <= 0.
+
+    ``scale`` places the quadrature breakpoints at 1 and 5 prior scales.
+    """
     mp = _mp()
     z = _mp_z(mp, alpha)
     power = lambda th: 1 - mp.ncdf(z - mp.sqrt(n) * th)
     g = prior_pdf(mp)
-    A = mp.quad(lambda th: power(th) * g(th), [-mp.inf, -5, -1, 0])
-    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, 1, 5, mp.inf])
+    A = mp.quad(lambda th: power(th) * g(th), [-mp.inf, -5 * scale, -scale, 0])
+    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, scale, 5 * scale, mp.inf])
     return A, At
 
 
@@ -95,9 +100,19 @@ MPMATH_CASES = {
                     None, lambda: _mp_exp_rate_gamma2(0.05, 5)),
     "exp-gamma-30": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.05, 30),
                      None, lambda: _mp_exp_rate_gamma2(0.05, 30)),
+    # Romberg stops on one small diagonal gap only if the gap before it was
+    # within 100 abs_tol: without that guard both of these break their bounds.
+    "exp-gamma-4-alpha0.04": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.04, 4),
+                              None, lambda: _mp_exp_rate_gamma2(0.04, 4)),
+    "exp-gamma-20-alpha0.3": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.3, 20),
+                              None, lambda: _mp_exp_rate_gamma2(0.3, 20)),
     "nn-10-tol1e-9": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 10),
                       QuadratureConfig(abs_tol=1e-9),
                       lambda: _mp_normal_mean(_mp_normal_pdf, 0.05, 10)),
+    # The trapezoid stop rule once stopped here on a chance agreement of two
+    # levels: At error 1.6e-8 against a reported bound of 4.4e-9.
+    "nn-10-alpha1e-6": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 1e-6, 10),
+                        None, lambda: _mp_normal_mean(_mp_normal_pdf, 1e-6, 10)),
     "cc-median-1-tol1e-9": (CLOC, priors.cauchy_prior(1.0), TestSetup("median", 0.0, 0.05, 1),
                             QuadratureConfig(abs_tol=1e-9), lambda: _mp_cauchy_median_n1(0.05)),
 }
@@ -161,6 +176,20 @@ class TestExactJoint:
         model, prior, setup, cfg, oracle = MPMATH_CASES[case]
         joint = exact_joint(model, prior, setup, cfg)
         A_mp, At_mp = oracle()
+        assert abs(joint.A.value - float(A_mp)) <= joint.A.error_bound
+        assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(
+        alpha=st.floats(math.log(1e-6), math.log(0.3)).map(math.exp),
+        n=st.integers(1, 40),
+        tau=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+    )
+    def test_matches_mpmath_on_scaled_normal_priors(self, alpha, n, tau):
+        prior = priors.scale_prior(priors.normal_prior(1.0), tau)
+        joint = exact_joint(NORMAL, prior, TestSetup("mean_ump", 0.0, alpha, n))
+        pdf = lambda mp: lambda th: mp.npdf(th / tau) / tau
+        A_mp, At_mp = _mp_normal_mean(pdf, alpha, n, tau)
         assert abs(joint.A.value - float(A_mp)) <= joint.A.error_bound
         assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
 

@@ -73,6 +73,15 @@ class TestBuiltinModels:
                 sample_from_uniform=NORMAL.sample_from_uniform,
             )
 
+    def test_location_quantile_must_invert_the_cdf(self):
+        with pytest.raises(models.ModelError, match="cdf"):
+            models.LocationModel("bad", NLOC.f0, NLOC.f0p, NLOC.f0pp, NLOC.pdf, NLOC.cdf,
+                                 ppf=lambda u: 2 * nk.std_normal_quantile(u))
+
+    def test_sampler_must_follow_the_mean_statistic_cdf(self):
+        with pytest.raises(models.ModelError, match="sample_from_uniform"):
+            dataclasses.replace(NORMAL, sample_from_uniform=lambda th, u: th + 2 * nk.std_normal_quantile(u))
+
 
 def _example_variant(rc, n):
     """The worked-example coefficients: f23 = 1/4 - (1/2 - {n/2})^2."""

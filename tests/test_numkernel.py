@@ -159,6 +159,18 @@ class TestIntegrate:
         assert not best.converged
         assert best.value == pytest.approx(1.0, abs=0.1)
 
+    def test_non_convergence_reports_the_trapezoid(self):
+        # Under-resolved, the extrapolated diagonal (0.83) is worse than the
+        # trapezoid, so the 32-panel trapezoid and its gap to 16 panels are kept.
+        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_refinements=5)
+        with pytest.raises(nk.QuadratureNonConvergence) as exc:
+            nk.integrate(nk.std_normal_pdf, -30.0, 30.0, cfg)
+        best = exc.value.result
+        assert (best.value, best.error_bound, best.panels) == (
+            1.0072877454087963, 0.4913902737161582, 32)
+        x = np.linspace(-30.0, 30.0, 33)
+        assert best.value == pytest.approx(np.trapezoid(nk.std_normal_pdf(x), x), rel=1e-14)
+
     @pytest.mark.parametrize(
         "f,a,b,truth",
         [
