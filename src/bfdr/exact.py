@@ -15,6 +15,7 @@ effective.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -61,8 +62,12 @@ def _support_interval(model, prior: Prior) -> Tuple[float, float]:
     return lo, hi
 
 
+#: Doublings of the cut march evaluated per call of the tail bound.
+_MARCH_BLOCK = 8
+
+
 def _find_cut(
-    h: Callable[[float], float],
+    h: Callable[[np.ndarray], np.ndarray],
     theta0: float,
     away: float,
     limit: float,
@@ -73,19 +78,23 @@ def _find_cut(
     ``away`` is -1 or +1 (the direction of the tail), ``limit`` the domain
     endpoint in that direction. Finite limits are open boundaries, so the
     returned cut stays strictly inside; the sliver left out is far below the
-    tolerance the caller budgets for truncation. After the doubling march a
-    short bisection pulls the cut back toward theta0 to keep grid panels
-    where the integrand lives.
+    tolerance the caller budgets for truncation. The march tries s = min(1e-3
+    * 2**k, smax), eight steps per call of the array-valued ``h``, up to the
+    first whose bound is not above tol; a short bisection then pulls the cut
+    back toward theta0 to keep grid panels where the integrand lives.
     """
     if math.isfinite(limit):
         smax = abs(limit - theta0) * (1.0 - 1e-9)
     else:
         smax = 1e13
-    s = min(1e-3, smax)
-    while h(theta0 + away * s) > tol:
-        if s >= smax:
+    for k in itertools.count(0, _MARCH_BLOCK):
+        s = np.minimum(np.ldexp(1e-3, np.arange(k, k + _MARCH_BLOCK)), smax)
+        above = h(theta0 + away * s) > tol
+        if not above.all():
+            break
+        if s[-1] >= smax:
             return theta0 + away * smax
-        s = min(2.0 * s, smax)
+    s = float(s[np.argmin(above)])
     lo_s = 0.0 if s <= 1e-3 else s / 2.0
     _, hi_s = nk.bisect(lambda t: h(theta0 + away * t) > tol, lo_s, s, 30)
     return theta0 + away * hi_s
@@ -124,9 +133,9 @@ def exact_joint(
         def weight(p):
             return 1.0 - p if alt else p
 
-        def tail_bound(th: float) -> float:
-            p = weight(float(np.clip(power(np.asarray([th]))[0], 0.0, 1.0)))
-            mass = float(cdf(th)) if away == -1 else 1.0 - float(cdf(th))
+        def tail_bound(th: np.ndarray) -> np.ndarray:
+            p = weight(np.clip(power(th), 0.0, 1.0))
+            mass = cdf(th) if away == -1 else 1.0 - cdf(th)
             return p * mass
 
         def integrand(th):

@@ -266,7 +266,7 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     cdf = model.mean_statistic_cdf
 
     def below(k):
-        return float(cdf(setup.theta0, setup.n, k)) < target
+        return cdf(setup.theta0, setup.n, k) < target
 
     lo, hi = -1.0, 1.0
     while not below(lo):

@@ -6,14 +6,14 @@ trapezoid rule on a uniform grid refined by panel doubling, with Romberg
 extrapolation of those same values; it stops when two successive diagonal
 entries agree to the requested tolerance, twice running (see :func:`_romberg`).
 Limits are finite; :func:`integrate_split` compresses the far tails of a
-wide interval logarithmically. :func:`bisect`
-is the one bracket-halving solver behind every monotone search in bfdr (the
-critical value, the truncation cut and the prior tail points).
+wide interval logarithmically. :func:`bisect` is the one bracket-halving
+solver behind every monotone search in bfdr (the critical value, the
+truncation cut and the prior tail points); its predicate maps an array to a
+bool array, and one call covers five levels of the one-step halving loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -25,6 +25,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Half-width of the directly gridded core of :func:`integrate_split`.
 _CORE_WIDTH = 8.0
+
+#: Halving levels :func:`bisect` evaluates per call of its predicate.
+_BISECT_DEPTH = 5
 
 
 class NumKernelError(Exception):
@@ -80,22 +83,39 @@ def upper_quantile_z(alpha: float) -> float:
 
 
 def bisect(
-    below: Callable[[float], bool], lo: float, hi: float, steps: Optional[int] = None
+    below: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, steps: Optional[int] = None
 ) -> Tuple[float, float]:
     """Halve the bracket [lo, hi] of a monotone predicate; returns (lo, hi).
 
     ``below(lo)`` must be true and ``below(hi)`` false; each step moves one end
     to ``0.5 * (lo + hi)``. With ``steps`` the bracket is halved that many
     times; without, until lo and hi are adjacent doubles.
+
+    ``below`` maps an array to a bool array; each call evaluates the 31
+    midpoints of the next five levels, and the walk reads only those on its
+    path, so the brackets equal the one-step loop's bit for bit, monotone or
+    not. Raises :class:`DomainError` unless lo <= hi and lo + hi is finite.
     """
-    for _ in itertools.count() if steps is None else range(steps):
-        mid = 0.5 * (lo + hi)
-        if steps is None and (mid == lo or mid == hi):
-            break
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
+    if not (lo <= hi and math.isfinite(lo + hi)):
+        raise DomainError(f"bisect needs finite lo <= hi with a finite sum, got ({lo}, {hi})")
+    left = math.inf if steps is None else steps
+    while left > 0:
+        depth = min(_BISECT_DEPTH, left)
+        pts = [lo, hi]  # the sorted ends of every bracket the next halvings can reach
+        for _ in range(depth):
+            nxt = [lo]
+            for a, b in zip(pts, pts[1:]):
+                nxt += (0.5 * (a + b), b)
+            pts = nxt
+        flags = np.asarray(below(np.array(pts[1:-1])), dtype=bool).tolist()
+        i, j = 0, len(pts) - 1
+        while j - i > 1:
+            m = (i + j) // 2
+            if steps is None and pts[m] in (pts[i], pts[j]):
+                return pts[i], pts[j]
+            i, j = (m, j) if flags[m - 1] else (i, m)
+        lo, hi = pts[i], pts[j]
+        left -= depth
     return lo, hi
 
 

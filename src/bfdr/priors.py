@@ -70,7 +70,7 @@ def _invert_monotone(cdf: Callable, target: float, lo: float, hi: float) -> floa
     """Smallest double x in (lo, hi) with cdf(x) >= target; endpoints may be inf."""
 
     def below(x):
-        return float(cdf(x)) < target
+        return cdf(x) < target
 
     # Expand a finite bracket first.
     left = lo if math.isfinite(lo) else -1.0

@@ -8,7 +8,9 @@ bivariate-normal orthant value 0.0074905216 comes from
 scipy.stats.multivariate_normal with cov [[1,1],[1,2]].
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from bfdr import numkernel as nk
 from bfdr.exact import DegenerateDenominator, JointProbabilities, exact_joint, exact_rates
 from bfdr.models import TestSetup
 from bfdr.numkernel import IntegralValue, QuadratureConfig, QuadratureNonConvergence
+
+from oracles import scalar_find_cut
 
 NORMAL = models.normal_mean_model()
 EXP = models.exponential_rate_model()
@@ -251,3 +255,94 @@ class TestExactRates:
             rates = exact_rates(exact_joint(EXP, priors.gamma_mode1_prior(2.0), setup))
             assert 0.0 <= rates.fdr.value <= 1.0
             assert 0.0 <= rates.far.value <= 1.0
+
+
+# All seven built-in model/prior pairs as (model, prior, statistic, theta0).
+BUILTIN_PAIRS = {
+    "normal-mean/normal:1": (NORMAL, "normal:1", "mean_ump", 0.0),
+    "normal-mean/t:4:1": (NORMAL, "t:4:1", "mean_ump", 0.0),
+    "normal-mean/cauchy:1": (NORMAL, "cauchy:1", "mean_ump", 0.0),
+    "exp-rate/gamma-mode1:2": (EXP, "gamma-mode1:2", "mean_ump", 1.0),
+    "exp-rate/f-mode1:2:2": (EXP, "f-mode1:2:2", "mean_ump", 1.0),
+    "normal-median/normal:1": (NLOC, "normal:1", "median", 0.0),
+    "cauchy-median/cauchy:1": (CLOC, "cauchy:1", "median", 0.0),
+}
+
+
+def _scalar(h):
+    """The array-valued bound ``h`` as a function of one float."""
+    return lambda th: float(h(np.array([th]))[0])
+
+
+class TestFindCut:
+    @pytest.mark.parametrize("alpha,n", [(0.05, 10), (1e-4, 4), (0.3, 20)])
+    @pytest.mark.parametrize("pair", sorted(BUILTIN_PAIRS))
+    def test_equals_the_scalar_march_on_builtin_pairs(self, monkeypatch, pair, alpha, n):
+        model, spec, statistic, theta0 = BUILTIN_PAIRS[pair]
+        find_cut, cuts = exact._find_cut, []
+
+        def checked(h, *args):
+            cut = find_cut(h, *args)
+            cuts.append((cut, scalar_find_cut(_scalar(h), *args)))
+            return cut
+
+        monkeypatch.setattr(exact, "_find_cut", checked)
+        exact_joint(model, priors.parse_prior_spec(spec), TestSetup(statistic, theta0, alpha, n))
+        assert len(cuts) == 2
+        for cut, ref in cuts:
+            assert cut == ref
+
+    @pytest.mark.parametrize("k", [0, 1, 6, 7, 8, 9, 15, 16, 40])
+    @pytest.mark.parametrize("away", [-1, 1])
+    def test_hit_on_the_kth_doubling(self, k, away):
+        # h crosses tol between the march distances 1e-3 * 2**(k-1) and 1e-3 * 2**k.
+        width = 1e-3 * 2.0 ** (k - 0.5) / 20.0
+        h = lambda th: np.exp(-np.abs(th - 0.5) / width)
+        tol = math.exp(-20.0)
+        cut = exact._find_cut(h, 0.5, away, away * math.inf, tol)
+        assert cut == scalar_find_cut(_scalar(h), 0.5, away, away * math.inf, tol)
+        assert 1e-3 * 2.0 ** (k - 1) < abs(cut - 0.5) <= 1e-3 * 2.0**k
+
+    @pytest.mark.parametrize(
+        "h,theta0,away,limit,expect",
+        [
+            # a bound vanishing at the limit 0, like exp-rate's toward 0: the capped step hits
+            (lambda th: th**4, 1.0, -1, 0.0, None),
+            # the limit is closer than the first step of 1e-3
+            (lambda th: np.exp(-(th - 1.0) * 1e5), 1.0, 1, 1.0005, None),
+            # a bound that never drops below tol returns the cap
+            (lambda th: np.ones_like(th), 1.0, -1, 0.0, 1.0 - 1.0 * (1.0 - 1e-9)),
+            (lambda th: np.ones_like(th), 1.0, 1, 1.0005, 1.0 + 0.0005 * (1.0 - 1e-9)),
+            (lambda th: np.ones_like(th), 0.0, 1, math.inf, 1e13),
+            (lambda th: np.ones_like(th), 0.0, -1, -math.inf, -1e13),
+        ],
+        ids=["limit-hit", "tiny-smax", "never-limit", "never-tiny-smax", "never-up", "never-down"],
+    )
+    def test_edge_cases_equal_the_scalar_march(self, h, theta0, away, limit, expect):
+        cut = exact._find_cut(h, theta0, away, limit, 1e-9)
+        assert cut == scalar_find_cut(_scalar(h), theta0, away, limit, 1e-9)
+        if expect is not None:
+            assert cut == expect
+
+    def test_block_march_adds_no_warnings(self):
+        cases = [
+            (model, priors.parse_prior_spec(spec), TestSetup(statistic, theta0, alpha, n))
+            for model, spec, statistic, theta0 in BUILTIN_PAIRS.values()
+            for alpha, n in ((1e-6, 4), (0.05, 10), (0.3, 20))
+        ] + [
+            (NORMAL, priors.scale_prior(priors.normal_prior(1.0), tau), TestSetup("mean_ump", 0.0, 0.05, 10))
+            for tau in (1e-3, 1.0, 1e3)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model, prior, setup in cases:
+                exact_joint(model, prior, setup)
+
+    def test_cut_search_evaluates_the_prior_cdf_in_blocks(self):
+        # One call for lambda_alt; per side, two march blocks of eight
+        # doublings and six refine calls (30 halvings, five a call).
+        prior = priors.normal_prior(1.0)
+        calls = []
+        counted = dataclasses.replace(prior, cdf=lambda th: calls.append(th) or prior.cdf(th))
+        exact_joint(NORMAL, counted, TestSetup("mean_ump", 0.0, 0.05, 10))
+        assert len(calls) == 17

@@ -8,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfdr import numkernel as nk
 
-from oracles import bisect_quantile
+from oracles import bisect_quantile, scalar_bisect
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -103,7 +105,7 @@ class TestBisect:
     @staticmethod
     def _tail(s):
         # a monotone tail bound of the kind the truncation search refines
-        return math.exp(-0.5 * (1.3 + s) ** 2) > 1e-9
+        return np.exp(-0.5 * (1.3 + s) ** 2) > 1e-9
 
     def test_fixed_steps_match_the_cut_refine_loop(self):
         for lo, hi in ((0.0, 1e-3), (3.2, 6.4), (2.048, 8.192)):
@@ -124,6 +126,40 @@ class TestBisect:
 
     def test_bracket_across_zero_ends_at_zero(self):
         assert nk.bisect(lambda x: x < 0.0, -1.0, 1.0) == (-5e-324, 0.0)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (1.0, 0.0), (1e308, 1.7e308)],
+        ids=["infinite", "half-infinite", "nan", "reversed", "midpoint-overflows"],
+    )
+    def test_rejects_brackets_that_never_converge(self, lo, hi):
+        with pytest.raises(nk.DomainError):
+            nk.bisect(lambda x: x < 0.0, lo, hi)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(sorted),
+        steps=st.none() | st.integers(1, 40),
+        u=st.floats(0.0, 1.0),
+        c=st.floats(0.5, 50.0),
+        monotone=st.booleans(),
+    )
+    def test_block_walk_matches_the_scalar_loop(self, ends, steps, u, c, monotone):
+        lo, hi = ends
+        cut = lo + u * (hi - lo)
+        # Elementwise math keeps each value independent of the array it sits in.
+        scalar = (lambda x: x < cut) if monotone else (lambda x: math.sin(c * x) > 0.0)
+        sizes = []
+
+        def below(x):
+            sizes.append(x.size)
+            return np.array([scalar(v) for v in x.tolist()], dtype=bool)
+
+        assert nk.bisect(below, lo, hi, steps) == scalar_bisect(scalar, lo, hi, steps)
+        if steps is not None:
+            assert len(sizes) == -(-steps // 5)
+            assert sizes[:-1] == [31] * (len(sizes) - 1)
+            assert sizes[-1] == 2 ** (steps - 5 * (len(sizes) - 1)) - 1
 
 
 class TestIntegrate:
