@@ -7,11 +7,12 @@ Three routes to the same quantities, cross-validating each other:
 * Monte-Carlo simulation of m simultaneous experiments whose groupwise FDR
   converges to the Bayesian rate (``mtsim``).
 
-``analysis`` adds spiky/flat prior limits, honesty thresholds and
-mean-vs-median comparisons; ``cli`` exposes everything as CSV/JSON tables.
+``analysis`` adds rates under scaled (spiky or flat) priors, honesty
+thresholds and mean-vs-median comparisons; ``cli`` exposes everything as
+CSV/JSON tables.
 """
 
-from .analysis import SpikyLimits, StatisticGap, n_alpha, spiky_limits, statistic_gap
+from .analysis import StatisticGap, n_alpha, statistic_gap
 from .exact import DegenerateDenominator, JointProbabilities, exact_joint, exact_rates
 from .expansions import (
     CoefficientSet,
@@ -26,15 +27,10 @@ from .models import (
     ResolvedTest,
     TestSetup,
     cauchy_location_model,
-    cornish_fisher_critical,
     exponential_rate_model,
-    median_cdf_edgeworth,
     median_cdf_exact,
-    median_pdf_exact,
     normal_location_model,
     normal_mean_model,
-    power_mean_test,
-    power_median_test,
     reiss_coefficients,
     resolve_test,
     ump_critical_value,
@@ -45,7 +41,6 @@ from .numkernel import (
     QuadratureConfig,
     QuadratureNonConvergence,
     integrate,
-    log_binomial,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,

@@ -1,9 +1,10 @@
-"""Derived studies: spiky/flat prior limits, honesty thresholds, statistic gaps.
+"""Derived studies: rates under scaled priors, honesty thresholds, statistic gaps.
 
 The scale family g_tau(theta) = g(theta/tau)/tau concentrates at the null
 boundary as tau -> 0 and flattens as tau -> infinity. In the spiky limit the
-rates converge to ratios of the one-sided power limits at the boundary; in
-the flat limit both rates vanish. The honesty threshold n_alpha(tau) is the
+rates converge to ratios of the one-sided power limits at the boundary (the
+tests check :func:`empirical_spiky_check` against them); in the flat limit
+both rates vanish. The honesty threshold n_alpha(tau) is the
 smallest sample size at which the post-experimental rate delta_n drops below
 the pre-experimental level alpha under g_tau.
 """
@@ -28,46 +29,6 @@ from .priors import Prior, scale_prior
 
 class AnalysisError(ValueError):
     """Invalid analysis configuration."""
-
-
-@dataclass(frozen=True)
-class SpikyLimits:
-    """Limits of the rates along the scale family.
-
-    tau -> 0: ratios of one-sided power limits weighted by the prior masses;
-    tau -> infinity: both rates vanish (for tests consistent in the scale
-    direction).
-    """
-
-    delta_limit_tau0: float
-    eps_limit_tau0: float
-    delta_limit_tauinf: float = 0.0
-    eps_limit_tauinf: float = 0.0
-
-
-def spiky_limits(p_minus: float, p_plus: float, lambda_null: float) -> SpikyLimits:
-    """Spiky-prior limits from the one-sided power limits at the boundary.
-
-    ``p_minus``/``p_plus`` are the left/right limits of the power function at
-    theta0; ``lambda_null`` the prior null mass. The false-discovery limit is
-    lambda_null p_minus / (lambda_null p_minus + (1 - lambda_null) p_plus);
-    the false-acceptance limit is its mirror image in 1 - power.
-    """
-    if not (0.0 <= p_minus <= 1.0 and 0.0 <= p_plus <= 1.0):
-        raise AnalysisError("power limits must lie in [0, 1]")
-    if not (0.0 < lambda_null < 1.0):
-        raise AnalysisError(f"lambda_null must lie in (0, 1), got {lambda_null}")
-    lam = lambda_null
-    denom_d = lam * p_minus + (1.0 - lam) * p_plus
-    if denom_d <= 0.0:
-        raise AnalysisError("power limits at the boundary must not both vanish")
-    denom_e = lam * (1.0 - p_minus) + (1.0 - lam) * (1.0 - p_plus)
-    if denom_e <= 0.0:
-        raise AnalysisError("complementary power limits must not both vanish")
-    return SpikyLimits(
-        delta_limit_tau0=lam * p_minus / denom_d,
-        eps_limit_tau0=(1.0 - lam) * (1.0 - p_plus) / denom_e,
-    )
 
 
 @dataclass(frozen=True)

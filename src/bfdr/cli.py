@@ -18,7 +18,8 @@ All numbers are serialized with 10 significant digits; JSON rows carry the
 same values. Randomness requires an explicit ``--seed``. Output goes to
 stdout unless ``--out`` is given; a relative ``--out`` is resolved against
 ``$BFDR_OUT_DIR`` when that variable is set. Exit codes: 0 success, 2
-configuration error (all violations listed), 3 numerical non-convergence.
+configuration error (all violations listed; an unwritable ``--out`` is one),
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def _emit(rows: List[dict], header: List[str], config: RunConfig) -> None:
         path = config.out
         if not os.path.isabs(path) and os.environ.get("BFDR_OUT_DIR"):
             path = os.path.join(os.environ["BFDR_OUT_DIR"], path)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 

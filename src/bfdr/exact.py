@@ -134,7 +134,7 @@ def exact_joint(
             return 1.0 - p if alt else p
 
         def tail_bound(th: np.ndarray) -> np.ndarray:
-            p = weight(np.clip(power(th), 0.0, 1.0))
+            p = weight(np.minimum(np.maximum(power(th), 0.0), 1.0))
             mass = cdf(th) if away == -1 else 1.0 - cdf(th)
             return p * mass
 

@@ -21,9 +21,11 @@ with b_i = at_i - a_i and
 
 The a/at coefficients come from integrating the test's power expansion
 against the prior's Taylor expansion around theta0: for the exponential
-family the inner expansion is Edgeworth-with-Cornish-Fisher (the g1/g2 and
-f1/f2 polynomials below), for the median it is the two-term expansion of the
-sample-median CDF.
+family the inner expansion is Edgeworth-with-Cornish-Fisher, for the median
+it is the two-term expansion of the sample-median CDF. The functions below
+hard-code the moments of those expansions; the expansions themselves (the
+g1/g2 and f1/f2 polynomials, the Cornish-Fisher critical value, the median
+CDF expansion) live with the tests in ``tests/derivations.py``.
 """
 
 from __future__ import annotations
@@ -108,81 +110,6 @@ def compose_coefficient_set(
 
 
 # ---------------------------------------------------------------------------
-# Inner expansion polynomials (exponential family)
-# ---------------------------------------------------------------------------
-
-
-def g1_poly(x, rho30: float, z: float):
-    """Order-1/sqrt(n) power-expansion polynomial; vanishes when rho30 = 0."""
-    x = np.asarray(x, dtype=float)
-    out = rho30 * (x * x / 6.0 + z * x / 2.0 + z * z / 3.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def g2_poly(x, rho30: float, rho40: float, z: float):
-    """Order-1/n power-expansion polynomial.
-
-    Assembled by composing the quantile expansion of the critical value with
-    the two-term CDF expansion of the standardized mean; it vanishes at
-    x = -z because the test has exact size at the boundary, so the local
-    power there is alpha up to the neglected order.
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = rho30 * rho30
-    c5 = -r2 / 72.0
-    c4 = -z * r2 / 12.0
-    c3 = rho40 / 24.0 - 13.0 * z * z * r2 / 72.0 - r2 / 72.0
-    c2 = z * rho40 / 6.0 - z**3 * r2 / 6.0 - z * r2 / 12.0
-    c1 = (
-        (z * z / 4.0 - 1.0 / 24.0) * rho40
-        - z**4 * r2 / 18.0
-        - 13.0 * z * z * r2 / 72.0
-        + r2 / 36.0
-    )
-    c0 = (z**3 / 8.0 - z / 24.0) * rho40 - (z**3 / 9.0 - z / 36.0) * r2
-    out = ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
-    return float(out) if out.ndim == 0 else out
-
-
-def f1_poly(x, rho30: float, z: float):
-    """Order-1/sqrt(n) polynomial of the local critical-value expansion."""
-    x = np.asarray(x, dtype=float)
-    f11 = -z * rho30 / 2.0
-    f10 = -(2.0 * z * z + 1.0) * rho30 / 6.0
-    out = f11 * x + f10
-    return float(out) if out.ndim == 0 else out
-
-
-def f2_poly(x, rho30: float, rho40: float, z: float):
-    """Order-1/n polynomial of the local critical-value expansion."""
-    x = np.asarray(x, dtype=float)
-    r2 = rho30 * rho30
-    f23 = rho40 / 12.0 - r2 / 8.0
-    f22 = 0.0
-    f21 = (7.0 * z * z / 24.0 + 1.0 / 12.0) * r2 - z * z * rho40 / 4.0
-    f20 = (z**3 + 2.0 * z) * r2 / 9.0 - (z**3 + z) * rho40 / 8.0
-    out = ((f23 * x + f22) * x + f21) * x + f20
-    return float(out) if out.ndim == 0 else out
-
-
-def power_mean_edgeworth(rho30: float, rho40: float, alpha: float, n: int, x):
-    """Two-term local expansion of the UMP test's power at the scaled point x.
-
-    Approximates the power at theta = theta0 + (x + z)/(sigma0 sqrt(n)) by
-    Phi(x) + phi(x) g1(x)/sqrt(n) + phi(x) g2(x)/n.
-    """
-    z = nk.upper_quantile_z(alpha)
-    x = np.asarray(x, dtype=float)
-    phi = nk.std_normal_pdf(x)
-    out = (
-        nk.std_normal_cdf(x)
-        + phi * g1_poly(x, rho30, z) / math.sqrt(n)
-        + phi * g2_poly(x, rho30, rho40, z) / n
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # Coefficient builders
 # ---------------------------------------------------------------------------
 
@@ -235,8 +162,8 @@ def exp_family_coefficients(
     h12 = -(z3 + 3.0 * z)
     h21 = -(rho30 / 3.0) * (z2 + 1.0)
     h22 = (rho30 / 3.0) * (z3 + 2.0 * z)
-    # phi(z)-weighted moments of g2_poly over the null side; the alpha-weighted
-    # part h32 involves only the even g2 coefficients.
+    # phi(z)-weighted moments of the g2 polynomial over the null side; the
+    # alpha-weighted part h32 involves only the even g2 coefficients.
     h31 = r2 * (5.0 * z2 / 18.0 + 1.0 / 9.0) - rho40 * (z2 / 8.0 + 1.0 / 24.0)
     h32 = -5.0 * z3 * r2 / 18.0 - 11.0 * z * r2 / 36.0 + z3 * rho40 / 8.0 + z * rho40 / 8.0
     a3 = (

@@ -11,6 +11,12 @@ Exponential-family models are expressed in a user-facing parameter; when the
 natural parameter is the negative of that (the exponential-rate family),
 ``natural_direction = -1`` records the flip and the power function is
 decreasing rather than increasing in the user parameter.
+
+:func:`resolve_test` is the one notion of a test: critical value, exact
+power, rejection rule and null region. :func:`reiss_coefficients` gives the
+coefficients of the two-term sample-median CDF expansion that the median
+series is built from; the expansion itself, like the Cornish-Fisher critical
+value, is a test oracle (``tests/derivations.py``).
 """
 
 from __future__ import annotations
@@ -146,14 +152,6 @@ class ReissCoefficients:
         if self.f12 != expected_f12:
             raise ModelError(f"f12 must be {expected_f12} for {self.parity} n")
 
-    def r1(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.f11 * t * t + self.f12
-
-    def r2(self, t):
-        t = np.asarray(t, dtype=float)
-        return ((self.f21 * t * t + self.f22) * t * t + self.f23) * t
-
 
 # ---------------------------------------------------------------------------
 # Built-in models
@@ -193,7 +191,7 @@ def exponential_rate_model() -> ExpFamilyModel:
     def _cdf(theta, n, t):
         t = np.asarray(t, dtype=float)
         x = n + math.sqrt(n) * t
-        return _sp.gammainc(n, np.clip(x, 0.0, None))
+        return _sp.gammainc(n, np.maximum(x, 0.0))
 
     def _sample(theta, u):
         u = np.asarray(u, dtype=float)
@@ -256,9 +254,11 @@ def cauchy_location_model() -> LocationModel:
 def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     """Critical value k with P_theta0(sqrt(n)(Xbar - mu0)/sigma0 > k) = alpha.
 
-    Solved on the model's exact mean-statistic CDF by bisection to the last
-    bit: k is the smallest double with cdf(k) >= 1 - alpha. Tends to z_alpha
-    as n grows.
+    Solved on the model's exact mean-statistic CDF by bisection to adjacent
+    doubles: cdf(k) >= 1 - alpha > cdf(the double below k). Where the CDF is
+    monotone to the last bit (normal-mean) k is the smallest double reaching
+    the level; ``gammainc`` (exp-rate) is not, so a lower double can reach it
+    too. Tends to z_alpha as n grows.
     """
     if setup.statistic != "mean_ump":
         raise ModelError("ump_critical_value applies to the mean_ump statistic")
@@ -278,23 +278,6 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
         if hi > 1e6:
             raise ModelError("failed to bracket the critical value from above")
     return nk.bisect(below, lo, hi)[1]
-
-
-def cornish_fisher_critical(rho30: float, rho40: float, alpha: float, n: int) -> float:
-    """Two-correction quantile expansion of the UMP critical value."""
-    z = nk.upper_quantile_z(alpha)
-    term1 = (z * z - 1.0) * rho30 / (6.0 * math.sqrt(n))
-    term2 = (
-        (z**3 - 3.0 * z) * rho40 / 24.0 - (2.0 * z**3 - 5.0 * z) * rho30**2 / 36.0
-    ) / n
-    return z + term1 + term2
-
-
-def power_mean_test(model: ExpFamilyModel, theta, setup: TestSetup):
-    """Exact power of the level-alpha UMP mean test at theta; vectorized."""
-    if setup.statistic != "mean_ump":
-        raise ModelError("power_mean_test applies to the mean_ump statistic")
-    return resolve_test(model, setup).power(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -317,36 +300,8 @@ def median_cdf_exact(model: LocationModel, n: int, t):
     k = median_order_index(n)
     t = np.asarray(t, dtype=float)
     u = np.asarray(model.cdf(t / (2.0 * model.f0 * math.sqrt(n))), dtype=float)
-    out = _sp.betainc(k, n - k + 1, np.clip(u, 0.0, 1.0))
+    out = _sp.betainc(k, n - k + 1, np.minimum(np.maximum(u, 0.0), 1.0))
     return float(out) if out.ndim == 0 else out
-
-
-def median_pdf_exact(model: LocationModel, n: int, t):
-    """Exact density of 2 f(0) sqrt(n) (T_n - theta) at t; vectorized in t."""
-    n = int(n)
-    k = median_order_index(n)
-    t = np.asarray(t, dtype=float)
-    scale = 2.0 * model.f0 * math.sqrt(n)
-    u = t / scale
-    F = np.asarray(model.cdf(u), dtype=float)
-    F = np.clip(F, 0.0, 1.0)
-    f = np.asarray(model.pdf(u), dtype=float)
-    log_comb = math.log(n) + nk.log_binomial(n - 1, k - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logF = np.where(F > 0.0, np.log(np.where(F > 0.0, F, 1.0)), -np.inf)
-        logS = np.where(F < 1.0, np.log1p(-np.where(F < 1.0, F, 0.0)), -np.inf)
-    # k = 1 or k = n make the corresponding exponent 0 even at the boundary,
-    # so drop the term entirely rather than form 0 * (-inf).
-    if n == 1:
-        expo = np.zeros_like(F)
-    elif k == 1:
-        expo = (n - k) * logS
-    elif k == n:
-        expo = (k - 1) * logF
-    else:
-        expo = (k - 1) * logF + (n - k) * logS
-    dens = np.where(np.isfinite(expo), np.exp(log_comb + expo) * f / scale, 0.0)
-    return float(dens) if dens.ndim == 0 else dens
 
 
 def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
@@ -366,43 +321,6 @@ def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
     f22 = 0.25 + (0.5 - frac) * f0p / (2.0 * f0 * f0) + f0pp / (24.0 * f0**3)
     f23 = 0.25 - (1.0 - 2.0 * frac) ** 2 / 2.0
     return ReissCoefficients(f11, f12, f21, f22, f23, parity)
-
-
-def median_cdf_edgeworth(model: LocationModel, n: int, t):
-    """Two-term expansion of the standardized sample-median CDF; vectorized."""
-    n = int(n)
-    rc = reiss_coefficients(model, n)
-    t = np.asarray(t, dtype=float)
-    phi = nk.std_normal_pdf(t)
-    out = (
-        nk.std_normal_cdf(t)
-        + phi * rc.r1(t) / math.sqrt(n)
-        + phi * rc.r2(t) / n
-    )
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def power_median_test(model: LocationModel, theta, setup: TestSetup, mode: str = "exact"):
-    """Power of the median test (reject when sqrt(n) T_n > z_alpha/(2 f(0))).
-
-    ``mode`` selects the exact incomplete-beta CDF or its two-term expansion.
-    Vectorized over theta.
-    """
-    if setup.statistic != "median":
-        raise ModelError("power_median_test applies to the median statistic")
-    if mode not in ("exact", "edgeworth"):
-        raise ModelError(f"unknown mode {mode!r}")
-    if mode == "exact":
-        return resolve_test(model, setup).power(theta)
-    if setup.theta0 != 0.0:
-        raise ModelError("the median test uses the location convention theta0 = 0")
-    n = setup.n
-    z = nk.upper_quantile_z(setup.alpha)
-    theta = np.asarray(theta, dtype=float)
-    # P_theta(2 f0 sqrt(n)(T_n - theta) > z - 2 f0 sqrt(n) theta)
-    tcrit = z - 2.0 * model.f0 * math.sqrt(n) * theta
-    out = 1.0 - np.asarray(median_cdf_edgeworth(model, n, tcrit), dtype=float)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -119,17 +119,6 @@ def bisect(
     return lo, hi
 
 
-def log_binomial(n: int, k: int) -> float:
-    """log of the binomial coefficient C(n, k)."""
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if k == 0 or k == n:
-        return 0.0
-    return (
-        math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-    )
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerance and refinement budget for :func:`integrate`.

@@ -351,7 +351,7 @@ def gamma_mode1_prior(r: float) -> Prior:
         g1=g1,
         g2=g2,
         support=(0.0, math.inf),
-        cdf=lambda th: _sp.gammainc(r, s * np.clip(np.asarray(th, dtype=float), 0.0, None)),
+        cdf=lambda th: _sp.gammainc(r, s * np.maximum(np.asarray(th, dtype=float), 0.0)),
         ppf=lambda u: _sp.gammaincinv(r, np.asarray(u, dtype=float)) / s,
     )
 
@@ -402,7 +402,7 @@ def f_mode1_prior(r: float, s: float) -> Prior:
         support=(0.0, math.inf),
         # fdtr is NaN below 0 where the CDF is 0, so clip as the gamma prior does
         cdf=lambda th: _sp.fdtr(
-            2.0 * r, 2.0 * s, np.clip(np.asarray(th, dtype=float) / tau, 0.0, None)
+            2.0 * r, 2.0 * s, np.maximum(np.asarray(th, dtype=float) / tau, 0.0)
         ),
         ppf=lambda u: tau * _sp.fdtri(2.0 * r, 2.0 * s, np.asarray(u, dtype=float)),
     )

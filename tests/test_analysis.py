@@ -10,10 +10,11 @@ from bfdr.analysis import (
     AnalysisError,
     empirical_spiky_check,
     n_alpha,
-    spiky_limits,
     statistic_gap,
 )
 from bfdr.models import TestSetup
+
+from derivations import spiky_limits
 
 NORMAL = models.normal_mean_model()
 NLOC = models.normal_location_model()

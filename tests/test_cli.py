@@ -259,3 +259,17 @@ class TestValidationAndErrors:
         )
         assert code == 0
         assert (tmp_path / "gaps.csv").exists()
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            ["coeffs", "--model", "normal-mean", "--prior", "normal:1",
+             "--alpha", "0.05", "--out", str(target)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "config"
+        assert len(record["violations"]) == 1 and str(target) in record["violations"][0]
+        assert not target.exists()

@@ -15,15 +15,19 @@ from bfdr.expansions import (
     CoefficientSet,
     compose_coefficient_set,
     exp_family_coefficients,
+    median_coefficients,
+    rate_series,
+)
+from bfdr.models import TestSetup
+
+from derivations import (
+    cornish_fisher_critical,
     f1_poly,
     f2_poly,
     g1_poly,
     g2_poly,
-    median_coefficients,
     power_mean_edgeworth,
-    rate_series,
 )
-from bfdr.models import TestSetup
 
 Z95 = 1.6448536269514722
 PHI_Z95 = 0.10313564037537128
@@ -84,7 +88,7 @@ class TestPolynomials:
             + f1_poly(-Z95, rho3, Z95) / math.sqrt(n)
             + f2_poly(-Z95, rho3, rho4, Z95) / n
         )
-        k_cf = models.cornish_fisher_critical(rho3, rho4, alpha, n)
+        k_cf = cornish_fisher_critical(rho3, rho4, alpha, n)
         assert k_local == pytest.approx(k_cf, abs=1e-12)
 
 
@@ -178,7 +182,7 @@ class TestEdgeworthPowerCheck:
         errs = {}
         for n in (200, 400):
             theta = 1.0 - (xs + Z95) / math.sqrt(n)
-            exact_power = models.power_mean_test(EXP, theta, TestSetup("mean_ump", 1.0, alpha, n))
+            exact_power = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, alpha, n)).power(theta)
             approx = power_mean_edgeworth(2.0, 6.0, alpha, n, xs)
             errs[n] = float(np.max(np.abs(approx - exact_power)))
         assert errs[200] / errs[400] >= 2.3  # 2^{3/2} ~ 2.83 in the limit
@@ -215,7 +219,7 @@ class TestEdgeworthPowerCheck:
         alpha = 0.05
         xs = np.linspace(-3.0, -Z95, 25)
         theta = 1.0 - (xs + Z95) / math.sqrt(n)
-        exact_power = models.power_mean_test(EXP, theta, TestSetup("mean_ump", 1.0, alpha, n))
+        exact_power = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, alpha, n)).power(theta)
         phi = nk.std_normal_pdf(xs)
         base = nk.std_normal_cdf(xs) + phi * g1_poly(xs, 2.0, Z95) / math.sqrt(n)
         err_derived = np.max(np.abs(base + phi * g2_poly(xs, 2.0, 6.0, Z95) / n - exact_power))

@@ -1,0 +1,78 @@
+"""Layout: src/bfdr holds only code that the library, the CLI or perfbench runs.
+
+Every module-level public function and class of ``src/bfdr`` must be
+referenced, as a name or an attribute (a string does not count), from
+``src/bfdr`` outside its own definition and the package ``__init__``, or from
+``perfbench/``. Code that only tests call lives under ``tests/``
+(``derivations.py``, ``oracles.py``).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bfdr"
+
+#: The README-documented entry point for custom priors; no route calls it.
+DOCUMENTED_ENTRY_POINTS = {"make_prior"}
+
+
+def _references(tree, skip=None):
+    """Names and attribute names used in ``tree``, outside the subtree ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unreferenced(modules, outside_sources):
+    """Public top-level definitions of ``modules`` (name -> source) that nothing uses.
+
+    ``__init__`` neither defines nor references; ``outside_sources`` (e.g. the
+    benchmark) count as references.
+    """
+    trees = {name: ast.parse(src) for name, src in modules.items() if name != "__init__"}
+    outside = set().union(*(_references(ast.parse(src)) for src in outside_sources))
+    missing = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            used = node.name in outside or any(
+                node.name in _references(other, skip=node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                missing.append(f"{module}.{node.name}")
+    return missing
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    missing = [
+        name for name in unreferenced(modules, bench)
+        if name.split(".")[1] not in DOCUMENTED_ENTRY_POINTS
+    ]
+    assert missing == [], f"only tests use {missing}; move them under tests/"
+
+
+def test_the_check_sees_names_not_strings():
+    modules = {
+        "__init__": "from .a import dead",
+        "a": (
+            "def used(x):\n    return x\n"
+            "def dead():\n    return dead()\n"
+            "class Quoted:\n    pass\n"
+            "def caller():\n    return used(1), 'Quoted'\n"
+        ),
+        "b": "from . import a\n\ndef other():\n    return a.caller()\n",
+    }
+    assert unreferenced(modules, []) == ["a.dead", "a.Quoted", "b.other"]
+    assert unreferenced(modules, ["b.other(Quoted)"]) == ["a.dead"]

@@ -17,6 +17,14 @@ from bfdr import models
 from bfdr import numkernel as nk
 from bfdr.models import TestSetup
 
+from derivations import (
+    cornish_fisher_critical,
+    median_cdf_edgeworth,
+    median_pdf_exact,
+    power_median_edgeworth,
+    reiss_r1,
+    reiss_r2,
+)
 from oracles import gamma_upper_quantile_oracle, order_stat_cdf
 
 Z95 = 1.6448536269514722
@@ -136,22 +144,22 @@ class TestUmpCriticalValue:
 
 class TestCornishFisher:
     def test_normal_case_collapses_to_z(self):
-        assert models.cornish_fisher_critical(0.0, 0.0, 0.05, 7) == pytest.approx(
+        assert cornish_fisher_critical(0.0, 0.0, 0.05, 7) == pytest.approx(
             Z95, rel=1e-14
         )
 
     def test_skewed_case(self):
         # mpmath, 40 digits, z = Phi^{-1}(0.95)
-        assert models.cornish_fisher_critical(2.0, 6.0, 0.05, 1) == pytest.approx(
+        assert cornish_fisher_critical(2.0, 6.0, 0.05, 1) == pytest.approx(
             2.0171527665022595, rel=1e-12
         )
 
     def test_large_n_limit(self):
-        assert models.cornish_fisher_critical(2.0, 6.0, 0.05, 10**12) == pytest.approx(
+        assert cornish_fisher_critical(2.0, 6.0, 0.05, 10**12) == pytest.approx(
             Z95, abs=1e-5
         )
-        gap_far = abs(models.cornish_fisher_critical(2.0, 6.0, 0.05, 10**16) - Z95)
-        gap_near = abs(models.cornish_fisher_critical(2.0, 6.0, 0.05, 10**12) - Z95)
+        gap_far = abs(cornish_fisher_critical(2.0, 6.0, 0.05, 10**16) - Z95)
+        gap_near = abs(cornish_fisher_critical(2.0, 6.0, 0.05, 10**12) - Z95)
         assert gap_far < gap_near
 
     def test_tracks_exact_exponential_critical_value(self):
@@ -159,7 +167,7 @@ class TestCornishFisher:
         gaps = []
         for n in (25, 100, 400):
             k_exact = models.ump_critical_value(EXP, TestSetup("mean_ump", 1.0, 0.05, n))
-            k_cf = models.cornish_fisher_critical(2.0, 6.0, 0.05, n)
+            k_cf = cornish_fisher_critical(2.0, 6.0, 0.05, n)
             gaps.append(abs(k_cf - k_exact) * n**1.5)
         assert max(gaps) / min(gaps) < 4.0
 
@@ -169,35 +177,35 @@ class TestPowerMeanTest:
         for model, th0 in ((NORMAL, 0.0), (EXP, 1.0)):
             for n in (1, 5, 30):
                 setup = TestSetup("mean_ump", th0, 0.05, n)
-                assert models.power_mean_test(model, th0, setup) == pytest.approx(
+                assert models.resolve_test(model, setup).power(th0) == pytest.approx(
                     0.05, abs=1e-8
                 )
 
     def test_normal_closed_form(self):
         # 1 - Phi(z_0.05 - 1); mpmath 40 digits
         setup = TestSetup("mean_ump", 0.0, 0.05, 4)
-        assert models.power_mean_test(NORMAL, 0.5, setup) == pytest.approx(
+        assert models.resolve_test(NORMAL, setup).power(0.5) == pytest.approx(
             0.2595110228414441, rel=1e-12
         )
 
     def test_consistency_toward_alternative(self):
         setup = TestSetup("mean_ump", 0.0, 0.05, 10)
-        assert models.power_mean_test(NORMAL, 5.0, setup) > 1.0 - 1e-9
+        assert models.resolve_test(NORMAL, setup).power(5.0) > 1.0 - 1e-9
         setup_exp = TestSetup("mean_ump", 1.0, 0.05, 10)
         # exp-rate alternative is small rates
-        assert models.power_mean_test(EXP, 1e-4, setup_exp) > 1.0 - 1e-12
-        assert models.power_mean_test(EXP, 50.0, setup_exp) < 1e-12
+        assert models.resolve_test(EXP, setup_exp).power(1e-4) > 1.0 - 1e-12
+        assert models.resolve_test(EXP, setup_exp).power(50.0) < 1e-12
 
     def test_monotone_in_natural_direction(self):
         setup = TestSetup("mean_ump", 1.0, 0.05, 8)
         rates = np.array([0.4, 0.8, 1.0, 1.5, 3.0])
-        power = models.power_mean_test(EXP, rates, setup)
+        power = models.resolve_test(EXP, setup).power(rates)
         assert np.all(np.diff(power) < 0)
 
     def test_vectorized(self):
         setup = TestSetup("mean_ump", 0.0, 0.05, 4)
         th = np.array([0.0, 0.5, 1.0])
-        out = models.power_mean_test(NORMAL, th, setup)
+        out = models.resolve_test(NORMAL, setup).power(th)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.2595110228414441, rel=1e-10)
 
@@ -207,10 +215,10 @@ class TestMedianDistribution:
         assert [models.median_order_index(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 3]
 
     def test_pdf_single_observation(self):
-        assert models.median_pdf_exact(NLOC, 1, 0.0) == pytest.approx(0.5, rel=1e-14)
+        assert median_pdf_exact(NLOC, 1, 0.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_pdf_three_observations_at_center(self):
-        assert models.median_pdf_exact(NLOC, 3, 0.0) == pytest.approx(
+        assert median_pdf_exact(NLOC, 3, 0.0) == pytest.approx(
             0.75 / math.sqrt(3.0), rel=1e-13
         )
 
@@ -220,7 +228,7 @@ class TestMedianDistribution:
         # Cauchy medians at tiny n have polynomial tails; the log-compressed
         # tail map makes the wide window cheap.
         res = nk.integrate_split(
-            lambda t: models.median_pdf_exact(model, n, t),
+            lambda t: median_pdf_exact(model, n, t),
             -1e7,
             1e7,
             0.0,
@@ -297,17 +305,17 @@ class TestMedianCdfEdgeworth:
         ts = np.linspace(-3.0, 3.0, 13)
         reconstructed = (
             nk.std_normal_cdf(ts)
-            + nk.std_normal_pdf(ts) * rc.r1(ts) / math.sqrt(9)
-            + nk.std_normal_pdf(ts) * rc.r2(ts) / 9
+            + nk.std_normal_pdf(ts) * reiss_r1(rc, ts) / math.sqrt(9)
+            + nk.std_normal_pdf(ts) * reiss_r2(rc, ts) / 9
         )
         np.testing.assert_allclose(reconstructed, nk.std_normal_cdf(ts), rtol=0, atol=0)
 
     def test_center_value_odd_n(self):
-        assert models.median_cdf_edgeworth(NLOC, 25, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert median_cdf_edgeworth(NLOC, 25, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_close_to_exact_at_n100(self):
         gap = abs(
-            models.median_cdf_edgeworth(NLOC, 100, 1.0)
+            median_cdf_edgeworth(NLOC, 100, 1.0)
             - models.median_cdf_exact(NLOC, 100, 1.0)
         )
         assert gap <= 0.005
@@ -319,13 +327,13 @@ class TestMedianCdfEdgeworth:
         ts = np.linspace(-3.0, 3.0, 61)
         gap_small = np.max(
             np.abs(
-                models.median_cdf_edgeworth(model, n_small, ts)
+                median_cdf_edgeworth(model, n_small, ts)
                 - models.median_cdf_exact(model, n_small, ts)
             )
         )
         gap_large = np.max(
             np.abs(
-                models.median_cdf_edgeworth(model, n_large, ts)
+                median_cdf_edgeworth(model, n_large, ts)
                 - models.median_cdf_exact(model, n_large, ts)
             )
         )
@@ -335,12 +343,12 @@ class TestMedianCdfEdgeworth:
         # adjudication of the even-n f23 ambiguity against the exact CDF
         ts = np.linspace(-3.0, 3.0, 61)
         exact = models.median_cdf_exact(NLOC, 104, ts)
-        gap_general = np.max(np.abs(models.median_cdf_edgeworth(NLOC, 104, ts) - exact))
+        gap_general = np.max(np.abs(median_cdf_edgeworth(NLOC, 104, ts) - exact))
         rc = _example_variant(models.reiss_coefficients(NLOC, 104), 104)
         example = (
             nk.std_normal_cdf(ts)
-            + nk.std_normal_pdf(ts) * rc.r1(ts) / math.sqrt(104)
-            + nk.std_normal_pdf(ts) * rc.r2(ts) / 104
+            + nk.std_normal_pdf(ts) * reiss_r1(rc, ts) / math.sqrt(104)
+            + nk.std_normal_pdf(ts) * reiss_r2(rc, ts) / 104
         )
         gap_example = np.max(np.abs(example - exact))
         assert gap_general < gap_example
@@ -349,29 +357,32 @@ class TestMedianCdfEdgeworth:
 class TestPowerMedianTest:
     def test_alpha_half_at_origin(self):
         setup = TestSetup("median", 0.0, 0.5, 21)
-        assert models.power_median_test(NLOC, 0.0, setup) == pytest.approx(0.5, abs=1e-12)
+        assert models.resolve_test(NLOC, setup).power(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_consistency(self):
         setup = TestSetup("median", 0.0, 0.05, 11)
-        assert models.power_median_test(NLOC, 50.0, setup) == pytest.approx(1.0, abs=1e-12)
+        assert models.resolve_test(NLOC, setup).power(50.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_monte_carlo_oracle(self):
         # frozen MC reference, see module docstring
         setup = TestSetup("median", 0.0, 0.05, 21)
         mc_value, mc_se = 0.289633, 0.000321
-        exact = models.power_median_test(NLOC, 0.3, setup, mode="exact")
+        exact = models.resolve_test(NLOC, setup).power(0.3)
         assert abs(exact - mc_value) <= 3.0 * mc_se
 
     def test_edgeworth_mode_close_to_exact(self):
         setup = TestSetup("median", 0.0, 0.05, 41)
         th = np.linspace(-0.5, 0.8, 14)
-        ex = models.power_median_test(NLOC, th, setup, "exact")
-        ed = models.power_median_test(NLOC, th, setup, "edgeworth")
+        ex = models.resolve_test(NLOC, setup).power(th)
+        ed = power_median_edgeworth(NLOC, th, setup)
         assert np.max(np.abs(ex - ed)) < 5e-3
 
     def test_requires_location_convention(self):
+        setup = TestSetup("median", 0.3, 0.05, 9)
         with pytest.raises(models.ModelError):
-            models.power_median_test(NLOC, 0.1, TestSetup("median", 0.3, 0.05, 9))
+            models.resolve_test(NLOC, setup)
+        with pytest.raises(models.ModelError):
+            power_median_edgeworth(NLOC, 0.1, setup)
 
 
 class TestResolvedTest:
