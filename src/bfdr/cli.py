@@ -18,8 +18,8 @@ All numbers are serialized with 10 significant digits; JSON rows carry the
 same values. Randomness requires an explicit ``--seed``. Output goes to
 stdout unless ``--out`` is given; a relative ``--out`` is resolved against
 ``$BFDR_OUT_DIR`` when that variable is set. Exit codes: 0 success, 2
-configuration error (all violations listed; an unwritable ``--out`` is one),
-3 numerical non-convergence.
+configuration error (all violations listed; an unwritable ``--out`` or a
+start:stop grid of over 10,000 points is one), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _MODEL_SPECS = ("normal-mean", "exp-rate", "normal-median", "cauchy-median")
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+#: Most points a start:stop ``--alpha-grid`` or ``--tau-grid`` may have.
+_MAX_GRID_POINTS = 10_000
 
 
 def _build_model(spec: str):
@@ -132,6 +134,8 @@ def _parse_alpha_grid(spec: str) -> List[float]:
     if step <= 0 or stop < start:
         raise ValueError(f"bad alpha grid {spec!r}")
     count = int(round((stop - start) / step))
+    if count + (start + count * step <= stop + 1e-12) > _MAX_GRID_POINTS:
+        raise ValueError(f"alpha grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     return [start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-12]
 
 
@@ -143,6 +147,8 @@ def _parse_tau_grid(spec: str) -> List[float]:
     start, stop, count = float(start_s), float(stop_s), int(count_s)
     if start <= 0 or stop <= start or count < 2:
         raise ValueError(f"bad tau grid {spec!r}")
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"tau grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     ratio = (stop / start) ** (1.0 / (count - 1))
     return [start * ratio**i for i in range(count)]
 

@@ -5,6 +5,7 @@ The quadrature is deliberately simple and fully deterministic: the
 trapezoid rule on a uniform grid refined by panel doubling, with Romberg
 extrapolation of those same values; it stops when two successive diagonal
 entries agree to the requested tolerance, twice running (see :func:`_romberg`).
+One integrand call covers the two ends and the first six doubling levels.
 Limits are finite; :func:`integrate_split` compresses the far tails of a
 wide interval logarithmically. :func:`bisect` is the one bracket-halving
 solver behind every monotone search in bfdr (the critical value, the
@@ -28,6 +29,12 @@ _CORE_WIDTH = 8.0
 
 #: Halving levels :func:`bisect` evaluates per call of its predicate.
 _BISECT_DEPTH = 5
+
+#: Doubling levels :func:`_romberg` evaluates, with the two ends, in its first call.
+_FIRST_LEVELS = 6
+#: Their midpoints, the i-th of level k at (i + 0.5) / 2**(k-1), in level order.
+_FIRST_PANELS = np.repeat(2 ** np.arange(_FIRST_LEVELS), 2 ** np.arange(_FIRST_LEVELS))
+_FIRST_OFFSETS = np.arange(_FIRST_PANELS.size) - (_FIRST_PANELS - 1) + 0.5
 
 
 class NumKernelError(Exception):
@@ -182,17 +189,24 @@ def _romberg(w, lo: float, hi: float, cfg: QuadratureConfig) -> IntegralValue:
     bound |R[k][k] - R[k-1][k-1]|; we stop at level >= 4 once that bound is
     within ``abs_tol`` and the previous one was within ``100 * abs_tol``.
     On an exhausted budget the trapezoid value and its last gap are raised.
+    One call of ``w`` covers the ends and levels 1..min(6, ``max_refinements``),
+    then one call per level; each level is still summed on its own, in order.
     """
     span = hi - lo
     if span == 0.0:
         return IntegralValue(0.0, 0.0, panels=0)
-    ends = np.asarray(w(np.array([lo, hi])), dtype=float)
-    weight_sum = 0.5 * (ends[0] + ends[1])
+    first = min(_FIRST_LEVELS, cfg.max_refinements)
+    m = 2**first - 1
+    vals = w(np.concatenate(([lo, hi], lo + span * _FIRST_OFFSETS[:m] / _FIRST_PANELS[:m])))
+    weight_sum = 0.5 * (vals[0] + vals[1])
     row = [weight_sum * span]
     err = math.inf
     for level in range(1, cfg.max_refinements + 1):
-        new = lo + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1)
-        weight_sum += float(np.sum(np.asarray(w(new), dtype=float)))
+        if level <= first:  # level k's midpoints sit at vals[2**(k-1) + 1 : 2**k + 1]
+            new = vals[2 ** (level - 1) + 1 : 2**level + 1]
+        else:
+            new = w(lo + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1))
+        weight_sum += float(np.add.reduce(new))
         panels = 2**level
         prev, row = row, [weight_sum * span / panels]
         for j, r in enumerate(prev, 1):

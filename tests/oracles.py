@@ -7,6 +7,8 @@ tests cross two implementation routes rather than re-checking one.
 
 import math
 
+import numpy as np
+
 _EPS = 1e-15
 _MAX_ITER = 500
 
@@ -125,3 +127,29 @@ def scalar_find_cut(h, theta0: float, away: int, limit: float, tol: float) -> fl
     lo_s = 0.0 if s <= 1e-3 else s / 2.0
     _, hi_s = scalar_bisect(lambda t: h(theta0 + away * t) > tol, lo_s, s, 30)
     return theta0 + away * hi_s
+
+
+def scalar_romberg(w, lo: float, hi: float, abs_tol: float, max_refinements: int):
+    """Romberg on the doubling trapezoid grid with one call of ``w`` per
+    level: the two ends, then each level's new midpoints. Same stopping rule
+    as the library (level >= 4, last gap <= abs_tol, the one before <= 100
+    abs_tol). Returns (value, error_bound, panels, converged); without
+    convergence, the last trapezoid value and its gap to the one before."""
+    span = hi - lo
+    if span == 0.0:
+        return 0.0, 0.0, 0, True
+    ends = np.asarray(w(np.array([lo, hi])), dtype=float)
+    weight_sum = 0.5 * (ends[0] + ends[1])
+    row = [weight_sum * span]
+    err = math.inf
+    for level in range(1, max_refinements + 1):
+        new = lo + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1)
+        weight_sum += float(np.sum(np.asarray(w(new), dtype=float)))
+        panels = 2**level
+        prev, row = row, [weight_sum * span / panels]
+        for j, r in enumerate(prev, 1):
+            row.append(row[-1] + (row[-1] - r) / (4**j - 1))
+        prev_err, err = err, abs(row[-1] - prev[-1])
+        if level >= 4 and err <= abs_tol and prev_err <= 100.0 * abs_tol:
+            return row[-1], err, panels, True
+    return row[0], abs(row[0] - prev[0]), panels, False

@@ -221,6 +221,34 @@ class TestValidationAndErrors:
         # the location convention itself stays accepted
         assert run_cli(argv + ["--theta0", "0"], capsys)[0] == 0
 
+    def test_oversized_alpha_grid_is_a_config_error(self, capsys):
+        # 29,001 points: refused before the list is built
+        code, out, err = run_cli(
+            ["compare", "--prior", "normal:1", "--alpha-grid", "0.01:0.3:1e-5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "config"
+        assert record["violations"] == [
+            "alpha-grid: alpha grid '0.01:0.3:1e-5' has more than 10000 points"]
+
+    def test_oversized_tau_grid_is_a_config_error(self):
+        def violations(tau_grid):
+            args = cli._build_parser().parse_args(
+                ["nalpha", "--model", "normal-mean", "--prior", "normal:1",
+                 "--alpha", "0.05", "--tau-grid", tau_grid])
+            return cli._validate(args)[1]
+
+        assert violations("0.2:5:10001") == [
+            "tau-grid: tau grid '0.2:5:10001' has more than 10000 points"]
+        assert violations("0.2:5:10000") == []
+
+    def test_alpha_grid_limit_is_10000_points(self):
+        assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000
+        with pytest.raises(ValueError):
+            cli._parse_alpha_grid("0.0001:1.0001:0.0001")
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "--model", "normal-mean", "--prior", "normal:1",

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bfdr import numkernel as nk
 
 from derivations import log_binomial
-from oracles import bisect_quantile, scalar_bisect
+from oracles import bisect_quantile, scalar_bisect, scalar_romberg
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -221,6 +221,53 @@ class TestIntegrate:
     def test_schemes_agree(self, f, a, b, truth):
         r1 = nk.integrate(f, a, b, nk.QuadratureConfig(abs_tol=1e-9))
         assert r1.value == pytest.approx(truth, abs=1e-7)
+
+
+def _gauss(v):
+    return math.exp(-0.5 * v * v) / SQRT_2PI
+
+
+class TestRombergBatching:
+    """The first integrand call covers the ends and levels 1..6; the result
+    must equal the one-call-per-level loop bit for bit."""
+
+    # (integrand of one float, lo, hi, abs_tol, level it stops at)
+    CASES = [
+        (math.exp, 0.0, 1.0, 1e-4, 4),
+        (_gauss, -3.0, 3.0, 1e-4, 5),
+        (lambda v: 1.0 / (1.0 + v * v), -3.0, 3.0, 1e-4, 6),
+        (math.sqrt, 0.0, 1.0, 1e-4, 7),
+        (_gauss, -3.0, 3.0, 1e-10, 8),
+        (math.cos, -30.0, 30.0, 1e-4, 9),
+    ]
+
+    @pytest.mark.parametrize("max_refinements", [1, 2, 3, 4, 5, 6, 7, 20])
+    @pytest.mark.parametrize("f,lo,hi,tol,stop", CASES, ids=[f"level{c[-1]}" for c in CASES])
+    def test_matches_the_one_call_per_level_loop(self, f, lo, hi, tol, stop, max_refinements):
+        points = []
+
+        def w(x):
+            # Elementwise math keeps each value independent of the array it sits in.
+            points.append(x.tolist())
+            return np.array([f(v) for v in x.tolist()])
+
+        expected = scalar_romberg(w, lo, hi, tol, 20)
+        assert expected[2:] == (2**stop, True)
+        expected = scalar_romberg(w, lo, hi, tol, max_refinements)
+        points.clear()
+        cfg = nk.QuadratureConfig(abs_tol=tol, max_refinements=max_refinements)
+        try:
+            res = nk.integrate(w, lo, hi, cfg)
+        except nk.QuadratureNonConvergence as exc:
+            res = exc.result
+        assert (res.value, res.error_bound, res.panels, res.converged) == expected
+
+        # A piece stopping at level L <= 6 makes one call, one stopping later
+        # L - 5; no node beyond level max_refinements is evaluated.
+        last = max(min(6, max_refinements), min(stop, max_refinements))
+        assert len(points) == 1 + max(0, last - 6)
+        flat = [x for call in points for x in call]
+        assert len(flat) == len(set(flat)) == 2**last + 1 <= 2**max_refinements + 1
 
 
 class TestConfigValidation:
