@@ -18,8 +18,9 @@ All numbers are serialized with 10 significant digits; JSON rows carry the
 same values. Randomness requires an explicit ``--seed``. Output goes to
 stdout unless ``--out`` is given; a relative ``--out`` is resolved against
 ``$BFDR_OUT_DIR`` when that variable is set. Exit codes: 0 success, 2
-configuration error (all violations listed; an unwritable ``--out`` or a
-start:stop grid of over 10,000 points is one), 3 numerical non-convergence.
+configuration error (all violations listed, out-of-range values as a count
+and the first five; an unwritable ``--out`` or a start:stop grid of over
+10,000 points is one), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -223,6 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_all(violations: List[str], values: list, ok, what: str) -> None:
+    """Report the values failing ``ok`` as one violation: their count and first five."""
+    bad = [v for v in values if not ok(v)]
+    if bad:
+        violations.append(f"{len(bad)} {what}, first: {bad[:5]}")
+
+
 def _validate(args: argparse.Namespace) -> tuple:
     """Build a RunConfig, collecting every violation rather than the first."""
     violations: List[str] = []
@@ -249,9 +257,7 @@ def _validate(args: argparse.Namespace) -> tuple:
             violations.append(f"alpha-grid: {exc}")
     cfg.alphas = alphas
     if getattr(args, "alpha", None) is not None or getattr(args, "alpha_grid", None):
-        bad = [a for a in alphas if not (0.0 < a < 1.0)]
-        if bad:
-            violations.append(f"alpha values outside (0, 1): {bad}")
+        _check_all(violations, alphas, lambda a: 0.0 < a < 1.0, "alpha values outside (0, 1)")
         if not alphas and not any(v.startswith("alpha-grid") for v in violations):
             violations.append("alpha grid is empty")
 
@@ -264,8 +270,7 @@ def _validate(args: argparse.Namespace) -> tuple:
         except Exception as exc:
             violations.append(f"n-grid: {exc}")
     cfg.ns = ns
-    if ns and any(n < 1 for n in ns):
-        violations.append(f"sample sizes must be >= 1: {ns}")
+    _check_all(violations, ns, lambda n: n >= 1, "sample sizes below 1")
 
     cfg.theta0 = getattr(args, "theta0", None)
     if cfg.model_spec in ("normal-median", "cauchy-median") and cfg.theta0 not in (None, 0.0):
@@ -300,8 +305,7 @@ def _validate(args: argparse.Namespace) -> tuple:
             cfg.tau_grid = _parse_tau_grid(args.tau_grid)
             if not cfg.tau_grid:
                 violations.append("tau grid is empty")
-            if any(t <= 0 for t in cfg.tau_grid):
-                violations.append(f"tau values must be positive: {cfg.tau_grid}")
+            _check_all(violations, cfg.tau_grid, lambda t: t > 0, "tau values not positive")
         except Exception as exc:
             violations.append(f"tau-grid: {exc}")
         cfg.n_max = getattr(args, "n_max", 100)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from . import numkernel as nk
+from ._special import _sp
 
 
 class ModelError(ValueError):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import special as _sp
+
+from ._special import _sp
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import special as _sp
 
 from . import numkernel as nk
+from ._special import _sp
 
 
 class PriorError(ValueError):
@@ -51,42 +51,6 @@ class Prior:
     def support_hi(self) -> float:
         return self.support[1]
 
-    def tail_bounds(self, mass: float) -> Tuple[float, float]:
-        """Interval (L, U) with at most ``mass`` prior mass outside each end.
-
-        Used to truncate unbounded integration domains.
-        """
-        lo, hi = self.support
-        L = lo if math.isfinite(lo) else _invert_monotone(self.cdf, mass, lo, hi)
-        U = (
-            hi
-            if math.isfinite(hi)
-            else _invert_monotone(self.cdf, 1.0 - mass, lo, hi)
-        )
-        return L, U
-
-
-def _invert_monotone(cdf: Callable, target: float, lo: float, hi: float) -> float:
-    """Smallest double x in (lo, hi) with cdf(x) >= target; endpoints may be inf."""
-
-    def below(x):
-        return cdf(x) < target
-
-    # Expand a finite bracket first.
-    left = lo if math.isfinite(lo) else -1.0
-    right = hi if math.isfinite(hi) else 1.0
-    if not math.isfinite(lo):
-        while not below(left):
-            left *= 4.0
-            if left < -1e300:
-                return -1e300
-    if not math.isfinite(hi):
-        while below(right):
-            right *= 4.0
-            if right > 1e300:
-                return 1e300
-    return nk.bisect(below, left, right)[1]
-
 
 #: Construction-time tolerances of :func:`validate_prior`: total mass, first
 #: derivative (ten times this for the second), and the cdf/ppf round trip.
@@ -95,8 +59,18 @@ _DERIV_TOL = 1e-5
 _ROUND_TRIP_TOL = 1e-9
 
 
+def _tail_points(prior: Prior, mass: float) -> Tuple[float, float]:
+    """(L, U): the support's finite ends, else ppf(mass) and ppf(1 - mass)."""
+    lo, hi = prior.support
+    L = lo if math.isfinite(lo) else float(prior.ppf(mass))
+    U = hi if math.isfinite(hi) else float(prior.ppf(1.0 - mass))
+    if not (math.isfinite(L) and math.isfinite(U) and L < U):
+        raise PriorError(f"prior {prior.name!r}: ppf gives tail points {L!r}, {U!r}")
+    return L, U
+
+
 def _validation_grid(prior: Prior) -> np.ndarray:
-    L, U = prior.tail_bounds(0.02)
+    L, U = _tail_points(prior, 0.02)
     pad = 1e-3 * (U - L)
     return np.linspace(L + pad, U - pad, 41)
 
@@ -106,24 +80,27 @@ def validate_prior(prior: Prior):
 
     Raises :class:`PriorError` on failure. Derivatives are compared against
     central finite differences of ``g`` on a support-spanning grid, and
-    cdf(ppf(u)) must return u on a grid of levels in [0.01, 0.99].
+    cdf(ppf(u)) must return u on a grid of levels in [0.01, 0.99]. The round
+    trip is checked first, since the mass check takes its tail points and
+    anchor from ``ppf``.
     """
     lo, hi = prior.support
     if not lo < hi:
         raise PriorError(f"empty support {prior.support!r}")
-    # Truncate where the CDF puts negligible mass; this simultaneously checks
-    # that g integrates to 1 and that g matches its own CDF.
-    cut = _NORM_TOL / 10.0
-    L, U = prior.tail_bounds(cut)
-    anchor = _invert_monotone(prior.cdf, 0.5, lo, hi)
-    res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=cut))
-    total = res.value + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
-    if abs(total - 1.0) > _NORM_TOL + res.error_bound:
-        raise PriorError(f"prior {prior.name!r} mass {total:.8f} != 1")
     u = np.linspace(0.01, 0.99, 41)
     gap = np.max(np.abs(np.asarray(prior.cdf(prior.ppf(u)), dtype=float) - u))
     if not gap <= _ROUND_TRIP_TOL:
         raise PriorError(f"prior {prior.name!r}: cdf(ppf(u)) misses u by {gap:.3g}")
+    # Integrate g between ppf(cut) and ppf(1 - cut) and add the CDF's mass
+    # outside: this checks both that g integrates to 1 and that it matches
+    # its own CDF, whatever L < U the ppf gives.
+    cut = _NORM_TOL / 10.0
+    L, U = _tail_points(prior, cut)
+    anchor = float(prior.ppf(0.5))
+    res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=cut))
+    total = res.value + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
+    if abs(total - 1.0) > _NORM_TOL + res.error_bound:
+        raise PriorError(f"prior {prior.name!r} mass {total:.8f} != 1")
     grid = _validation_grid(prior)
     g = prior.g
     h1 = 1e-6 * (1.0 + np.abs(grid))

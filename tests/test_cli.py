@@ -244,6 +244,27 @@ class TestValidationAndErrors:
             "tau-grid: tau grid '0.2:5:10001' has more than 10000 points"]
         assert violations("0.2:5:10000") == []
 
+    def test_out_of_range_values_give_a_short_record(self, capsys):
+        # 9,951 alphas, 9,901 of them at or above 1: a count and five values
+        code, out, err = run_cli(
+            ["compare", "--prior", "normal:1", "--alpha-grid", "0.5:100:0.01"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.encode()) < 1024
+        assert json.loads(err)["violations"] == [
+            "9901 alpha values outside (0, 1), first: [1.0, 1.01, 1.02, 1.03, 1.04]"]
+
+    def test_bad_sizes_and_taus_are_counted(self):
+        def violations(argv):
+            return cli._validate(cli._build_parser().parse_args(argv))[1]
+
+        common = ["--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05"]
+        assert violations(["rates", *common, "--n-grid", "3,0,-1,-2,-3,-4,-5"]) == [
+            "6 sample sizes below 1, first: [0, -1, -2, -3, -4]"]
+        assert violations(["nalpha", *common, "--tau-grid=1,-2,0"]) == [
+            "2 tau values not positive, first: [-2.0, 0.0]"]
+
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000
         with pytest.raises(ValueError):

@@ -5,6 +5,10 @@ referenced, as a name or an attribute (a string does not count), from
 ``src/bfdr`` outside its own definition and the package ``__init__``, or from
 ``perfbench/``. Code that only tests call lives under ``tests/``
 (``derivations.py``, ``oracles.py``).
+
+scipy's special functions come in through ``_special.py`` alone, and nothing
+imports ``scipy.stats`` or ``scipy.optimize``: each costs a CLI process a
+large share of its start-up.
 """
 
 import ast
@@ -76,3 +80,49 @@ def test_the_check_sees_names_not_strings():
     }
     assert unreferenced(modules, []) == ["a.dead", "a.Quoted", "b.other"]
     assert unreferenced(modules, ["b.other(Quoted)"]) == ["a.dead"]
+
+
+def scipy_imports(source):
+    """scipy modules that ``source`` imports; ``from scipy import x`` counts as scipy.x."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in found if name.split(".")[0] == "scipy"}
+
+
+def importers(packages, exempt=()):
+    """Modules of src/bfdr, other than ``exempt``, that import any of ``packages``."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = sorted(name for name in scipy_imports(path.read_text())
+                       if any(name == p or name.startswith(p + ".") for p in packages))
+        if names and path.name not in exempt:
+            found[path.name] = names
+    return found
+
+
+def test_scipy_special_is_imported_only_by_the_special_module():
+    assert importers(["scipy.special"], exempt=["_special.py"]) == {}
+
+
+def test_no_module_imports_scipy_stats_or_optimize():
+    assert importers(["scipy.stats", "scipy.optimize"]) == {}
+
+
+def test_the_import_check_sees_every_spelling():
+    source = (
+        "import scipy.special\n"
+        "from scipy import special as sp, stats\n"
+        "from scipy.optimize import brentq\n"
+        "import numpy as np\n"
+        "from . import priors\n"
+        "def f():\n    import scipy.integrate\n"
+    )
+    assert scipy_imports(source) == {
+        "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.optimize.brentq",
+        "scipy.integrate",
+    }

@@ -124,7 +124,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("prior", ALL_BUILTINS, ids=lambda p: p.name)
     def test_unit_mass(self, prior):
-        L, U = prior.tail_bounds(1e-9)
+        L, U = priors._tail_points(prior, 1e-9)
         anchor = float(prior.ppf(0.5))
         res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=1e-8))
         assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -191,6 +191,20 @@ class TestValidation:
                 cdf=base.cdf, ppf=lambda u: 2.0 * base.ppf(u),
             )
 
+    @pytest.mark.parametrize("tail", [np.nan, np.inf, "reversed"])
+    def test_unusable_tail_quantiles_rejected(self, tail):
+        # the ppf inverts the CDF on [0.01, 0.99] but not in the far tails,
+        # where the mass check takes its truncation points
+        base = priors.normal_prior(1.0)
+
+        def ppf(u):
+            u = np.asarray(u, dtype=float)
+            lo, hi = (5.0, -5.0) if tail == "reversed" else (tail, tail)
+            return np.where(u < 0.005, lo, np.where(u > 0.995, hi, base.ppf(u)))
+
+        with pytest.raises(priors.PriorError, match="tail points"):
+            priors.make_prior(base.g, base.g1, base.g2, base.support, cdf=base.cdf, ppf=ppf)
+
 
 class TestLambdaAlt:
     def test_symmetric_center(self):
@@ -232,7 +246,7 @@ class TestScalePrior:
     @pytest.mark.parametrize("tau", [0.1, 10.0])
     def test_scaled_mass_is_one(self, tau):
         p = priors.scale_prior(priors.normal_prior(1.0), tau)
-        L, U = p.tail_bounds(1e-9)
+        L, U = priors._tail_points(p, 1e-9)
         res = nk.integrate_split(p.g, L, U, 0.0, nk.QuadratureConfig(abs_tol=1e-9))
         assert res.value == pytest.approx(1.0, abs=1e-7)
 
@@ -295,12 +309,15 @@ class TestSpecialFunctionBackends:
         u = np.linspace(0.0, 1.0 - 1e-6, 501)
         np.testing.assert_array_equal(p.ppf(u), tau * stats.f.ppf(u, 2.0 * r, 2.0 * s))
 
-    def test_cli_import_leaves_scipy_stats_out(self):
+    def test_cli_import_loads_only_the_special_function_ufuncs(self):
+        # scipy.special's __init__ pulls in scipy's array-API layer and with it
+        # numpy.f2py: about 0.2 s of every CLI process that bfdr never uses
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import sys, bfdr.cli; "
-                "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+        slow = ["scipy.stats", "scipy.optimize", "scipy.special", "scipy._lib._array_api",
+                "numpy.f2py"]
+        code = f"import sys, bfdr.cli; print([m for m in {slow!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "False False"
+        assert proc.stdout.strip() == "[]"
