@@ -29,9 +29,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from . import analysis, exact, expansions, models, mtsim, priors
@@ -60,28 +60,6 @@ def _build_model(spec: str):
     raise ValueError(f"unknown model spec {spec!r}; known: {_MODEL_SPECS}")
 
 
-@dataclass
-class RunConfig:
-    """A validated command invocation."""
-
-    command: str
-    model_spec: Optional[str] = None
-    prior_spec: Optional[str] = None
-    alphas: List[float] = field(default_factory=list)
-    ns: List[int] = field(default_factory=list)
-    method: str = "both"
-    order: int = 3
-    theta0: Optional[float] = None
-    m: int = 0
-    seed: Optional[int] = None
-    replications: int = 1
-    workers: int = 1
-    tau_grid: List[float] = field(default_factory=list)
-    n_max: int = 100
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-
 def _fmt_cell(x) -> str:
     if x is None:
         return ""
@@ -102,8 +80,10 @@ def _round10(x):
     return float(_fmt_cell(x))
 
 
-def _emit(rows: List[dict], header: List[str], config: RunConfig) -> None:
-    if config.fmt == "json":
+def _emit(rows: List[dict], args: argparse.Namespace) -> None:
+    """Write ``rows`` as a table whose header is the first row's keys."""
+    header = list(rows[0])
+    if args.fmt == "json":
         payload = [
             {k: _round10(row.get(k)) for k in header} for row in rows
         ]
@@ -115,8 +95,8 @@ def _emit(rows: List[dict], header: List[str], config: RunConfig) -> None:
         for row in rows:
             writer.writerow([_fmt_cell(row.get(k)) for k in header])
         text = buf.getvalue()
-    if config.out:
-        path = config.out
+    if args.out:
+        path = args.out
         if not os.path.isabs(path) and os.environ.get("BFDR_OUT_DIR"):
             path = os.path.join(os.environ["BFDR_OUT_DIR"], path)
         try:
@@ -232,105 +212,57 @@ def _check_all(violations: List[str], values: list, ok, what: str) -> None:
 
 
 def _validate(args: argparse.Namespace) -> tuple:
-    """Build a RunConfig, collecting every violation rather than the first."""
+    """Put the parsed ``alphas``, ``ns`` and ``tau_grid`` on ``args``.
+
+    Returns ``(args, violations)``, every violation rather than the first.
+    """
     violations: List[str] = []
-    cfg = RunConfig(command=args.command, fmt=getattr(args, "fmt", "csv"),
-                    out=getattr(args, "out", None))
+    get = vars(args).get
+    try:
+        priors.parse_prior_spec(args.prior)
+    except Exception as exc:
+        violations.append(f"prior: {exc}")
 
-    if getattr(args, "model", None) is not None:
-        cfg.model_spec = args.model
-
-    if getattr(args, "prior", None) is not None:
-        cfg.prior_spec = args.prior
+    args.alphas = [args.alpha] if get("alpha") is not None else []
+    if get("alpha_grid") is not None:
         try:
-            priors.parse_prior_spec(args.prior)
-        except Exception as exc:
-            violations.append(f"prior: {exc}")
-
-    alphas: List[float] = []
-    if getattr(args, "alpha", None) is not None:
-        alphas = [args.alpha]
-    elif getattr(args, "alpha_grid", None):
-        try:
-            alphas = _parse_alpha_grid(args.alpha_grid)
+            args.alphas = _parse_alpha_grid(args.alpha_grid)
         except Exception as exc:
             violations.append(f"alpha-grid: {exc}")
-    cfg.alphas = alphas
-    if getattr(args, "alpha", None) is not None or getattr(args, "alpha_grid", None):
-        _check_all(violations, alphas, lambda a: 0.0 < a < 1.0, "alpha values outside (0, 1)")
-        if not alphas and not any(v.startswith("alpha-grid") for v in violations):
-            violations.append("alpha grid is empty")
+    _check_all(violations, args.alphas, lambda a: 0.0 < a < 1.0, "alpha values outside (0, 1)")
 
-    ns: List[int] = []
-    if getattr(args, "n", None) is not None:
-        ns = [args.n]
-    elif getattr(args, "n_grid", None):
+    args.ns = [args.n] if get("n") is not None else []
+    if get("n_grid") is not None:
         try:
-            ns = _parse_n_grid(args.n_grid)
+            args.ns = _parse_n_grid(args.n_grid)
         except Exception as exc:
             violations.append(f"n-grid: {exc}")
-    cfg.ns = ns
-    _check_all(violations, ns, lambda n: n >= 1, "sample sizes below 1")
+    _check_all(violations, args.ns, lambda n: n >= 1, "sample sizes below 1")
 
-    cfg.theta0 = getattr(args, "theta0", None)
-    if cfg.model_spec in ("normal-median", "cauchy-median") and cfg.theta0 not in (None, 0.0):
+    median = get("model") in ("normal-median", "cauchy-median")
+    if median and args.theta0 not in (None, 0.0):
         violations.append("the median test uses the location convention theta0 = 0")
-    cfg.method = getattr(args, "method", "both")
-    cfg.order = getattr(args, "order", 3)
-
-    if args.command == "coeffs" and cfg.model_spec in ("normal-median", "cauchy-median"):
-        if not ns:
-            violations.append("coeffs with a median statistic needs --n (sets parity)")
+    if median and args.command == "coeffs" and not args.ns:
+        violations.append("coeffs with a median statistic needs --n (sets parity)")
 
     if args.command == "sweep":
-        if not getattr(args, "rates", False):
+        if not args.rates:
             violations.append("sweep requires --rates (the only implemented sweep table)")
-        if getattr(args, "alpha_grid", None) is None and getattr(args, "n_grid", None) is None:
+        if args.alpha_grid is None and args.n_grid is None:
             violations.append("sweep requires --alpha-grid or --n-grid")
 
-    if args.command == "sim":
-        cfg.m = args.m
-        cfg.seed = args.seed
-        cfg.replications = args.replications
-        cfg.workers = args.workers
-        if cfg.m < 1:
-            violations.append(f"m must be >= 1, got {cfg.m}")
-        if cfg.replications < 1:
-            violations.append(f"replications must be >= 1, got {cfg.replications}")
-        if cfg.workers < 1:
-            violations.append(f"workers must be >= 1, got {cfg.workers}")
-
-    if args.command in ("nalpha", "spiky"):
+    if get("tau_grid") is not None:
         try:
-            cfg.tau_grid = _parse_tau_grid(args.tau_grid)
-            if not cfg.tau_grid:
-                violations.append("tau grid is empty")
-            _check_all(violations, cfg.tau_grid, lambda t: t > 0, "tau values not positive")
+            args.tau_grid = _parse_tau_grid(args.tau_grid)
+            _check_all(violations, args.tau_grid, lambda t: t > 0, "tau values not positive")
+            _check_all(violations, args.tau_grid, lambda t: t != math.inf, "tau values infinite")
         except Exception as exc:
             violations.append(f"tau-grid: {exc}")
-        cfg.n_max = getattr(args, "n_max", 100)
-        if cfg.n_max < 1:
-            violations.append(f"n-max must be >= 1, got {cfg.n_max}")
 
-    return cfg, violations
-
-
-def _resolve(cfg: RunConfig):
-    model, statistic, default_theta0 = _build_model(cfg.model_spec)
-    prior = priors.parse_prior_spec(cfg.prior_spec)
-    theta0 = default_theta0 if cfg.theta0 is None else cfg.theta0
-    return model, statistic, theta0, prior
-
-
-def _coeff_row(alpha: float, n: Optional[int], cs: expansions.CoefficientSet) -> dict:
-    row = {"alpha": alpha, "statistic": cs.statistic, "parity": cs.parity or "",
-           "lambda_alt": cs.lambda_alt}
-    if n is not None:
-        row["n"] = n
-    for name in ("a1", "a2", "a3", "at1", "at2", "at3", "b1", "b2", "b3",
-                 "c1", "c2", "c3", "d1", "d2", "d3"):
-        row[name] = getattr(cs, name)
-    return row
+    for name in ("m", "replications", "workers", "n_max"):
+        if get(name) is not None and get(name) < 1:
+            violations.append(f"{name.replace('_', '-')} must be >= 1, got {get(name)}")
+    return args, violations
 
 
 def _coefficients_for(model, statistic, theta0, prior, alpha, n):
@@ -339,32 +271,39 @@ def _coefficients_for(model, statistic, theta0, prior, alpha, n):
     return expansions.median_coefficients(model, prior, alpha, n)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
-    if cfg.command == "coeffs":
-        model, statistic, theta0, prior = _resolve(cfg)
-        n = cfg.ns[0] if cfg.ns else None
-        rows = []
-        for alpha in cfg.alphas:
+def run(args: argparse.Namespace) -> int:
+    """Execute a validated invocation; returns the process exit code."""
+    prior = priors.parse_prior_spec(args.prior)
+    if vars(args).get("model"):
+        model, statistic, theta0 = _build_model(args.model)
+        theta0 = theta0 if args.theta0 is None else args.theta0
+    alpha = args.alphas[0] if args.alphas else None
+    n = args.ns[0] if args.ns else None
+    rows = []
+    if args.command == "coeffs":
+        for alpha in args.alphas:
             cs = _coefficients_for(model, statistic, theta0, prior, alpha, n or 1)
-            rows.append(_coeff_row(alpha, n, cs))
-        header = list(rows[0].keys())
-        _emit(rows, header, cfg)
-        return EXIT_OK
+            row = {"alpha": alpha, "statistic": cs.statistic, "parity": cs.parity or "",
+                   "lambda_alt": cs.lambda_alt}
+            if n is not None:
+                row["n"] = n
+            for name in ("a1", "a2", "a3", "at1", "at2", "at3", "b1", "b2", "b3",
+                         "c1", "c2", "c3", "d1", "d2", "d3"):
+                row[name] = getattr(cs, name)
+            rows.append(row)
 
-    if cfg.command in ("rates", "sweep"):
-        model, statistic, theta0, prior = _resolve(cfg)
-        rows = []
-        want_exact = cfg.method in ("exact", "both")
-        want_series = cfg.method in ("series", "both")
-        for n in cfg.ns:
-            for alpha in cfg.alphas:
+    elif args.command in ("rates", "sweep"):
+        want_exact = args.method in ("exact", "both")
+        want_series = args.method in ("series", "both")
+        series = f"series{args.order}"
+        for n in args.ns:
+            for alpha in args.alphas:
                 row = {"alpha": alpha, "n": n}
                 if want_series:
                     cs = _coefficients_for(model, statistic, theta0, prior, alpha, n)
-                    pair = expansions.rate_series(cs, n, cfg.order)
-                    row[f"fdr_series{cfg.order}"] = pair.fdr.value
-                    row[f"far_series{cfg.order}"] = pair.far.value
+                    pair = expansions.rate_series(cs, n, args.order)
+                    row[f"fdr_{series}"] = pair.fdr.value
+                    row[f"far_{series}"] = pair.far.value
                 if want_exact:
                     setup = TestSetup(statistic, theta0, alpha, n)
                     rates = exact.exact_rates(exact.exact_joint(model, prior, setup))
@@ -372,85 +311,52 @@ def run(cfg: RunConfig) -> int:
                     row["far_exact"] = rates.far.value
                     row["fdr_exact_err"] = rates.fdr.error_estimate
                 if want_exact and want_series:
-                    row["fdr_gap"] = abs(row["fdr_exact"] - row[f"fdr_series{cfg.order}"])
-                    row["far_gap"] = abs(row["far_exact"] - row[f"far_series{cfg.order}"])
+                    row["fdr_gap"] = abs(row["fdr_exact"] - row[f"fdr_{series}"])
+                    row["far_gap"] = abs(row["far_exact"] - row[f"far_{series}"])
                 rows.append(row)
-        header = list(rows[0].keys())
-        _emit(rows, header, cfg)
-        return EXIT_OK
 
-    if cfg.command == "sim":
-        model, statistic, theta0, prior = _resolve(cfg)
-        setup = TestSetup(statistic, theta0, cfg.alphas[0], cfg.ns[0])
-        sim_cfg = mtsim.SimConfig(
-            model=model, prior=prior, setup=setup, m=cfg.m, seed=cfg.seed,
-            replications=cfg.replications, workers=cfg.workers,
-        )
-        res = mtsim.simulate(sim_cfg)
+    elif args.command == "sim":
+        res = mtsim.simulate(mtsim.SimConfig(
+            model=model, prior=prior, setup=TestSetup(statistic, theta0, alpha, n), m=args.m,
+            seed=args.seed, replications=args.replications, workers=args.workers,
+        ))
         per_se = res.per_replication_se()
-        rows = []
         for r in range(res.replications):
-            rows.append({
-                "m": res.m,
-                "replication": r,
-                "V": int(res.V[r]),
-                "S": int(res.S[r]),
-                "R": int(res.R[r]),
-                "fdr_hat": float(res.fdr[r]),
-                "delta_hat": res.delta_hat,
-                "se": float(per_se[r]),
-            })
-        header = ["m", "replication", "V", "S", "R", "fdr_hat", "delta_hat", "se"]
-        _emit(rows, header, cfg)
-        return EXIT_OK
+            rows.append({"m": res.m, "replication": r, "V": int(res.V[r]), "S": int(res.S[r]),
+                         "R": int(res.R[r]), "fdr_hat": float(res.fdr[r]),
+                         "delta_hat": res.delta_hat, "se": float(per_se[r])})
 
-    if cfg.command == "nalpha":
-        model, statistic, theta0, prior = _resolve(cfg)
-        rows = []
-        for tau in cfg.tau_grid:
-            found = analysis.n_alpha(
-                model, prior, tau, cfg.alphas[0],
-                method=cfg.method, n_max=cfg.n_max, theta0=theta0,
-            )
+    elif args.command == "nalpha":
+        for tau in args.tau_grid:
+            found = analysis.n_alpha(model, prior, tau, alpha, method=args.method,
+                                     n_max=args.n_max, theta0=theta0)
             rows.append({"tau": tau, "n_alpha": found if found is not None else ""})
-        _emit(rows, ["tau", "n_alpha"], cfg)
-        return EXIT_OK
 
-    if cfg.command == "spiky":
-        model, statistic, theta0, prior = _resolve(cfg)
-        setup = TestSetup(statistic, theta0, cfg.alphas[0], cfg.ns[0])
-        rows = [
-            {"tau": row.tau, "fdr": row.fdr, "far": row.far}
-            for row in analysis.empirical_spiky_check(model, prior, setup, cfg.tau_grid)
-        ]
-        _emit(rows, ["tau", "fdr", "far"], cfg)
-        return EXIT_OK
+    elif args.command == "spiky":
+        setup = TestSetup(statistic, theta0, alpha, n)
+        for row in analysis.empirical_spiky_check(model, prior, setup, args.tau_grid):
+            rows.append({"tau": row.tau, "fdr": row.fdr, "far": row.far})
 
-    if cfg.command == "compare":
-        prior = priors.parse_prior_spec(cfg.prior_spec)
+    elif args.command == "compare":
         g0 = float(prior.g(0.0))
-        rows = []
-        for alpha in cfg.alphas:
+        for alpha in args.alphas:
             gap = analysis.statistic_gap(g0, alpha)
-            rows.append({
-                "alpha": alpha, "g0": g0,
-                "c1_gap": gap.c1_gap, "c2_gap_lower": gap.c2_gap_lower,
-            })
-        _emit(rows, ["alpha", "g0", "c1_gap", "c2_gap_lower"], cfg)
-        return EXIT_OK
+            rows.append({"alpha": alpha, "g0": g0,
+                         "c1_gap": gap.c1_gap, "c2_gap_lower": gap.c2_gap_lower})
 
-    raise ValueError(f"unhandled command {cfg.command!r}")
+    else:
+        raise ValueError(f"unhandled command {args.command!r}")
+    _emit(rows, args)
+    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg, violations = _validate(args)
+    args, violations = _validate(_build_parser().parse_args(argv))
     if violations:
         sys.stderr.write(json.dumps({"error": "config", "violations": violations}) + "\n")
         return EXIT_CONFIG
     try:
-        return run(cfg)
+        return run(args)
     except QuadratureNonConvergence as exc:
         sys.stderr.write(json.dumps({
             "error": "numerical",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -144,7 +144,8 @@ def exact_joint(
 
         cut = _find_cut(tail_bound, theta0, away, limit, cut_tol)
         res = nk.integrate_split(integrand, min(theta0, cut), max(theta0, cut), theta0, cfg)
-        return res.with_extra_error(cut_tol, truncation_radius=abs(cut - theta0))
+        return replace(res, error_bound=res.error_bound + cut_tol,
+                       truncation_radius=abs(cut - theta0))
 
     A = side(alt=False)
     At = side(alt=True)

@@ -8,9 +8,9 @@ entries agree to the requested tolerance, twice running (see :func:`_romberg`).
 One integrand call covers the two ends and the first six doubling levels.
 Limits are finite; :func:`integrate_split` compresses the far tails of a
 wide interval logarithmically. :func:`bisect` is the one bracket-halving
-solver behind every monotone search in bfdr (the critical value, the
-truncation cut and the prior tail points); its predicate maps an array to a
-bool array, and one call covers five levels of the one-step halving loop.
+solver behind every monotone search in bfdr (the critical value and the
+truncation cut); its predicate maps an array to a bool array, and one call
+covers five levels of the one-step halving loop.
 """
 
 from __future__ import annotations
@@ -168,15 +168,6 @@ class IntegralValue:
         if self.error_bound < 0.0:
             raise DomainError("error_bound must be nonnegative")
 
-    def with_extra_error(self, extra: float, truncation_radius=None) -> "IntegralValue":
-        return IntegralValue(
-            self.value,
-            self.error_bound + extra,
-            self.panels,
-            self.converged,
-            truncation_radius if truncation_radius is not None else self.truncation_radius,
-        )
-
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
@@ -252,22 +243,14 @@ def integrate_split(
             pieces.append(exc.result)
 
     run(f, lo_core, hi_core)
-    if a < lo_core:
+    for edge, end, sign in ((lo_core, a, -1.0), (hi_core, b, 1.0)):
+        if sign * (end - edge) > 0.0:
 
-        def left_tail(v):
-            v = np.asarray(v, dtype=float)
-            ev = np.exp(v)
-            return np.asarray(f(lo_core - (ev - 1.0)), dtype=float) * ev
+            def tail(v, edge=edge, sign=sign):
+                ev = np.exp(np.asarray(v, dtype=float))
+                return np.asarray(f(edge + sign * (ev - 1.0)), dtype=float) * ev
 
-        run(left_tail, 0.0, math.log1p(lo_core - a))
-    if b > hi_core:
-
-        def right_tail(v):
-            v = np.asarray(v, dtype=float)
-            ev = np.exp(v)
-            return np.asarray(f(hi_core + (ev - 1.0)), dtype=float) * ev
-
-        run(right_tail, 0.0, math.log1p(b - hi_core))
+            run(tail, 0.0, math.log1p(sign * (end - edge)))
     value = float(sum(p.value for p in pieces))
     err = float(sum(p.error_bound for p in pieces))
     panels = int(sum(p.panels for p in pieces))

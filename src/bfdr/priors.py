@@ -27,6 +27,13 @@ class PriorError(ValueError):
     """Invalid prior specification or a failed construction-time check."""
 
 
+def _require_finite(**params: float) -> None:
+    """Rejects an infinite parameter, which the factories' range checks let through."""
+    for name, value in params.items():
+        if math.isinf(value):
+            raise PriorError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Prior:
     """Density g with derivatives g', g'', CDF and quantile function.
@@ -168,6 +175,7 @@ def scale_prior(base: Prior, tau: float) -> Prior:
     """Scale family g_tau(theta) = g(theta/tau)/tau with chain-rule derivatives."""
     if not tau > 0.0:
         raise PriorError(f"tau must be positive, got {tau}")
+    _require_finite(tau=tau)
     tau = float(tau)
     lo, hi = base.support
     g, g1, g2 = base.g, base.g1, base.g2
@@ -206,6 +214,7 @@ def normal_prior(tau: float = 1.0) -> Prior:
     """theta ~ N(0, tau^2)."""
     if not tau > 0.0:
         raise PriorError(f"tau must be positive, got {tau}")
+    _require_finite(tau=tau)
     tau = float(tau)
 
     def g(th):
@@ -235,6 +244,7 @@ def student_t_prior(m: float, tau: float = 1.0) -> Prior:
     """theta/tau ~ t_m; m = 1 recovers the Cauchy prior."""
     if not (m > 0.0 and tau > 0.0):
         raise PriorError(f"need m > 0 and tau > 0, got m={m}, tau={tau}")
+    _require_finite(m=m, tau=tau)
     m = float(m)
     tau = float(tau)
     c = math.exp(math.lgamma((m + 1.0) / 2.0) - math.lgamma(m / 2.0)) / math.sqrt(
@@ -274,6 +284,7 @@ def cauchy_prior(tau: float = 1.0) -> Prior:
     """Cauchy scale-tau prior; closed forms rather than t_1 special-casing."""
     if not tau > 0.0:
         raise PriorError(f"tau must be positive, got {tau}")
+    _require_finite(tau=tau)
     tau = float(tau)
 
     def g(th):
@@ -307,6 +318,7 @@ def gamma_mode1_prior(r: float) -> Prior:
     """
     if not r > 1.0:
         raise PriorError(f"gamma-mode1 needs r > 1, got {r}")
+    _require_finite(r=r)
     r = float(r)
     s = r - 1.0
     log_norm = r * math.log(s) - math.lgamma(r)
@@ -341,6 +353,7 @@ def f_mode1_prior(r: float, s: float) -> Prior:
     """
     if not (r > 1.0 and s > 0.0):
         raise PriorError(f"f-mode1 needs r > 1 and s > 0, got r={r}, s={s}")
+    _require_finite(r=r, s=s)
     r = float(r)
     s = float(s)
     tau = r * (s + 1.0) / (s * (r - 1.0))

@@ -111,6 +111,21 @@ class TestRatesAndSweep:
         lam = float(rows[0]["lambda_alt"])
         assert lam == pytest.approx(1.0 - 3.0 * math.exp(-2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("method", ["exact", "series", "both"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_rates_header(self, method, order, capsys):
+        code, out, _ = run_cli(
+            ["rates", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--n", "10", "--method", method, "--order", str(order)],
+            capsys,
+        )
+        assert code == 0
+        series = [f"fdr_series{order}", f"far_series{order}"]
+        exact = ["fdr_exact", "far_exact", "fdr_exact_err"]
+        expected = {"exact": exact, "series": series,
+                    "both": series + exact + ["fdr_gap", "far_gap"]}[method]
+        assert parse_csv(out)[0] == ["alpha", "n"] + expected
+
 
 class TestSim:
     def test_deterministic_across_runs_and_workers(self, tmp_path, capsys):
@@ -264,6 +279,45 @@ class TestValidationAndErrors:
             "6 sample sizes below 1, first: [0, -1, -2, -3, -4]"]
         assert violations(["nalpha", *common, "--tau-grid=1,-2,0"]) == [
             "2 tau values not positive, first: [-2.0, 0.0]"]
+        assert violations(["spiky", *common, "--n", "10", "--tau-grid=inf,1,-inf"]) == [
+            "1 tau values not positive, first: [-inf]", "1 tau values infinite, first: [inf]"]
+
+    def test_sim_counts_are_checked_in_order(self):
+        argv = ["sim", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+                "--n", "10", "--m", "0", "--seed", "1", "--replications", "0", "--workers", "0"]
+        assert cli._validate(cli._build_parser().parse_args(argv))[1] == [
+            "m must be >= 1, got 0",
+            "replications must be >= 1, got 0",
+            "workers must be >= 1, got 0",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--model", "normal-mean", "--prior", "normal:inf", "--alpha", "0.05",
+             "--n", "10"],
+            ["rates", "--model", "normal-mean", "--prior", "cauchy:inf", "--alpha", "0.05",
+             "--n", "10"],
+            ["rates", "--model", "normal-mean", "--prior", "t:1:inf", "--alpha", "0.05",
+             "--n", "10"],
+            ["coeffs", "--model", "exp-rate", "--prior", "f-mode1:inf:2", "--alpha", "0.05"],
+            ["spiky", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--n", "10", "--tau-grid", "inf"],
+            ["nalpha", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--tau-grid", "0.5:inf:3"],
+            ["coeffs", "--model", "normal-mean", "--prior", "normal:1", "--alpha-grid="],
+            ["rates", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--n-grid="],
+        ],
+        ids=["normal-inf", "cauchy-inf", "t-tau-inf", "f-r-inf", "spiky-tau-inf",
+             "nalpha-tau-inf", "empty-alpha-grid", "empty-n-grid"],
+    )
+    def test_infinite_or_empty_inputs_are_config_errors(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "config" and len(record["violations"]) == 1
 
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000

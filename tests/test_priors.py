@@ -108,6 +108,23 @@ class TestBuiltinClosedForms:
         with pytest.raises(priors.PriorError):
             priors.gamma_mode1_prior(bad)
 
+    @pytest.mark.parametrize(
+        "factory, params",
+        [
+            (priors.normal_prior, (math.inf,)),
+            (priors.cauchy_prior, (math.inf,)),
+            (priors.student_t_prior, (math.inf, 1.0)),
+            (priors.student_t_prior, (1.0, math.inf)),
+            (priors.gamma_mode1_prior, (math.inf,)),
+            (priors.f_mode1_prior, (math.inf, 2.0)),
+            (priors.f_mode1_prior, (2.0, math.inf)),
+        ],
+        ids=["normal", "cauchy", "t-m", "t-tau", "gamma-mode1", "f-mode1-r", "f-mode1-s"],
+    )
+    def test_infinite_parameters_rejected(self, factory, params):
+        with pytest.raises(priors.PriorError, match="must be finite, got inf"):
+            factory(*params)
+
     def test_builtin_dispatch(self):
         p = priors.builtin_prior("normal", 2.0)
         assert p.name == "normal:2"
@@ -274,6 +291,8 @@ class TestScalePrior:
     def test_bad_tau_rejected(self):
         with pytest.raises(priors.PriorError):
             priors.scale_prior(priors.normal_prior(1.0), 0.0)
+        with pytest.raises(priors.PriorError, match="tau must be finite"):
+            priors.scale_prior(priors.normal_prior(1.0), math.inf)
 
 
 class TestSpecParsing:
