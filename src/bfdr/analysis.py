@@ -23,7 +23,6 @@ from .expansions import (
     rate_series,
 )
 from .models import ExpFamilyModel, LocationModel, ModelError, TestSetup
-from .numkernel import QuadratureConfig
 from .priors import Prior, scale_prior
 
 
@@ -43,14 +42,13 @@ def empirical_spiky_check(
     base_prior: Prior,
     setup: TestSetup,
     tau_grid: Sequence[float],
-    cfg: Optional[QuadratureConfig] = None,
 ) -> List[SpikyRow]:
     """Exact rates under g_tau across a grid of scales."""
     if not len(tau_grid):
         raise AnalysisError("tau_grid must be non-empty")
     rows = []
     for tau in tau_grid:
-        rates = exact_rates(exact_joint(model, scale_prior(base_prior, float(tau)), setup, cfg))
+        rates = exact_rates(exact_joint(model, scale_prior(base_prior, float(tau)), setup))
         rows.append(SpikyRow(tau=float(tau), fdr=rates.fdr.value, far=rates.far.value))
     return rows
 
@@ -63,7 +61,6 @@ def n_alpha(
     method: str = "exact",
     n_max: int = 100,
     theta0: float = 0.0,
-    cfg: Optional[QuadratureConfig] = None,
 ) -> Optional[int]:
     """Smallest n in [1, n_max] with delta_n <= alpha under g_tau, else None.
 
@@ -101,7 +98,7 @@ def n_alpha(
 
     for n in range(1, n_max + 1):
         setup = TestSetup(statistic, theta0, alpha, n)
-        rates = exact_rates(exact_joint(model, prior, setup, cfg))
+        rates = exact_rates(exact_joint(model, prior, setup))
         if rates.fdr.value <= alpha:
             return n
     return None

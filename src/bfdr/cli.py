@@ -239,6 +239,8 @@ def _validate(args: argparse.Namespace) -> tuple:
             violations.append(f"n-grid: {exc}")
     _check_all(violations, args.ns, lambda n: n >= 1, "sample sizes below 1")
 
+    if get("theta0") is not None and not math.isfinite(args.theta0):
+        violations.append(f"theta0 must be finite, got {args.theta0}")
     median = get("model") in ("normal-median", "cauchy-median")
     if median and args.theta0 not in (None, 0.0):
         violations.append("the median test uses the location convention theta0 = 0")

@@ -8,15 +8,14 @@ The joint probabilities
 determine the rejection probability B = A + lambda_alt - At and the rates
 delta = A / B and eps = At / (1 - B). Unbounded domains are truncated where
 the product of a monotone power bound and the prior tail mass drops below a
-tenth of the quadrature tolerance; fat-tailed priors get a logarithmic
+tenth of the quadrature tolerance, at the first of the doubling distances
+1e-3 * 2**k from theta0 where it does; fat-tailed priors get a logarithmic
 change of variables on the far piece so the uniform-grid scheme stays
 effective.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
@@ -62,8 +61,8 @@ def _support_interval(model, prior: Prior) -> Tuple[float, float]:
     return lo, hi
 
 
-#: Doublings of the cut march evaluated per call of the tail bound.
-_MARCH_BLOCK = 8
+#: The cut march's distances from theta0, 1e-3 * 2**k up to the 1e13 cap.
+_MARCH = np.ldexp(1e-3, np.arange(54))
 
 
 def _find_cut(
@@ -73,31 +72,19 @@ def _find_cut(
     limit: float,
     tol: float,
 ) -> float:
-    """March away from theta0 until the monotone tail bound h drops below tol.
+    """Cut a tail at the first march distance where the monotone bound h is within tol.
 
     ``away`` is -1 or +1 (the direction of the tail), ``limit`` the domain
-    endpoint in that direction. Finite limits are open boundaries, so the
-    returned cut stays strictly inside; the sliver left out is far below the
-    tolerance the caller budgets for truncation. The march tries s = min(1e-3
-    * 2**k, smax), eight steps per call of the array-valued ``h``, up to the
-    first whose bound is not above tol; a short bisection then pulls the cut
-    back toward theta0 to keep grid panels where the integrand lives.
+    endpoint in that direction. The march tries s = min(1e-3 * 2**k, smax),
+    then smax itself, all in one call of the array-valued ``h``; the cut is at
+    smax when no bound is within tol. smax stops just inside a finite limit,
+    which is an open boundary (the sliver left out is far below the tolerance
+    the caller budgets for truncation), and at 1e13 from theta0.
     """
-    if math.isfinite(limit):
-        smax = abs(limit - theta0) * (1.0 - 1e-9)
-    else:
-        smax = 1e13
-    for k in itertools.count(0, _MARCH_BLOCK):
-        s = np.minimum(np.ldexp(1e-3, np.arange(k, k + _MARCH_BLOCK)), smax)
-        above = h(theta0 + away * s) > tol
-        if not above.all():
-            break
-        if s[-1] >= smax:
-            return theta0 + away * smax
-    s = float(s[np.argmin(above)])
-    lo_s = 0.0 if s <= 1e-3 else s / 2.0
-    _, hi_s = nk.bisect(lambda t: h(theta0 + away * t) > tol, lo_s, s, 30)
-    return theta0 + away * hi_s
+    smax = min(abs(limit - theta0) * (1.0 - 1e-9), 1e13)
+    s = np.append(np.minimum(_MARCH, smax), smax)
+    above = h(theta0 + away * s) > tol
+    return theta0 + away * (smax if above.all() else float(s[np.argmin(above)]))
 
 
 def exact_joint(

@@ -124,6 +124,8 @@ class TestSetup:
     def __post_init__(self):
         if self.statistic not in ("mean_ump", "median"):
             raise ModelError(f"unknown statistic {self.statistic!r}")
+        if not math.isfinite(self.theta0):
+            raise ModelError(f"theta0 must be finite, got {self.theta0}")
         if not (0.0 < self.alpha < 1.0):
             raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
         if int(self.n) != self.n or self.n < 1:

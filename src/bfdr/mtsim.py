@@ -27,7 +27,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -208,21 +208,18 @@ class SweepRow:
     m: int
     fdr_hat: float
     se_fdr: float
-    gap: Optional[float]
 
 
 def convergence_sweep(
     config: SimConfig,
     m_grid: Sequence[int],
-    delta_ref: Optional[float] = None,
 ) -> list:
     """Rows for every m in ``m_grid``, read off one simulation pass.
 
     Experiment i draws the same data in every row that includes it, so each
     row equals :func:`simulate` at that m and growing m extends the
     experiment set rather than reshuffling it. One pass to max(m) tallies
-    every prefix. Rows keep the grid's order. ``gap`` reports
-    |fdr_hat - delta_ref| when a reference is supplied.
+    every prefix. Rows keep the grid's order.
     """
     if not m_grid:
         raise ModelError("m_grid must be non-empty")
@@ -232,6 +229,5 @@ def convergence_sweep(
     rows = []
     for c in configs:
         res = _result(c, *tallies[c.m])
-        gap = None if delta_ref is None else abs(res.fdr_hat - delta_ref)
-        rows.append(SweepRow(m=c.m, fdr_hat=res.fdr_hat, se_fdr=res.se_fdr, gap=gap))
+        rows.append(SweepRow(m=c.m, fdr_hat=res.fdr_hat, se_fdr=res.se_fdr))
     return rows

@@ -4,12 +4,11 @@ All functions are pure and accept either scalars or numpy arrays where noted.
 The quadrature is deliberately simple and fully deterministic: the
 trapezoid rule on a uniform grid refined by panel doubling, with Romberg
 extrapolation of those same values; it stops when two successive diagonal
-entries agree to the requested tolerance, twice running (see :func:`_romberg`).
+entries agree to the requested tolerance, twice running (see :func:`integrate`).
 One integrand call covers the two ends and the first six doubling levels.
 Limits are finite; :func:`integrate_split` compresses the far tails of a
-wide interval logarithmically. :func:`bisect` is the one bracket-halving
-solver behind every monotone search in bfdr (the critical value and the
-truncation cut); its predicate maps an array to a bool array, and one call
+wide interval logarithmically. :func:`bisect` solves the critical value to
+adjacent doubles; its predicate maps an array to a bool array, and one call
 covers five levels of the one-step halving loop.
 """
 
@@ -31,7 +30,7 @@ _CORE_WIDTH = 8.0
 #: Halving levels :func:`bisect` evaluates per call of its predicate.
 _BISECT_DEPTH = 5
 
-#: Doubling levels :func:`_romberg` evaluates, with the two ends, in its first call.
+#: Doubling levels :func:`integrate` evaluates, with the two ends, in its first call.
 _FIRST_LEVELS = 6
 #: Their midpoints, the i-th of level k at (i + 0.5) / 2**(k-1), in level order.
 _FIRST_PANELS = np.repeat(2 ** np.arange(_FIRST_LEVELS), 2 ** np.arange(_FIRST_LEVELS))
@@ -90,27 +89,22 @@ def upper_quantile_z(alpha: float) -> float:
     return std_normal_quantile(1.0 - float(alpha))
 
 
-def bisect(
-    below: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, steps: Optional[int] = None
-) -> Tuple[float, float]:
-    """Halve the bracket [lo, hi] of a monotone predicate; returns (lo, hi).
+def bisect(below: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> Tuple[float, float]:
+    """Halve the bracket [lo, hi] of a monotone predicate until lo and hi are
+    adjacent doubles; returns (lo, hi).
 
     ``below(lo)`` must be true and ``below(hi)`` false; each step moves one end
-    to ``0.5 * (lo + hi)``. With ``steps`` the bracket is halved that many
-    times; without, until lo and hi are adjacent doubles.
-
-    ``below`` maps an array to a bool array; each call evaluates the 31
-    midpoints of the next five levels, and the walk reads only those on its
-    path, so the brackets equal the one-step loop's bit for bit, monotone or
-    not. Raises :class:`DomainError` unless lo <= hi and lo + hi is finite.
+    to ``0.5 * (lo + hi)``. ``below`` maps an array to a bool array; each call
+    evaluates the 31 midpoints of the next five levels, and the walk reads only
+    those on its path, so the brackets equal the one-step loop's bit for bit,
+    monotone or not. Raises :class:`DomainError` unless lo <= hi and lo + hi
+    is finite.
     """
     if not (lo <= hi and math.isfinite(lo + hi)):
         raise DomainError(f"bisect needs finite lo <= hi with a finite sum, got ({lo}, {hi})")
-    left = math.inf if steps is None else steps
-    while left > 0:
-        depth = min(_BISECT_DEPTH, left)
+    while True:
         pts = [lo, hi]  # the sorted ends of every bracket the next halvings can reach
-        for _ in range(depth):
+        for _ in range(_BISECT_DEPTH):
             nxt = [lo]
             for a, b in zip(pts, pts[1:]):
                 nxt += (0.5 * (a + b), b)
@@ -119,12 +113,10 @@ def bisect(
         i, j = 0, len(pts) - 1
         while j - i > 1:
             m = (i + j) // 2
-            if steps is None and pts[m] in (pts[i], pts[j]):
+            if pts[m] in (pts[i], pts[j]):
                 return pts[i], pts[j]
             i, j = (m, j) if flags[m - 1] else (i, m)
         lo, hi = pts[i], pts[j]
-        left -= depth
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -172,45 +164,6 @@ class IntegralValue:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def _romberg(w, lo: float, hi: float, cfg: QuadratureConfig) -> IntegralValue:
-    """Romberg extrapolation of the trapezoid rule on a doubling uniform grid.
-
-    Level k halves the panels, evaluating only the new midpoints, and builds
-    the row R[k][j] = R[k][j-1] + (R[k][j-1] - R[k-1][j-1]) / (4**j - 1) from
-    the trapezoid value R[k][0]. The estimate is the diagonal R[k][k] with
-    bound |R[k][k] - R[k-1][k-1]|; we stop at level >= 4 once that bound is
-    within ``abs_tol`` and the previous one was within ``100 * abs_tol``.
-    On an exhausted budget the trapezoid value and its last gap are raised.
-    One call of ``w`` covers the ends and levels 1..min(6, ``max_refinements``),
-    then one call per level; each level is still summed on its own, in order.
-    """
-    span = hi - lo
-    if span == 0.0:
-        return IntegralValue(0.0, 0.0, panels=0)
-    first = min(_FIRST_LEVELS, cfg.max_refinements)
-    m = 2**first - 1
-    vals = w(np.concatenate(([lo, hi], lo + span * _FIRST_OFFSETS[:m] / _FIRST_PANELS[:m])))
-    weight_sum = 0.5 * (vals[0] + vals[1])
-    row = [weight_sum * span]
-    err = math.inf
-    for level in range(1, cfg.max_refinements + 1):
-        if level <= first:  # level k's midpoints sit at vals[2**(k-1) + 1 : 2**k + 1]
-            new = vals[2 ** (level - 1) + 1 : 2**level + 1]
-        else:
-            new = w(lo + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1))
-        weight_sum += float(np.add.reduce(new))
-        panels = 2**level
-        prev, row = row, [weight_sum * span / panels]
-        for j, r in enumerate(prev, 1):
-            row.append(row[-1] + (row[-1] - r) / (4**j - 1))
-        prev_err, err = err, abs(row[-1] - prev[-1])
-        if level >= 4 and err <= cfg.abs_tol and prev_err <= 100.0 * cfg.abs_tol:
-            return IntegralValue(row[-1], err, panels=panels)
-    raise QuadratureNonConvergence(
-        IntegralValue(row[0], abs(row[0] - prev[0]), panels=panels, converged=False)
-    )
-
-
 def integrate_split(
     f: Callable,
     a: float,
@@ -230,16 +183,13 @@ def integrate_split(
     lo_core = max(a, anchor - _CORE_WIDTH)
     hi_core = min(b, anchor + _CORE_WIDTH)
     pieces = []
-    failed = False
 
     def run(fun, lo, hi):
-        nonlocal failed
         if hi <= lo:
             return
         try:
             pieces.append(integrate(fun, lo, hi, cfg))
         except QuadratureNonConvergence as exc:
-            failed = True
             pieces.append(exc.result)
 
     run(f, lo_core, hi_core)
@@ -254,8 +204,8 @@ def integrate_split(
     value = float(sum(p.value for p in pieces))
     err = float(sum(p.error_bound for p in pieces))
     panels = int(sum(p.panels for p in pieces))
-    result = IntegralValue(value, err, panels=panels, converged=not failed)
-    if failed:
+    result = IntegralValue(value, err, panels=panels, converged=all(p.converged for p in pieces))
+    if not result.converged:
         raise QuadratureNonConvergence(result)
     return result
 
@@ -266,14 +216,48 @@ def integrate(
     b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> IntegralValue:
-    """Integrate ``f`` over the finite interval [a, b], a <= b.
+    """Integrate ``f`` over the finite interval [a, b], a <= b, by Romberg
+    extrapolation of the trapezoid rule on a doubling uniform grid.
 
     ``f`` must accept a numpy array of abscissas and return an array of the
-    same shape. Raises :class:`QuadratureNonConvergence` (carrying the best
-    estimate) when the refinement budget is exhausted.
+    same shape. Level k halves the panels, evaluating only the new midpoints,
+    and builds the row R[k][j] = R[k][j-1] + (R[k][j-1] - R[k-1][j-1]) / (4**j - 1)
+    from the trapezoid value R[k][0]. The estimate is the diagonal R[k][k] with
+    bound |R[k][k] - R[k-1][k-1]|; we stop at level >= 4 once that bound is
+    within ``abs_tol`` and the previous one was within ``100 * abs_tol``.
+    One call of ``f`` covers the ends and levels 1..min(6, ``max_refinements``),
+    then one call per level; each level is still summed on its own, in order.
+    On an exhausted budget raises :class:`QuadratureNonConvergence` carrying
+    the trapezoid value and its last gap.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError(f"integration limits must be finite with a <= b, got ({a}, {b})")
-    return _romberg(lambda x: np.asarray(f(x), dtype=float), a, b, cfg)
+    span = b - a
+    if span == 0.0:
+        return IntegralValue(0.0, 0.0, panels=0)
+    first = min(_FIRST_LEVELS, cfg.max_refinements)
+    m = 2**first - 1
+    first_x = np.concatenate(([a, b], a + span * _FIRST_OFFSETS[:m] / _FIRST_PANELS[:m]))
+    vals = np.asarray(f(first_x), dtype=float)
+    weight_sum = 0.5 * (vals[0] + vals[1])
+    row = [weight_sum * span]
+    err = math.inf
+    for level in range(1, cfg.max_refinements + 1):
+        if level <= first:  # level k's midpoints sit at vals[2**(k-1) + 1 : 2**k + 1]
+            new = vals[2 ** (level - 1) + 1 : 2**level + 1]
+        else:
+            x = a + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1)
+            new = np.asarray(f(x), dtype=float)
+        weight_sum += float(np.add.reduce(new))
+        panels = 2**level
+        prev, row = row, [weight_sum * span / panels]
+        for j, r in enumerate(prev, 1):
+            row.append(row[-1] + (row[-1] - r) / (4**j - 1))
+        prev_err, err = err, abs(row[-1] - prev[-1])
+        if level >= 4 and err <= cfg.abs_tol and prev_err <= 100.0 * cfg.abs_tol:
+            return IntegralValue(row[-1], err, panels=panels)
+    raise QuadratureNonConvergence(
+        IntegralValue(row[0], abs(row[0] - prev[0]), panels=panels, converged=False)
+    )

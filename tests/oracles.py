@@ -97,36 +97,31 @@ def order_stat_cdf(F: float, k: int, n: int) -> float:
     return total
 
 
-def scalar_bisect(below, lo: float, hi: float, steps=None):
+def scalar_bisect(below, lo: float, hi: float):
     """The one-step halving loop: each step moves one end of [lo, hi] to
-    0.5 * (lo + hi); ``steps`` times, or until lo and hi are adjacent doubles.
-    ``below`` takes one float."""
-    done = 0
-    while steps is None or done < steps:
+    0.5 * (lo + hi), until lo and hi are adjacent doubles. ``below`` takes
+    one float."""
+    while True:
         mid = 0.5 * (lo + hi)
-        if steps is None and (mid == lo or mid == hi):
-            break
+        if mid == lo or mid == hi:
+            return lo, hi
         if below(mid):
             lo = mid
         else:
             hi = mid
-        done += 1
-    return lo, hi
 
 
 def scalar_find_cut(h, theta0: float, away: int, limit: float, tol: float) -> float:
     """The truncation search one distance at a time: double s from 1e-3
-    (capped just inside a finite limit) until the bound h(theta0 + away * s),
-    a function of one float, is not above tol, then halve 30 times."""
-    smax = abs(limit - theta0) * (1.0 - 1e-9) if math.isfinite(limit) else 1e13
+    (capped just inside a finite limit, and at 1e13) until the bound
+    h(theta0 + away * s), a function of one float, is not above tol."""
+    smax = min(abs(limit - theta0) * (1.0 - 1e-9), 1e13)
     s = min(1e-3, smax)
     while h(theta0 + away * s) > tol:
         if s >= smax:
             return theta0 + away * smax
         s = min(2.0 * s, smax)
-    lo_s = 0.0 if s <= 1e-3 else s / 2.0
-    _, hi_s = scalar_bisect(lambda t: h(theta0 + away * t) > tol, lo_s, s, 30)
-    return theta0 + away * hi_s
+    return theta0 + away * s
 
 
 def scalar_romberg(w, lo: float, hi: float, abs_tol: float, max_refinements: int):

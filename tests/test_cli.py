@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -318,6 +319,27 @@ class TestValidationAndErrors:
         assert out == ""
         record = json.loads(err)
         assert record["error"] == "config" and len(record["violations"]) == 1
+
+    @pytest.mark.parametrize("theta0", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--n", "10", "--m", "1000", "--seed", "1"],
+            ["rates", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--n", "10"],
+        ],
+        ids=["sim", "rates"],
+    )
+    def test_non_finite_theta0_is_a_config_error(self, argv, theta0, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv + [f"--theta0={theta0}"], capsys)
+        assert caught == []
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config", "violations": [f"theta0 must be finite, got {float(theta0)}"]}
 
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000

@@ -65,6 +65,10 @@ def _mp_normal_pdf(mp):
     return mp.npdf
 
 
+def _mp_scaled_normal_pdf(tau):
+    return lambda mp: lambda th: mp.npdf(th / tau) / tau
+
+
 def _mp_cauchy_pdf(mp):
     return lambda th: 1 / (mp.pi * (1 + th * th))
 
@@ -119,6 +123,13 @@ MPMATH_CASES = {
                         None, lambda: _mp_normal_mean(_mp_normal_pdf, 1e-6, 10)),
     "cc-median-1-tol1e-9": (CLOC, priors.cauchy_prior(1.0), TestSetup("median", 0.0, 0.05, 1),
                             QuadratureConfig(abs_tol=1e-9), lambda: _mp_cauchy_median_n1(0.05)),
+    # The README `spiky` rows: a prior spiked at the boundary, and a flat one.
+    "nn-10-tau1e-3": (NORMAL, priors.scale_prior(priors.normal_prior(1.0), 1e-3),
+                      TestSetup("mean_ump", 0.0, 0.05, 10), None,
+                      lambda: _mp_normal_mean(_mp_scaled_normal_pdf(1e-3), 0.05, 10, scale=1e-3)),
+    "nn-10-tau1e3": (NORMAL, priors.scale_prior(priors.normal_prior(1.0), 1e3),
+                     TestSetup("mean_ump", 0.0, 0.05, 10), None,
+                     lambda: _mp_normal_mean(_mp_scaled_normal_pdf(1e3), 0.05, 10, scale=1e3)),
 }
 
 
@@ -192,8 +203,7 @@ class TestExactJoint:
     def test_matches_mpmath_on_scaled_normal_priors(self, alpha, n, tau):
         prior = priors.scale_prior(priors.normal_prior(1.0), tau)
         joint = exact_joint(NORMAL, prior, TestSetup("mean_ump", 0.0, alpha, n))
-        pdf = lambda mp: lambda th: mp.npdf(th / tau) / tau
-        A_mp, At_mp = _mp_normal_mean(pdf, alpha, n, tau)
+        A_mp, At_mp = _mp_normal_mean(_mp_scaled_normal_pdf(tau), alpha, n, tau)
         assert abs(joint.A.value - float(A_mp)) <= joint.A.error_bound
         assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
 
@@ -301,7 +311,7 @@ class TestFindCut:
         tol = math.exp(-20.0)
         cut = exact._find_cut(h, 0.5, away, away * math.inf, tol)
         assert cut == scalar_find_cut(_scalar(h), 0.5, away, away * math.inf, tol)
-        assert 1e-3 * 2.0 ** (k - 1) < abs(cut - 0.5) <= 1e-3 * 2.0**k
+        assert cut == 0.5 + away * 1e-3 * 2.0**k
 
     @pytest.mark.parametrize(
         "h,theta0,away,limit,expect",
@@ -339,10 +349,9 @@ class TestFindCut:
                 exact_joint(model, prior, setup)
 
     def test_cut_search_evaluates_the_prior_cdf_in_blocks(self):
-        # One call for lambda_alt; per side, two march blocks of eight
-        # doublings and six refine calls (30 halvings, five a call).
+        # One call for lambda_alt; per side, one block of all 55 march distances.
         prior = priors.normal_prior(1.0)
         calls = []
         counted = dataclasses.replace(prior, cdf=lambda th: calls.append(th) or prior.cdf(th))
         exact_joint(NORMAL, counted, TestSetup("mean_ump", 0.0, 0.05, 10))
-        assert len(calls) == 17
+        assert len(calls) == 3

@@ -67,6 +67,11 @@ class TestBuiltinModels:
         with pytest.raises(models.ModelError):
             TestSetup("wilcoxon", 0.0, 0.05, 10)
 
+    @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta0_rejected(self, theta0):
+        with pytest.raises(models.ModelError, match="theta0 must be finite"):
+            TestSetup("mean_ump", theta0, 0.05, 10)
+
     def test_sigma_positivity_enforced(self):
         with pytest.raises(models.ModelError):
             models.ExpFamilyModel(

@@ -269,10 +269,8 @@ class TestConvergenceSweep:
         ).fdr.value
         wins = 0
         for seed in range(10):
-            rows = convergence_sweep(
-                _config(m=1, seed=seed), [10**4, 10**5], delta_ref=delta
-            )
-            if rows[1].gap <= rows[0].gap:
+            rows = convergence_sweep(_config(m=1, seed=seed), [10**4, 10**5])
+            if abs(rows[1].fdr_hat - delta) <= abs(rows[0].fdr_hat - delta):
                 wins += 1
         assert wins >= 8
 
