@@ -230,6 +230,8 @@ def _validate(args: argparse.Namespace) -> tuple:
         except Exception as exc:
             violations.append(f"alpha-grid: {exc}")
     _check_all(violations, args.alphas, lambda a: 0.0 < a < 1.0, "alpha values outside (0, 1)")
+    _check_all(violations, [a for a in args.alphas if 0.0 < a < 1.0], lambda a: 1.0 - a < 1.0,
+               "alpha values at or below 2**-54 (1 - alpha rounds to 1)")
 
     args.ns = [args.n] if get("n") is not None else []
     if get("n_grid") is not None:

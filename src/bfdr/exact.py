@@ -17,12 +17,12 @@ effective.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import numkernel as nk
-from .models import ExpFamilyModel, ModelError, TestSetup, resolve_test
+from .models import ModelError, TestSetup, prior_support, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .numkernel import IntegralValue, QuadratureConfig
@@ -48,17 +48,6 @@ class JointProbabilities:
     lambda_alt: float
     B: float
     B_tilde: float
-
-
-def _support_interval(model, prior: Prior) -> Tuple[float, float]:
-    if isinstance(model, ExpFamilyModel):
-        lo = max(model.theta_lo, prior.support_lo)
-        hi = min(model.theta_hi, prior.support_hi)
-    else:
-        lo, hi = prior.support
-    if not lo < hi:
-        raise ModelError("model parameter interval and prior support do not overlap")
-    return lo, hi
 
 
 #: The cut march's distances from theta0, 1e-3 * 2**k up to the 1e13 cap.
@@ -103,7 +92,7 @@ def exact_joint(
     cfg = cfg or nk.DEFAULT_QUADRATURE
     test = resolve_test(model, setup)
     power, direction, theta0 = test.power, test.direction, test.theta0
-    lo, hi = _support_interval(model, prior)
+    lo, hi = prior_support(model, prior)
     if not (lo < theta0 < hi):
         raise ModelError(f"theta0={theta0} must be interior to ({lo}, {hi})")
     lam = natural_lambda_alt(prior, theta0, direction)

@@ -41,6 +41,7 @@ from .models import (
     ExpFamilyModel,
     LocationModel,
     ModelError,
+    prior_support,
     reiss_coefficients,
 )
 from .priors import (
@@ -140,6 +141,7 @@ def exp_family_coefficients(
     """Series coefficients for the UMP mean test in an exponential family."""
     if not (0.0 < alpha < 1.0):
         raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+    prior_support(model, prior)
     th = np.asarray(theta0, dtype=float)
     sigma0 = float(model.sigma(th))
     if not sigma0 > 0.0:

@@ -12,18 +12,20 @@ natural parameter is the negative of that (the exponential-rate family),
 ``natural_direction = -1`` records the flip and the power function is
 decreasing rather than increasing in the user parameter.
 
-:func:`resolve_test` is the one notion of a test: critical value, exact
-power, rejection rule and null region. :func:`reiss_coefficients` gives the
-coefficients of the two-term sample-median CDF expansion that the median
-series is built from; the expansion itself, like the Cornish-Fisher critical
-value, is a test oracle (``tests/derivations.py``).
+:func:`resolve_test` is the one notion of a test: critical value (for the
+mean test, a scalar halving seeded at z_alpha), exact power, rejection rule
+and null region. Every route checks with :func:`prior_support` that the
+prior lives inside the model's parameter interval. :func:`reiss_coefficients`
+gives the coefficients of the two-term sample-median CDF expansion that the
+median series is built from; the expansion itself, like the Cornish-Fisher
+critical value, is a test oracle (``tests/derivations.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -128,6 +130,10 @@ class TestSetup:
             raise ModelError(f"theta0 must be finite, got {self.theta0}")
         if not (0.0 < self.alpha < 1.0):
             raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if 1.0 - self.alpha == 1.0:
+            raise ModelError(
+                f"alpha must exceed 2**-54; at or below it 1 - alpha rounds to 1, got {self.alpha}"
+            )
         if int(self.n) != self.n or self.n < 1:
             raise ModelError(f"n must be a positive integer, got {self.n}")
 
@@ -254,13 +260,13 @@ def cauchy_location_model() -> LocationModel:
 
 
 def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
-    """Critical value k with P_theta0(sqrt(n)(Xbar - mu0)/sigma0 > k) = alpha.
+    """Critical value k with cdf(k) >= 1 - alpha > cdf(the double below k),
+    ``cdf`` being the model's exact mean-statistic CDF at (theta0, n).
 
-    Solved on the model's exact mean-statistic CDF by bisection to adjacent
-    doubles: cdf(k) >= 1 - alpha > cdf(the double below k). Where the CDF is
-    monotone to the last bit (normal-mean) k is the smallest double reaching
-    the level; ``gammainc`` (exp-rate) is not, so a lower double can reach it
-    too. Tends to z_alpha as n grows.
+    Seeded at z_alpha: a bracket of half-width 2**-30 (1 + |z_alpha|) grows
+    fourfold, its other end moving to the last point tested, until it
+    straddles the level (or passes +-1e6: :class:`ModelError`); halving then
+    closes it to adjacent doubles.
     """
     if setup.statistic != "mean_ump":
         raise ModelError("ump_critical_value applies to the mean_ump statistic")
@@ -270,16 +276,20 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     def below(k):
         return cdf(setup.theta0, setup.n, k) < target
 
-    lo, hi = -1.0, 1.0
+    z = nk.upper_quantile_z(setup.alpha)
+    w = 2.0**-30 * (1.0 + abs(z))
+    lo, hi = z - w, z + w
     while not below(lo):
-        lo *= 2.0
+        hi, lo, w = lo, z - 4.0 * w, 4.0 * w
         if lo < -1e6:
             raise ModelError("failed to bracket the critical value from below")
     while below(hi):
-        hi *= 2.0
+        lo, hi, w = hi, z + 4.0 * w, 4.0 * w
         if hi > 1e6:
             raise ModelError("failed to bracket the critical value from above")
-    return nk.bisect(below, lo, hi)[1]
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +360,19 @@ class ResolvedTest:
     rejects: Callable
     is_null: Callable
     sampler: Callable
+
+
+def prior_support(model, prior) -> Tuple[float, float]:
+    """The prior's support, which must lie inside an exponential family's
+    parameter interval ``(theta_lo, theta_hi)``; raises :class:`ModelError`
+    when it reaches outside, where the model has no law to sample or weigh."""
+    lo, hi = prior.support
+    if isinstance(model, ExpFamilyModel) and not (model.theta_lo <= lo and hi <= model.theta_hi):
+        raise ModelError(
+            f"prior support ({lo}, {hi}) reaches outside the parameter interval "
+            f"({model.theta_lo}, {model.theta_hi}) of model {model.name!r}"
+        )
+    return lo, hi
 
 
 def resolve_test(model, setup: TestSetup) -> ResolvedTest:

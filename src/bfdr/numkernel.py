@@ -7,16 +7,14 @@ extrapolation of those same values; it stops when two successive diagonal
 entries agree to the requested tolerance, twice running (see :func:`integrate`).
 One integrand call covers the two ends and the first six doubling levels.
 Limits are finite; :func:`integrate_split` compresses the far tails of a
-wide interval logarithmically. :func:`bisect` solves the critical value to
-adjacent doubles; its predicate maps an array to a bool array, and one call
-covers five levels of the one-step halving loop.
+wide interval logarithmically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,9 +24,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Half-width of the directly gridded core of :func:`integrate_split`.
 _CORE_WIDTH = 8.0
-
-#: Halving levels :func:`bisect` evaluates per call of its predicate.
-_BISECT_DEPTH = 5
 
 #: Doubling levels :func:`integrate` evaluates, with the two ends, in its first call.
 _FIRST_LEVELS = 6
@@ -87,36 +82,6 @@ def std_normal_quantile(p):
 def upper_quantile_z(alpha: float) -> float:
     """z_alpha, the upper-alpha point of the standard normal distribution."""
     return std_normal_quantile(1.0 - float(alpha))
-
-
-def bisect(below: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> Tuple[float, float]:
-    """Halve the bracket [lo, hi] of a monotone predicate until lo and hi are
-    adjacent doubles; returns (lo, hi).
-
-    ``below(lo)`` must be true and ``below(hi)`` false; each step moves one end
-    to ``0.5 * (lo + hi)``. ``below`` maps an array to a bool array; each call
-    evaluates the 31 midpoints of the next five levels, and the walk reads only
-    those on its path, so the brackets equal the one-step loop's bit for bit,
-    monotone or not. Raises :class:`DomainError` unless lo <= hi and lo + hi
-    is finite.
-    """
-    if not (lo <= hi and math.isfinite(lo + hi)):
-        raise DomainError(f"bisect needs finite lo <= hi with a finite sum, got ({lo}, {hi})")
-    while True:
-        pts = [lo, hi]  # the sorted ends of every bracket the next halvings can reach
-        for _ in range(_BISECT_DEPTH):
-            nxt = [lo]
-            for a, b in zip(pts, pts[1:]):
-                nxt += (0.5 * (a + b), b)
-            pts = nxt
-        flags = np.asarray(below(np.array(pts[1:-1])), dtype=bool).tolist()
-        i, j = 0, len(pts) - 1
-        while j - i > 1:
-            m = (i + j) // 2
-            if pts[m] in (pts[i], pts[j]):
-                return pts[i], pts[j]
-            i, j = (m, j) if flags[m - 1] else (i, m)
-        lo, hi = pts[i], pts[j]
 
 
 @dataclass(frozen=True)

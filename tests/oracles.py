@@ -97,20 +97,6 @@ def order_stat_cdf(F: float, k: int, n: int) -> float:
     return total
 
 
-def scalar_bisect(below, lo: float, hi: float):
-    """The one-step halving loop: each step moves one end of [lo, hi] to
-    0.5 * (lo + hi), until lo and hi are adjacent doubles. ``below`` takes
-    one float."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo, hi
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-
-
 def scalar_find_cut(h, theta0: float, away: int, limit: float, tol: float) -> float:
     """The truncation search one distance at a time: double s from 1e-3
     (capped just inside a finite limit, and at 1e13) until the bound

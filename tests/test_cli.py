@@ -341,6 +341,43 @@ class TestValidationAndErrors:
         assert json.loads(err) == {
             "error": "config", "violations": [f"theta0 must be finite, got {float(theta0)}"]}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--model", "normal-mean", "--prior", "normal:1", "--n", "10",
+             "--method", "exact"],
+            ["sim", "--model", "normal-mean", "--prior", "normal:1", "--n", "10",
+             "--m", "1000", "--seed", "1"],
+            ["coeffs", "--model", "normal-mean", "--prior", "normal:1"],
+        ],
+        ids=["rates", "sim", "coeffs"],
+    )
+    @pytest.mark.parametrize("alpha", ["1e-17", repr(2.0**-54)])
+    def test_alpha_where_one_minus_alpha_rounds_to_one(self, argv, alpha, capsys):
+        code, out, err = run_cli(argv + ["--alpha", alpha], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "config", "violations": [
+            f"1 alpha values at or below 2**-54 (1 - alpha rounds to 1), first: [{float(alpha)!r}]"]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--model", "exp-rate", "--prior", "normal:1", "--alpha", "0.05", "--n", "10"],
+            ["sim", "--model", "exp-rate", "--prior", "normal:1", "--alpha", "0.05", "--n", "10",
+             "--m", "1000", "--seed", "1"],
+            ["coeffs", "--model", "exp-rate", "--prior", "t:3:1", "--alpha", "0.05"],
+        ],
+        ids=["rates", "sim", "coeffs"],
+    )
+    def test_prior_with_mass_outside_the_model_is_a_config_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        [violation] = json.loads(err)["violations"]
+        assert violation.startswith("prior support (-inf, inf) reaches outside the parameter "
+                                    "interval (0.0, inf) of model 'exp-rate'")
+
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000
         with pytest.raises(ValueError):

@@ -208,6 +208,14 @@ class TestExactJoint:
         assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
 
 
+    @pytest.mark.parametrize("prior", [priors.normal_prior(1.0), priors.student_t_prior(3.0, 1.0)],
+                             ids=["normal", "t"])
+    def test_prior_mass_outside_the_parameter_interval_rejected(self, prior):
+        # exp-rate lives on rates > 0; these priors put half their mass below 0
+        with pytest.raises(models.ModelError, match="reaches outside"):
+            exact_joint(EXP, prior, TestSetup("mean_ump", 1.0, 0.05, 10))
+
+
 class TestExactRates:
     def test_zero_numerators(self):
         rates = exact_rates(_joint(0.0, 0.1, 0.5))

@@ -143,6 +143,12 @@ class TestExpFamilyCoefficients:
         cs = exp_family_coefficients(EXP, priors.gamma_mode1_prior(2.0), 1.0, 0.05)
         assert cs.lambda_alt == pytest.approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("prior", [priors.normal_prior(1.0), priors.student_t_prior(3.0, 1.0)],
+                             ids=["normal", "t"])
+    def test_prior_mass_outside_the_parameter_interval_rejected(self, prior):
+        with pytest.raises(models.ModelError, match="reaches outside"):
+            exp_family_coefficients(EXP, prior, 1.0, 0.05)
+
     def test_degenerate_prior_mass_rejected(self):
         with pytest.raises(priors.PriorError):
             exp_family_coefficients(EXP, priors.gamma_mode1_prior(2.0), 1e9, 0.05)

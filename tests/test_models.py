@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bfdr import models
+from bfdr import models, priors
 from bfdr import numkernel as nk
 from bfdr.models import TestSetup
 
@@ -67,6 +67,25 @@ class TestBuiltinModels:
         with pytest.raises(models.ModelError):
             TestSetup("wilcoxon", 0.0, 0.05, 10)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
+    def test_alpha_where_one_minus_alpha_rounds_to_one_rejected(self, alpha):
+        with pytest.raises(models.ModelError, match=r"alpha must exceed 2\*\*-54"):
+            TestSetup("mean_ump", 0.0, alpha, 10)
+
+    def test_smallest_alpha_accepted(self):
+        alpha = math.nextafter(2.0**-54, 1.0)
+        assert 1.0 - alpha < 1.0
+        assert TestSetup("mean_ump", 0.0, alpha, 10).alpha == alpha
+
+    def test_prior_support_must_lie_in_the_parameter_interval(self):
+        gamma = priors.gamma_mode1_prior(2.0)
+        assert models.prior_support(EXP, gamma) == (0.0, math.inf)
+        assert models.prior_support(NLOC, priors.normal_prior(1.0)) == (-math.inf, math.inf)
+        with pytest.raises(models.ModelError, match="reaches outside"):
+            models.prior_support(EXP, priors.normal_prior(1.0))
+        with pytest.raises(models.ModelError, match="reaches outside"):
+            models.prior_support(dataclasses.replace(EXP, theta_hi=10.0), gamma)
+
     @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta0_rejected(self, theta0):
         with pytest.raises(models.ModelError, match="theta0 must be finite"):
@@ -94,6 +113,27 @@ class TestBuiltinModels:
     def test_sampler_must_follow_the_mean_statistic_cdf(self):
         with pytest.raises(models.ModelError, match="sample_from_uniform"):
             dataclasses.replace(NORMAL, sample_from_uniform=lambda th, u: th + 2 * nk.std_normal_quantile(u))
+
+
+#: The (alpha, n) grid on which k is checked against its contract.
+STRADDLE_ALPHAS = [round(0.01 * i, 2) for i in range(1, 31)] + [1e-3, 1e-4, 1e-6]
+STRADDLE_NS = [1, 4, 10, 11, 20, 30]
+#: Most pivot-CDF calls one critical-value solve makes on that grid, as measured
+#: (exp-rate at n = 1, where k lies farthest from the z_alpha seed).
+MAX_NORMAL_CALLS = 27
+MAX_EXP_CALLS = 71
+
+
+class _CountingPivot:
+    """A stand-in model: only ``mean_statistic_cdf``, recording every point it is asked at."""
+
+    def __init__(self, cdf):
+        self.points = []
+        self._cdf = cdf
+
+    def mean_statistic_cdf(self, theta, n, t):
+        self.points.append(t)
+        return self._cdf(theta, n, t)
 
 
 def _example_variant(rc, n):
@@ -135,16 +175,40 @@ class TestUmpCriticalValue:
         assert gaps[1] < gaps[0] / 8.0
         assert gaps[1] < 6e-3
 
-    @pytest.mark.parametrize(
-        "alpha", [round(0.01 * i, 2) for i in range(1, 31)] + [1e-3, 1e-4, 1e-6]
-    )
-    @pytest.mark.parametrize("n", [1, 4, 10, 11, 20, 30])
+    @pytest.mark.parametrize("alpha", STRADDLE_ALPHAS)
+    @pytest.mark.parametrize("n", STRADDLE_NS)
     @pytest.mark.parametrize("model,th0", [(NORMAL, 0.0), (EXP, 1.0)], ids=["normal", "exp"])
     def test_smallest_double_reaching_the_level(self, model, th0, n, alpha):
+        """k and the double below it straddle the level: cdf(k) >= 1 - alpha > cdf(k - 1 ulp).
+
+        Only that: a lower double can reach the level too where the CDF is
+        flat or non-monotone in the last bit (ndtr at alpha = 0.15 is one).
+        """
         k = models.ump_critical_value(model, TestSetup("mean_ump", th0, alpha, n))
         target = 1.0 - alpha
         assert float(model.mean_statistic_cdf(th0, n, k)) >= target
         assert float(model.mean_statistic_cdf(th0, n, math.nextafter(k, -math.inf))) < target
+
+    def test_pivot_cdf_calls_per_solve_are_bounded(self):
+        most = {}
+        for model, th0 in ((NORMAL, 0.0), (EXP, 1.0)):
+            for n in STRADDLE_NS:
+                for alpha in STRADDLE_ALPHAS:
+                    counted = _CountingPivot(model.mean_statistic_cdf)
+                    models.ump_critical_value(counted, TestSetup("mean_ump", th0, alpha, n))
+                    most[model.name] = max(most.get(model.name, 0), len(counted.points))
+        assert most["normal-mean"] <= MAX_NORMAL_CALLS
+        assert most["exp-rate"] <= MAX_EXP_CALLS
+
+    @pytest.mark.parametrize(
+        "cdf", [lambda theta, n, t: 0.5, lambda theta, n, t: math.nan], ids=["constant", "nan"]
+    )
+    def test_cdf_never_reaching_the_level_fails_at_the_limit(self, cdf):
+        counted = _CountingPivot(cdf)
+        with pytest.raises(models.ModelError, match="failed to bracket"):
+            models.ump_critical_value(counted, TestSetup("mean_ump", 0.0, 0.05, 10))
+        # the bracket grew to the +-1e6 limit and stopped there
+        assert 1e6 / 4.0 < max(abs(t) for t in counted.points) <= 1e6
 
 
 class TestCornishFisher:

@@ -116,6 +116,13 @@ class TestSimulate:
         assert res.fdr_hat == 0.0
         assert np.all(res.V == 0)
 
+    @pytest.mark.parametrize("prior", [priors.normal_prior(1.0), priors.student_t_prior(3.0, 1.0)],
+                             ids=["normal", "t"])
+    def test_prior_mass_outside_the_parameter_interval_rejected(self, prior):
+        # exp-rate lives on rates > 0; these priors draw negative rates half the time
+        with pytest.raises(models.ModelError, match="reaches outside"):
+            _config(model=EXP, prior=prior, setup=TestSetup("mean_ump", 1.0, 0.05, 10), m=1000)
+
     def test_alpha_near_one_approaches_null_mass(self):
         setup = TestSetup("mean_ump", 0.0, 1.0 - 1e-9, 5)
         cfg = _config(setup=setup, m=20000, replications=4)

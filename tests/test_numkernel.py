@@ -8,13 +8,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bfdr import numkernel as nk
 
 from derivations import log_binomial
-from oracles import bisect_quantile, scalar_bisect, scalar_romberg
+from oracles import bisect_quantile, scalar_romberg
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -100,47 +98,6 @@ class TestLogBinomial:
             log_binomial(3, 5)
         with pytest.raises(nk.DomainError):
             log_binomial(-1, 0)
-
-
-class TestBisect:
-    @pytest.mark.parametrize("target", [0.5, 0.95, 1.0 - 1e-6, 1e-300])
-    def test_full_precision_returns_adjacent_doubles(self, target):
-        lo, hi = nk.bisect(lambda x: nk.std_normal_cdf(x) < target, -40.0, 40.0)
-        assert math.nextafter(lo, math.inf) == hi
-        assert nk.std_normal_cdf(lo) < target <= nk.std_normal_cdf(hi)
-
-    def test_bracket_across_zero_ends_at_zero(self):
-        assert nk.bisect(lambda x: x < 0.0, -1.0, 1.0) == (-5e-324, 0.0)
-
-    @pytest.mark.parametrize(
-        "lo,hi",
-        [(-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (1.0, 0.0), (1e308, 1.7e308)],
-        ids=["infinite", "half-infinite", "nan", "reversed", "midpoint-overflows"],
-    )
-    def test_rejects_brackets_that_never_converge(self, lo, hi):
-        with pytest.raises(nk.DomainError):
-            nk.bisect(lambda x: x < 0.0, lo, hi)
-
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(
-        ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(sorted),
-        u=st.floats(0.0, 1.0),
-        c=st.floats(0.5, 50.0),
-        monotone=st.booleans(),
-    )
-    def test_block_walk_matches_the_scalar_loop(self, ends, u, c, monotone):
-        lo, hi = ends
-        cut = lo + u * (hi - lo)
-        # Elementwise math keeps each value independent of the array it sits in.
-        scalar = (lambda x: x < cut) if monotone else (lambda x: math.sin(c * x) > 0.0)
-        sizes = []
-
-        def below(x):
-            sizes.append(x.size)
-            return np.array([scalar(v) for v in x.tolist()], dtype=bool)
-
-        assert nk.bisect(below, lo, hi) == scalar_bisect(scalar, lo, hi)
-        assert set(sizes) == {31}
 
 
 class TestIntegrate:
