@@ -22,7 +22,7 @@ from .expansions import (
     median_coefficients,
     rate_series,
 )
-from .models import ExpFamilyModel, LocationModel, ModelError, TestSetup
+from .models import ExpFamilyModel, LocationModel, ModelError, TestSetup, _check_alpha
 from .priors import Prior, scale_prior
 
 
@@ -122,8 +122,7 @@ def statistic_gap(g0: float, alpha: float) -> StatisticGap:
     """Closed-form mean-vs-median coefficient gaps for prior density g0 at 0."""
     if not g0 > 0.0:
         raise AnalysisError(f"g0 must be positive, got {g0}")
-    if not (0.0 < alpha < 1.0):
-        raise AnalysisError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     z = nk.upper_quantile_z(alpha)
     core = nk.std_normal_pdf(z) - alpha * z
     return StatisticGap(

@@ -41,6 +41,7 @@ from .models import (
     ExpFamilyModel,
     LocationModel,
     ModelError,
+    _check_alpha,
     prior_support,
     reiss_coefficients,
 )
@@ -139,8 +140,7 @@ def exp_family_coefficients(
     model: ExpFamilyModel, prior: Prior, theta0: float, alpha: float
 ) -> CoefficientSet:
     """Series coefficients for the UMP mean test in an exponential family."""
-    if not (0.0 < alpha < 1.0):
-        raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     prior_support(model, prior)
     th = np.asarray(theta0, dtype=float)
     sigma0 = float(model.sigma(th))
@@ -197,8 +197,7 @@ def median_coefficients(
     n: int,
 ) -> CoefficientSet:
     """Series coefficients for the median test; n enters only through parity."""
-    if not (0.0 < alpha < 1.0):
-        raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     rc = reiss_coefficients(model, n)
     f0 = model.f0
     g0 = float(prior.g(np.asarray(0.0)))

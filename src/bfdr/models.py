@@ -112,6 +112,16 @@ class LocationModel:
         return np.asarray(theta, dtype=float) + np.asarray(self.ppf(u), dtype=float)
 
 
+def _check_alpha(alpha: float) -> None:
+    """The level rule of every route: 0 < alpha < 1 with 1 - alpha below 1."""
+    if not (0.0 < alpha < 1.0):
+        raise ModelError(f"alpha must lie in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise ModelError(
+            f"alpha must exceed 2**-54; at or below it 1 - alpha rounds to 1, got {alpha}"
+        )
+
+
 @dataclass(frozen=True)
 class TestSetup:
     """One-sided testing configuration: statistic, boundary point, level, n."""
@@ -128,12 +138,7 @@ class TestSetup:
             raise ModelError(f"unknown statistic {self.statistic!r}")
         if not math.isfinite(self.theta0):
             raise ModelError(f"theta0 must be finite, got {self.theta0}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ModelError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if 1.0 - self.alpha == 1.0:
-            raise ModelError(
-                f"alpha must exceed 2**-54; at or below it 1 - alpha rounds to 1, got {self.alpha}"
-            )
+        _check_alpha(self.alpha)
         if int(self.n) != self.n or self.n < 1:
             raise ModelError(f"n must be a positive integer, got {self.n}")
 

@@ -7,14 +7,18 @@ quantile function drives inverse-CDF sampling in the simulator.
 
 Built-in families: centered normal and Student-t/Cauchy scale families for
 location problems, and Gamma/F priors with mode pinned at 1 for the
-exponential-rate problem. The rate-vs-natural-parameter sign flip for the
-latter is *not* performed here; the expansion layer owns it.
+exponential-rate problem. Each is written once as its standard member (the
+scale-1 density, its two derivatives, CDF and quantile) and scaled by
+:func:`scale_prior`, the transform g_tau(theta) = g(theta/tau)/tau that the
+spiky-prior studies use, so a scale enters no other formula. The
+rate-vs-natural-parameter sign flip for the latter is *not* performed here;
+the expansion layer owns it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -49,14 +53,6 @@ class Prior:
     support: Tuple[float, float]
     cdf: Callable
     ppf: Callable
-
-    @property
-    def support_lo(self) -> float:
-        return self.support[0]
-
-    @property
-    def support_hi(self) -> float:
-        return self.support[1]
 
 
 #: Construction-time tolerances of :func:`validate_prior`: total mass, first
@@ -141,17 +137,12 @@ def lambda_alt(prior: Prior, theta0: float) -> float:
     """Prior mass of the alternative {theta > theta0}, from the CDF.
 
     Degenerate masses (0 or 1) are rejected since the rate expansions divide
-    by both tails.
+    by both tails; a theta0 outside the open support has one of them.
     """
     lo, hi = prior.support
-    if not (lo <= theta0 <= hi):
-        raise PriorError(f"theta0={theta0} outside support closure {prior.support}")
-    if theta0 <= lo:
-        lam = 1.0
-    elif theta0 >= hi:
-        lam = 0.0
-    else:
-        lam = 1.0 - float(prior.cdf(theta0))
+    if not (lo < theta0 < hi):
+        raise PriorError(f"theta0={theta0} outside the open support {prior.support}")
+    lam = 1.0 - float(prior.cdf(theta0))
     if not (0.0 < lam < 1.0):
         raise PriorError(
             f"degenerate alternative mass {lam} at theta0={theta0}; "
@@ -180,7 +171,7 @@ def scale_prior(base: Prior, tau: float) -> Prior:
     lo, hi = base.support
     g, g1, g2 = base.g, base.g1, base.g2
     cdf, ppf = base.cdf, base.ppf
-    new = Prior(
+    return Prior(
         name=f"{base.name}*tau={tau:g}",
         g=lambda th: g(np.asarray(th, dtype=float) / tau) / tau,
         g1=lambda th: g1(np.asarray(th, dtype=float) / tau) / tau**2,
@@ -189,7 +180,6 @@ def scale_prior(base: Prior, tau: float) -> Prior:
         cdf=lambda th: cdf(np.asarray(th, dtype=float) / tau),
         ppf=lambda u: tau * np.asarray(ppf(u), dtype=float),
     )
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -210,57 +200,63 @@ def _on_positive(th, fn: Callable):
     return float(out[0]) if th.ndim == 0 else out
 
 
+# The scale-1 members below are reached only through scale_prior, whose g,
+# g1, g2 and cdf pass them float arrays.
+
+
+def _normal_g(y):
+    return np.exp(-0.5 * y**2) / nk.SQRT_2PI
+
+
+_STANDARD_NORMAL = Prior(
+    name="N(0, 1)",
+    g=_normal_g,
+    g1=lambda y: -y * _normal_g(y),
+    g2=lambda y: (y**2 - 1.0) * _normal_g(y),
+    support=(-math.inf, math.inf),
+    cdf=_sp.ndtr,
+    ppf=_sp.ndtri,
+)
+
+
+def _cauchy_g2(y):
+    q = 1.0 + y * y
+    return (2.0 / math.pi) * (4.0 * y * y / q**3 - 1.0 / q**2)
+
+
+_STANDARD_CAUCHY = Prior(
+    name="Cauchy(0, 1)",
+    g=lambda y: 1.0 / (math.pi * (1.0 + y * y)),
+    g1=lambda y: -2.0 * y / (math.pi * (1.0 + y * y) ** 2),
+    g2=_cauchy_g2,
+    support=(-math.inf, math.inf),
+    cdf=lambda y: 0.5 + np.arctan(y) / math.pi,
+    ppf=lambda u: np.tan(math.pi * (np.asarray(u, dtype=float) - 0.5)),
+)
+
+
 def normal_prior(tau: float = 1.0) -> Prior:
     """theta ~ N(0, tau^2)."""
-    if not tau > 0.0:
-        raise PriorError(f"tau must be positive, got {tau}")
-    _require_finite(tau=tau)
-    tau = float(tau)
-
-    def g(th):
-        th = np.asarray(th, dtype=float)
-        return np.exp(-0.5 * (th / tau) ** 2) / (nk.SQRT_2PI * tau)
-
-    def g1(th):
-        th = np.asarray(th, dtype=float)
-        return -(th / tau**2) * g(th)
-
-    def g2(th):
-        th = np.asarray(th, dtype=float)
-        return ((th / tau**2) ** 2 - 1.0 / tau**2) * g(th)
-
-    return Prior(
-        name=f"normal:{tau:g}",
-        g=g,
-        g1=g1,
-        g2=g2,
-        support=(-math.inf, math.inf),
-        cdf=lambda th: _sp.ndtr(np.asarray(th, dtype=float) / tau),
-        ppf=lambda u: tau * _sp.ndtri(np.asarray(u, dtype=float)),
-    )
+    return replace(scale_prior(_STANDARD_NORMAL, tau), name=f"normal:{tau:g}")
 
 
 def student_t_prior(m: float, tau: float = 1.0) -> Prior:
     """theta/tau ~ t_m; m = 1 recovers the Cauchy prior."""
-    if not (m > 0.0 and tau > 0.0):
-        raise PriorError(f"need m > 0 and tau > 0, got m={m}, tau={tau}")
-    _require_finite(m=m, tau=tau)
+    if not m > 0.0:
+        raise PriorError(f"need m > 0, got m={m}")
+    _require_finite(m=m)
     m = float(m)
-    tau = float(tau)
     c = math.exp(math.lgamma((m + 1.0) / 2.0) - math.lgamma(m / 2.0)) / math.sqrt(
         m * math.pi
     )
 
-    def h(y):  # standard t_m density
-        y = np.asarray(y, dtype=float)
+    def h(y):
         return c * (1.0 + y * y / m) ** (-(m + 1.0) / 2.0)
 
     def h1(y):
-        y = np.asarray(y, dtype=float)
         return -c * (m + 1.0) * (y / m) * (1.0 + y * y / m) ** (-(m + 3.0) / 2.0)
 
     def h2(y):
-        y = np.asarray(y, dtype=float)
         q = 1.0 + y * y / m
         return (
             -c
@@ -269,80 +265,56 @@ def student_t_prior(m: float, tau: float = 1.0) -> Prior:
             * (q ** (-(m + 3.0) / 2.0) - (m + 3.0) * (y * y / m) * q ** (-(m + 5.0) / 2.0))
         )
 
-    return Prior(
-        name=f"t:{m:g}:{tau:g}",
-        g=lambda th: h(np.asarray(th, dtype=float) / tau) / tau,
-        g1=lambda th: h1(np.asarray(th, dtype=float) / tau) / tau**2,
-        g2=lambda th: h2(np.asarray(th, dtype=float) / tau) / tau**3,
+    standard = Prior(
+        name=f"t_{m:g}",
+        g=h,
+        g1=h1,
+        g2=h2,
         support=(-math.inf, math.inf),
-        cdf=lambda th: _sp.stdtr(m, np.asarray(th, dtype=float) / tau),
-        ppf=lambda u: tau * _sp.stdtrit(m, np.asarray(u, dtype=float)),
+        cdf=lambda y: _sp.stdtr(m, y),
+        ppf=lambda u: _sp.stdtrit(m, u),
     )
+    return replace(scale_prior(standard, tau), name=f"t:{m:g}:{tau:g}")
 
 
 def cauchy_prior(tau: float = 1.0) -> Prior:
     """Cauchy scale-tau prior; closed forms rather than t_1 special-casing."""
-    if not tau > 0.0:
-        raise PriorError(f"tau must be positive, got {tau}")
-    _require_finite(tau=tau)
-    tau = float(tau)
-
-    def g(th):
-        th = np.asarray(th, dtype=float)
-        return tau / (math.pi * (tau * tau + th * th))
-
-    def g1(th):
-        th = np.asarray(th, dtype=float)
-        return -2.0 * tau * th / (math.pi * (tau * tau + th * th) ** 2)
-
-    def g2(th):
-        th = np.asarray(th, dtype=float)
-        q = tau * tau + th * th
-        return (2.0 * tau / math.pi) * (4.0 * th * th / q**3 - 1.0 / q**2)
-
-    return Prior(
-        name=f"cauchy:{tau:g}",
-        g=g,
-        g1=g1,
-        g2=g2,
-        support=(-math.inf, math.inf),
-        cdf=lambda th: 0.5 + np.arctan(np.asarray(th, dtype=float) / tau) / math.pi,
-        ppf=lambda u: tau * np.tan(math.pi * (np.asarray(u, dtype=float) - 0.5)),
-    )
+    return replace(scale_prior(_STANDARD_CAUCHY, tau), name=f"cauchy:{tau:g}")
 
 
 def gamma_mode1_prior(r: float) -> Prior:
     """Gamma prior with shape r and mode pinned at 1 (rate s = r - 1, r > 1).
 
-    Expressed in the data model's rate parameterization on (0, inf).
+    Expressed in the data model's rate parameterization on (0, inf): the
+    Gamma(r, 1) member scaled by 1/(r - 1).
     """
     if not r > 1.0:
         raise PriorError(f"gamma-mode1 needs r > 1, got {r}")
     _require_finite(r=r)
     r = float(r)
-    s = r - 1.0
-    log_norm = r * math.log(s) - math.lgamma(r)
+    log_norm = -math.lgamma(r)
 
-    def g(th):
-        return _on_positive(th, lambda tp: np.exp(log_norm + (r - 1.0) * np.log(tp) - s * tp))
+    def g(x):
+        return _on_positive(x, lambda xp: np.exp(log_norm + (r - 1.0) * np.log(xp) - xp))
 
-    def g1(th):
-        return _on_positive(th, lambda tp: g(tp) * ((r - 1.0) / tp - s))
+    def g1(x):
+        return _on_positive(x, lambda xp: g(xp) * ((r - 1.0) / xp - 1.0))
 
-    def g2(th):
+    def g2(x):
         return _on_positive(
-            th, lambda tp: g(tp) * (((r - 1.0) / tp - s) ** 2 - (r - 1.0) / tp**2)
+            x, lambda xp: g(xp) * (((r - 1.0) / xp - 1.0) ** 2 - (r - 1.0) / xp**2)
         )
 
-    return Prior(
-        name=f"gamma-mode1:{r:g}",
+    standard = Prior(
+        name=f"Gamma({r:g}, 1)",
         g=g,
         g1=g1,
         g2=g2,
         support=(0.0, math.inf),
-        cdf=lambda th: _sp.gammainc(r, s * np.maximum(np.asarray(th, dtype=float), 0.0)),
-        ppf=lambda u: _sp.gammaincinv(r, np.asarray(u, dtype=float)) / s,
+        cdf=lambda x: _sp.gammainc(r, np.maximum(x, 0.0)),
+        ppf=lambda u: _sp.gammaincinv(r, u),
     )
+    return replace(scale_prior(standard, 1.0 / (r - 1.0)), name=f"gamma-mode1:{r:g}")
 
 
 def f_mode1_prior(r: float, s: float) -> Prior:
@@ -356,46 +328,43 @@ def f_mode1_prior(r: float, s: float) -> Prior:
     _require_finite(r=r, s=s)
     r = float(r)
     s = float(s)
-    tau = r * (s + 1.0) / (s * (r - 1.0))
+    b = r / s
     log_norm = (
-        math.lgamma(r + s) - math.lgamma(r) - math.lgamma(s) + r * (math.log(r) - math.log(s * tau))
+        math.lgamma(r + s) - math.lgamma(r) - math.lgamma(s) + r * (math.log(r) - math.log(s))
     )
-    b = r / (s * tau)
 
-    def g(th):
-        def on_pos(tp):
-            u = r * tp / (s * tau)
-            return np.exp(log_norm + (r - 1.0) * np.log(tp) - (r + s) * np.log1p(u))
+    def g(x):
+        return _on_positive(
+            x, lambda xp: np.exp(log_norm + (r - 1.0) * np.log(xp) - (r + s) * np.log1p(b * xp))
+        )
 
-        return _on_positive(th, on_pos)
+    def _logderiv(xp):
+        # d/dx log g = (r-1)/x - (r+s) b / (1 + b x)
+        return (r - 1.0) / xp - (r + s) * b / (1.0 + b * xp)
 
-    def _logderiv(tp):
-        # d/dth log g = (r-1)/th - (r+s) * (r/(s tau)) / (1 + r th/(s tau))
-        return (r - 1.0) / tp - (r + s) * b / (1.0 + b * tp)
+    def g1(x):
+        return _on_positive(x, lambda xp: g(xp) * _logderiv(xp))
 
-    def g1(th):
-        return _on_positive(th, lambda tp: g(tp) * _logderiv(tp))
+    def g2(x):
+        def on_pos(xp):
+            ld = _logderiv(xp)
+            ld1 = -(r - 1.0) / xp**2 + (r + s) * b * b / (1.0 + b * xp) ** 2
+            return g(xp) * (ld * ld + ld1)
 
-    def g2(th):
-        def on_pos(tp):
-            ld = _logderiv(tp)
-            ld1 = -(r - 1.0) / tp**2 + (r + s) * b * b / (1.0 + b * tp) ** 2
-            return g(tp) * (ld * ld + ld1)
+        return _on_positive(x, on_pos)
 
-        return _on_positive(th, on_pos)
-
-    return Prior(
-        name=f"f-mode1:{r:g}:{s:g}",
+    standard = Prior(
+        name=f"F({2.0 * r:g}, {2.0 * s:g})",
         g=g,
         g1=g1,
         g2=g2,
         support=(0.0, math.inf),
         # fdtr is NaN below 0 where the CDF is 0, so clip as the gamma prior does
-        cdf=lambda th: _sp.fdtr(
-            2.0 * r, 2.0 * s, np.maximum(np.asarray(th, dtype=float) / tau, 0.0)
-        ),
-        ppf=lambda u: tau * _sp.fdtri(2.0 * r, 2.0 * s, np.asarray(u, dtype=float)),
+        cdf=lambda x: _sp.fdtr(2.0 * r, 2.0 * s, np.maximum(x, 0.0)),
+        ppf=lambda u: _sp.fdtri(2.0 * r, 2.0 * s, u),
     )
+    tau = r * (s + 1.0) / (s * (r - 1.0))
+    return replace(scale_prior(standard, tau), name=f"f-mode1:{r:g}:{s:g}")
 
 
 _BUILTIN_FACTORIES = {

@@ -190,8 +190,13 @@ class TestStatisticGap:
     def test_domain_rejections(self):
         with pytest.raises(AnalysisError):
             statistic_gap(0.0, 0.05)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(models.ModelError, match=r"alpha must lie in \(0, 1\)"):
             statistic_gap(0.4, 1.2)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
+    def test_alpha_where_one_minus_alpha_rounds_to_one_rejected(self, alpha):
+        with pytest.raises(models.ModelError, match=r"alpha must exceed 2\*\*-54"):
+            statistic_gap(0.4, alpha)
 
 
 class TestCoefficientInequalityAcrossStatistics:

@@ -153,6 +153,11 @@ class TestExpFamilyCoefficients:
         with pytest.raises(priors.PriorError):
             exp_family_coefficients(EXP, priors.gamma_mode1_prior(2.0), 1e9, 0.05)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
+    def test_alpha_where_one_minus_alpha_rounds_to_one_rejected(self, alpha):
+        with pytest.raises(models.ModelError, match=r"alpha must exceed 2\*\*-54"):
+            exp_family_coefficients(NORMAL, priors.normal_prior(1.0), 0.0, alpha)
+
     @pytest.mark.parametrize(
         "model,prior,th0",
         [
@@ -234,6 +239,11 @@ class TestEdgeworthPowerCheck:
 
 
 class TestMedianCoefficients:
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
+    def test_alpha_where_one_minus_alpha_rounds_to_one_rejected(self, alpha):
+        with pytest.raises(models.ModelError, match=r"alpha must exceed 2\*\*-54"):
+            median_coefficients(NLOC, priors.normal_prior(1.0), alpha, 11)
+
     def test_first_order_values(self):
         cs = median_coefficients(NLOC, priors.normal_prior(1.0), 0.05, 20)
         assert cs.a1 == pytest.approx(A1_MEDIAN_NN, rel=1e-12)

@@ -284,9 +284,23 @@ class TestScalePrior:
 
     def test_scaled_gamma_keeps_support(self):
         p = priors.scale_prior(priors.gamma_mode1_prior(2.0), 2.0)
-        assert p.support_lo == 0.0
-        assert math.isinf(p.support_hi)
+        assert p.support == (0.0, math.inf)
         assert float(p.g(-1.0)) == 0.0
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.3, 2.5, 1e3])
+    @pytest.mark.parametrize(
+        "factory",
+        [priors.normal_prior, priors.cauchy_prior, lambda tau: priors.student_t_prior(3.0, tau)],
+        ids=["normal", "cauchy", "t3"],
+    )
+    def test_builtin_is_its_unit_member_scaled(self, factory, tau):
+        # bit for bit: a scale enters a built-in only through scale_prior
+        p, q = factory(tau), priors.scale_prior(factory(1.0), tau)
+        th = tau * np.linspace(-8.0, 8.0, 161)
+        for name in ("g", "g1", "g2", "cdf"):
+            np.testing.assert_array_equal(getattr(p, name)(th), getattr(q, name)(th), err_msg=name)
+        u = np.linspace(1e-6, 1.0 - 1e-6, 101)
+        np.testing.assert_array_equal(p.ppf(u), q.ppf(u))
 
     def test_bad_tau_rejected(self):
         with pytest.raises(priors.PriorError):
