@@ -6,18 +6,17 @@ The joint probabilities
     At = integral over the alternative of  (1 - power(theta)) g(theta) dtheta
 
 determine the rejection probability B = A + lambda_alt - At and the rates
-delta = A / B and eps = At / (1 - B). Unbounded domains are truncated where
-the product of a monotone power bound and the prior tail mass drops below a
-tenth of the quadrature tolerance, at the first of the doubling distances
-1e-3 * 2**k from theta0 where it does; fat-tailed priors get a logarithmic
-change of variables on the far piece so the uniform-grid scheme stays
-effective.
+delta = A / B and eps = At / (1 - B). Each integral runs from theta0 out to
+the end of the prior's support by the double-exponential rule of
+:func:`~bfdr.numkernel.integrate`, on an infinite side with the scale
+s = min(prior half-IQR, 1). Its bound adds the (monotone) weight at the
+outermost node times the prior mass beyond it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,32 +49,6 @@ class JointProbabilities:
     B_tilde: float
 
 
-#: The cut march's distances from theta0, 1e-3 * 2**k up to the 1e13 cap.
-_MARCH = np.ldexp(1e-3, np.arange(54))
-
-
-def _find_cut(
-    h: Callable[[np.ndarray], np.ndarray],
-    theta0: float,
-    away: float,
-    limit: float,
-    tol: float,
-) -> float:
-    """Cut a tail at the first march distance where the monotone bound h is within tol.
-
-    ``away`` is -1 or +1 (the direction of the tail), ``limit`` the domain
-    endpoint in that direction. The march tries s = min(1e-3 * 2**k, smax),
-    then smax itself, all in one call of the array-valued ``h``; the cut is at
-    smax when no bound is within tol. smax stops just inside a finite limit,
-    which is an open boundary (the sliver left out is far below the tolerance
-    the caller budgets for truncation), and at 1e13 from theta0.
-    """
-    smax = min(abs(limit - theta0) * (1.0 - 1e-9), 1e13)
-    s = np.append(np.minimum(_MARCH, smax), smax)
-    above = h(theta0 + away * s) > tol
-    return theta0 + away * (smax if above.all() else float(s[np.argmin(above)]))
-
-
 def exact_joint(
     model,
     prior: Prior,
@@ -84,9 +57,12 @@ def exact_joint(
 ) -> JointProbabilities:
     """Joint probabilities P(null, reject) and P(alt, accept) by quadrature.
 
-    Both integrals run in the parameter itself, from theta0 out to the
-    truncation point of each tail. Quadrature non-convergence is propagated
-    as :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
+    Both integrals run in the parameter itself, from theta0 out to each end
+    of the support. Each bound is the rule's level gap and rounding floor,
+    plus weight(edge) times the prior mass beyond the outermost node, plus
+    ``abs_tol / 10`` for the level 1 - alpha rounded to a double. Quadrature
+    non-convergence is propagated as
+    :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
     result.
     """
     cfg = cfg or nk.DEFAULT_QUADRATURE
@@ -96,32 +72,27 @@ def exact_joint(
     if not (lo < theta0 < hi):
         raise ModelError(f"theta0={theta0} must be interior to ({lo}, {hi})")
     lam = natural_lambda_alt(prior, theta0, direction)
-    cut_tol = cfg.abs_tol / 10.0
-
-    cdf, g = prior.cdf, prior.g
+    q1, q3 = np.asarray(prior.ppf(np.array([0.25, 0.75])), dtype=float)
+    scale = min(0.5 * (q3 - q1), 1.0)
 
     def side(alt: bool) -> IntegralValue:
         # The null region runs from theta0 away against the power direction and
         # weighs rejection; the alternative runs with it and weighs acceptance.
         away = direction if alt else -direction
-        limit = lo if away == -1 else hi
 
         def weight(p):
             return 1.0 - p if alt else p
 
-        def tail_bound(th: np.ndarray) -> np.ndarray:
-            p = weight(np.minimum(np.maximum(power(th), 0.0), 1.0))
-            mass = cdf(th) if away == -1 else 1.0 - cdf(th)
-            return p * mass
-
         def integrand(th):
-            th = np.asarray(th, dtype=float)
-            return weight(np.asarray(power(th), dtype=float)) * np.asarray(g(th), dtype=float)
+            return weight(np.asarray(power(th), dtype=float)) * np.asarray(prior.g(th), float)
 
-        cut = _find_cut(tail_bound, theta0, away, limit, cut_tol)
-        res = nk.integrate_split(integrand, min(theta0, cut), max(theta0, cut), theta0, cfg)
-        return replace(res, error_bound=res.error_bound + cut_tol,
-                       truncation_radius=abs(cut - theta0))
+        def tail(edge: float) -> float:
+            # Power is monotone, so the weight at the edge bounds it beyond.
+            p = weight(min(max(float(power(edge)), 0.0), 1.0))
+            return p * float(prior.cdf(edge) if away == -1 else 1.0 - prior.cdf(edge))
+
+        res = nk.integrate(integrand, theta0, lo if away == -1 else hi, cfg, scale, tail)
+        return replace(res, error_bound=res.error_bound + cfg.abs_tol / 10.0)
 
     A = side(alt=False)
     At = side(alt=True)

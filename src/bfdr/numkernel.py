@@ -1,13 +1,12 @@
 """Special functions and deterministic quadrature used by every other module.
 
 All functions are pure and accept either scalars or numpy arrays where noted.
-The quadrature is deliberately simple and fully deterministic: the
-trapezoid rule on a uniform grid refined by panel doubling, with Romberg
-extrapolation of those same values; it stops when two successive diagonal
-entries agree to the requested tolerance, twice running (see :func:`integrate`).
-One integrand call covers the two ends and the first six doubling levels.
-Limits are finite; :func:`integrate_split` compresses the far tails of a
-wide interval logarithmically.
+The quadrature is one double-exponential (DE) rule, fully deterministic
+(Takahasi & Mori, Publ. RIMS 9 (1974) 721-741; Bailey, Jeyabalan & Li,
+Experimental Math. 14 (2005) 317-329): :func:`integrate` runs from an origin
+out to a finite or infinite end, on the trapezoid rule in t after the change
+of variables E(t) = exp((pi/2) sinh t), halving the step in t until two
+levels agree. Its nodes and weights are a module-level table built once.
 """
 
 from __future__ import annotations
@@ -21,15 +20,38 @@ import numpy as np
 from ._special import _sp
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
-#: Half-width of the directly gridded core of :func:`integrate_split`.
-_CORE_WIDTH = 8.0
+#: E(t) = exp((pi/2) sinh t) spans [_E_MIN, _E_MAX] over the node table.
+_E_MIN, _E_MAX = 1e-300, 1e13
+#: Levels in the table; level k has step 2**-(k+1) in t.
+_TOP_LEVEL = 8
+#: Levels 0.._BATCHED_LEVELS share the first integrand call.
+_BATCHED_LEVELS = 3
 
-#: Doubling levels :func:`integrate` evaluates, with the two ends, in its first call.
-_FIRST_LEVELS = 6
-#: Their midpoints, the i-th of level k at (i + 0.5) / 2**(k-1), in level order.
-_FIRST_PANELS = np.repeat(2 ** np.arange(_FIRST_LEVELS), 2 ** np.arange(_FIRST_LEVELS))
-_FIRST_OFFSETS = np.arange(_FIRST_PANELS.size) - (_FIRST_PANELS - 1) + 0.5
+
+def _node_table():
+    """Nodes t = j * 2**-(k+1) of levels k = 0.._TOP_LEVEL (odd j past level 0)
+    with E(t) in range, in level order, as columns (E, dE/dt, E/(1 + E),
+    (dE/dt)/(1 + E)**2): per unit scale on an infinite side, per unit length
+    on a finite one; and where each level ends."""
+    t_lo, t_hi = (math.asinh(math.log(e) / (0.5 * math.pi)) for e in (_E_MIN, _E_MAX))
+    levels = []
+    for k in range(_TOP_LEVEL + 1):
+        h = 2.0 ** -(k + 1)
+        j = np.arange(math.ceil(t_lo / h), math.floor(t_hi / h) + 1)
+        levels.append((j[j % 2 == 1] if k else j) * h)
+    t = np.concatenate(levels)
+    e = np.exp(0.5 * math.pi * np.sinh(t))
+    de = 0.5 * math.pi * np.cosh(t) * e
+    # Dividing twice keeps the finite weight free of E**2, whatever E's range.
+    table = (e, de, e / (1.0 + e), de / (1.0 + e) / (1.0 + e))
+    return table, np.cumsum([level.size for level in levels]).tolist()
+
+
+_TABLE, _ENDS = _node_table()
+#: By column, the farthest distance (infinite side) or fraction (finite side) on levels 0..k.
+_EDGES = {c: [float(_TABLE[c][:end].max()) for end in _ENDS] for c in (0, 2)}
 
 
 class NumKernelError(Exception):
@@ -47,13 +69,10 @@ class QuadratureNonConvergence(NumKernelError):
     whether to propagate it.
     """
 
-    def __init__(self, result: "IntegralValue", message: str = ""):
+    def __init__(self, result: "IntegralValue"):
         self.result = result
-        super().__init__(
-            message
-            or f"quadrature did not converge: value={result.value!r} "
-            f"error_bound={result.error_bound!r} panels={result.panels}"
-        )
+        super().__init__(f"quadrature did not converge: value={result.value!r} "
+                         f"error_bound={result.error_bound!r} panels={result.panels}")
 
 
 def std_normal_pdf(x):
@@ -86,40 +105,37 @@ def upper_quantile_z(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and refinement budget for :func:`integrate`.
+    """Tolerance and level budget for :func:`integrate`.
 
-    ``max_refinements`` bounds the panel-doubling depth of the Romberg
-    table (2**max_refinements panels at most).
+    The rule stops at the first level k >= 2 whose gap to level k - 1, plus
+    a rounding floor of 64 eps |I_k|, is within ``abs_tol``; ``max_level``
+    (2..8) is the last level tried, with step 2**-(max_level+1) in t.
     """
 
     abs_tol: float = 1e-8
-    max_refinements: int = 20
+    max_level: int = _TOP_LEVEL
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_refinements < 1:
-            raise DomainError(
-                f"max_refinements must be >= 1, got {self.max_refinements}"
-            )
+        if not 2 <= self.max_level <= _TOP_LEVEL:
+            raise DomainError(f"max_level must lie in [2, {_TOP_LEVEL}], got {self.max_level}")
 
 
 @dataclass(frozen=True)
 class IntegralValue:
     """A quadrature result with an a-posteriori error bound.
 
-    ``error_bound`` is the gap between the last two Romberg diagonal entries
-    (on non-convergence, between the last two trapezoid values), summed over
-    the pieces of a split integral.
-    ``truncation_radius`` records where an unbounded domain was cut, when a
-    caller did so.
+    ``error_bound`` is the gap between the last two DE levels plus the
+    rounding floor 64 eps |value|, plus the caller's bound on the integral
+    beyond the outermost node, when it gives one. ``panels`` counts the
+    integrand's evaluation points (DE nodes).
     """
 
     value: float
     error_bound: float
     panels: int = 0
     converged: bool = True
-    truncation_radius: Optional[float] = None
 
     def __post_init__(self):
         if self.error_bound < 0.0:
@@ -129,100 +145,62 @@ class IntegralValue:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def integrate_split(
-    f: Callable,
-    a: float,
-    b: float,
-    anchor: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> IntegralValue:
-    """Integrate over a possibly very wide finite interval containing ``anchor``.
-
-    A core of +-``_CORE_WIDTH`` around the anchor is gridded directly; the
-    remaining tails are compressed through theta = edge +- (e^v - 1), which
-    turns polynomial decay into exponential decay in v. Each piece is refined
-    to ``cfg`` and the reported bound is the sum of the pieces' bounds.
-    """
-    if not a <= anchor <= b:
-        raise DomainError(f"anchor {anchor} outside [{a}, {b}]")
-    lo_core = max(a, anchor - _CORE_WIDTH)
-    hi_core = min(b, anchor + _CORE_WIDTH)
-    pieces = []
-
-    def run(fun, lo, hi):
-        if hi <= lo:
-            return
-        try:
-            pieces.append(integrate(fun, lo, hi, cfg))
-        except QuadratureNonConvergence as exc:
-            pieces.append(exc.result)
-
-    run(f, lo_core, hi_core)
-    for edge, end, sign in ((lo_core, a, -1.0), (hi_core, b, 1.0)):
-        if sign * (end - edge) > 0.0:
-
-            def tail(v, edge=edge, sign=sign):
-                ev = np.exp(np.asarray(v, dtype=float))
-                return np.asarray(f(edge + sign * (ev - 1.0)), dtype=float) * ev
-
-            run(tail, 0.0, math.log1p(sign * (end - edge)))
-    value = float(sum(p.value for p in pieces))
-    err = float(sum(p.error_bound for p in pieces))
-    panels = int(sum(p.panels for p in pieces))
-    result = IntegralValue(value, err, panels=panels, converged=all(p.converged for p in pieces))
-    if not result.converged:
-        raise QuadratureNonConvergence(result)
-    return result
-
-
 def integrate(
     f: Callable,
-    a: float,
-    b: float,
+    origin: float,
+    end: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    scale: float = 1.0,
+    tail: Optional[Callable[[float], float]] = None,
 ) -> IntegralValue:
-    """Integrate ``f`` over the finite interval [a, b], a <= b, by Romberg
-    extrapolation of the trapezoid rule on a doubling uniform grid.
+    """Integrate ``f`` over the interval between ``origin`` and ``end`` by the
+    double-exponential rule, from ``origin`` outward.
 
     ``f`` must accept a numpy array of abscissas and return an array of the
-    same shape. Level k halves the panels, evaluating only the new midpoints,
-    and builds the row R[k][j] = R[k][j-1] + (R[k][j-1] - R[k-1][j-1]) / (4**j - 1)
-    from the trapezoid value R[k][0]. The estimate is the diagonal R[k][k] with
-    bound |R[k][k] - R[k-1][k-1]|; we stop at level >= 4 once that bound is
-    within ``abs_tol`` and the previous one was within ``100 * abs_tol``.
-    One call of ``f`` covers the ends and levels 1..min(6, ``max_refinements``),
-    then one call per level; each level is still summed on its own, in order.
-    On an exhausted budget raises :class:`QuadratureNonConvergence` carrying
-    the trapezoid value and its last gap.
+    same shape. The distance u from ``origin`` is scale * E(t) toward an
+    infinite ``end`` and L * E/(1 + E) toward a finite one at distance L,
+    with E(t) = exp((pi/2) sinh t) in [1e-300, 1e13], so the nodes crowd
+    toward ``origin`` and, on a finite side, toward ``end``. Level k is the
+    trapezoid sum in t with step 2**-(k+1) over all nodes so far; one call of
+    ``f`` covers levels 0..3, then one call per level, each level summed on
+    its own, in order. It stops at level k >= 2 once
+    |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol``; that sum is the bound,
+    plus ``tail(edge)`` when given: a bound on the integral beyond the
+    outermost node ``edge``. On an exhausted budget raises
+    :class:`QuadratureNonConvergence` carrying the last level and its bound.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-        raise DomainError(f"integration limits must be finite with a <= b, got ({a}, {b})")
-    span = b - a
-    if span == 0.0:
-        return IntegralValue(0.0, 0.0, panels=0)
-    first = min(_FIRST_LEVELS, cfg.max_refinements)
-    m = 2**first - 1
-    first_x = np.concatenate(([a, b], a + span * _FIRST_OFFSETS[:m] / _FIRST_PANELS[:m]))
-    vals = np.asarray(f(first_x), dtype=float)
-    weight_sum = 0.5 * (vals[0] + vals[1])
-    row = [weight_sum * span]
-    err = math.inf
-    for level in range(1, cfg.max_refinements + 1):
-        if level <= first:  # level k's midpoints sit at vals[2**(k-1) + 1 : 2**k + 1]
-            new = vals[2 ** (level - 1) + 1 : 2**level + 1]
-        else:
-            x = a + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1)
-            new = np.asarray(f(x), dtype=float)
-        weight_sum += float(np.add.reduce(new))
-        panels = 2**level
-        prev, row = row, [weight_sum * span / panels]
-        for j, r in enumerate(prev, 1):
-            row.append(row[-1] + (row[-1] - r) / (4**j - 1))
-        prev_err, err = err, abs(row[-1] - prev[-1])
-        if level >= 4 and err <= cfg.abs_tol and prev_err <= 100.0 * cfg.abs_tol:
-            return IntegralValue(row[-1], err, panels=panels)
-    raise QuadratureNonConvergence(
-        IntegralValue(row[0], abs(row[0] - prev[0]), panels=panels, converged=False)
-    )
+    origin, end = float(origin), float(end)
+    if not (math.isfinite(origin) and not math.isnan(end)):
+        raise DomainError(f"need a finite origin and an end, got ({origin}, {end})")
+    if end == origin:
+        return IntegralValue(0.0, 0.0)
+    if math.isinf(end):
+        if not 0.0 < scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {scale}")
+        length, col = float(scale), 0
+    else:
+        length, col = abs(end - origin), 2
+    away = math.copysign(1.0, end - origin)
+    u, w = _TABLE[col], _TABLE[col + 1]
+
+    def values(lo, hi):
+        return np.asarray(f(origin + away * length * u[lo:hi]), dtype=float)
+
+    first = _ENDS[min(_BATCHED_LEVELS, cfg.max_level)]
+    batch = values(0, first)
+    total, estimate = 0.0, 0.0
+    for level in range(cfg.max_level + 1):
+        lo, hi = (_ENDS[level - 1] if level else 0), _ENDS[level]
+        new = batch[lo:hi] if hi <= first else values(lo, hi)
+        total += float(np.add.reduce(new * w[lo:hi]))
+        prev, estimate = estimate, length * 2.0 ** -(level + 1) * total
+        err = abs(estimate - prev) + 64.0 * _EPS * abs(estimate)
+        if level >= 2 and err <= cfg.abs_tol:
+            break
+    converged = bool(err <= cfg.abs_tol)
+    if tail is not None:
+        err += float(tail(origin + away * length * _EDGES[col][level]))
+    result = IntegralValue(estimate, err, panels=max(first, hi), converged=converged)
+    if not converged:
+        raise QuadratureNonConvergence(result)
+    return result

@@ -2,8 +2,8 @@
 
 A :class:`Prior` bundles a density ``g`` with its first two derivatives, its
 support, its CDF and its quantile function.
-The CDF drives mass-aware domain truncation in the quadrature layer and the
-quantile function drives inverse-CDF sampling in the simulator.
+The CDF gives the quadrature bound's tail term, the quantile function its
+scale and inverse-CDF sampling in the simulator.
 
 Built-in families: centered normal and Student-t/Cauchy scale families for
 location problems, and Gamma/F priors with mode pinned at 1 for the
@@ -94,15 +94,16 @@ def validate_prior(prior: Prior):
     gap = np.max(np.abs(np.asarray(prior.cdf(prior.ppf(u)), dtype=float) - u))
     if not gap <= _ROUND_TRIP_TOL:
         raise PriorError(f"prior {prior.name!r}: cdf(ppf(u)) misses u by {gap:.3g}")
-    # Integrate g between ppf(cut) and ppf(1 - cut) and add the CDF's mass
-    # outside: this checks both that g integrates to 1 and that it matches
-    # its own CDF, whatever L < U the ppf gives.
+    # Integrate g out from ppf(0.5) to ppf(cut) and to ppf(1 - cut) and add
+    # the CDF's mass outside: this checks both that g integrates to 1 and
+    # that it matches its own CDF, whatever L < U the ppf gives.
     cut = _NORM_TOL / 10.0
     L, U = _tail_points(prior, cut)
     anchor = float(prior.ppf(0.5))
-    res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=cut))
-    total = res.value + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
-    if abs(total - 1.0) > _NORM_TOL + res.error_bound:
+    cfg = nk.QuadratureConfig(abs_tol=cut)
+    halves = [nk.integrate(prior.g, anchor, end, cfg) for end in (L, U)]
+    total = sum(h.value for h in halves) + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
+    if abs(total - 1.0) > _NORM_TOL + sum(h.error_bound for h in halves):
         raise PriorError(f"prior {prior.name!r} mass {total:.8f} != 1")
     grid = _validation_grid(prior)
     g = prior.g

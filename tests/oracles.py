@@ -2,7 +2,9 @@
 
 Deliberately written against different algorithms than the library (series
 and continued fractions in pure Python, binomial sums, bisection) so the
-tests cross two implementation routes rather than re-checking one.
+tests cross two implementation routes rather than re-checking one. The
+exception is :func:`scalar_de`, the library's own rule one level per call,
+which pins the batched first call bit for bit.
 """
 
 import math
@@ -97,40 +99,23 @@ def order_stat_cdf(F: float, k: int, n: int) -> float:
     return total
 
 
-def scalar_find_cut(h, theta0: float, away: int, limit: float, tol: float) -> float:
-    """The truncation search one distance at a time: double s from 1e-3
-    (capped just inside a finite limit, and at 1e13) until the bound
-    h(theta0 + away * s), a function of one float, is not above tol."""
-    smax = min(abs(limit - theta0) * (1.0 - 1e-9), 1e13)
-    s = min(1e-3, smax)
-    while h(theta0 + away * s) > tol:
-        if s >= smax:
-            return theta0 + away * smax
-        s = min(2.0 * s, smax)
-    return theta0 + away * s
+def scalar_de(w, origin: float, end: float, abs_tol: float, max_level: int, scale: float = 1.0):
+    """The double-exponential rule with one call of ``w`` per level, on the
+    library's node table: level k adds its nodes' f * weight to the running
+    sum, and I_k = length * 2**-(k+1) * sum. Same stopping rule as the library
+    (level >= 2, |I_k - I_(k-1)| + 64 eps |I_k| <= abs_tol). Returns
+    (value, error_bound, nodes, converged) at the last level reached."""
+    from bfdr.numkernel import _ENDS, _TABLE
 
-
-def scalar_romberg(w, lo: float, hi: float, abs_tol: float, max_refinements: int):
-    """Romberg on the doubling trapezoid grid with one call of ``w`` per
-    level: the two ends, then each level's new midpoints. Same stopping rule
-    as the library (level >= 4, last gap <= abs_tol, the one before <= 100
-    abs_tol). Returns (value, error_bound, panels, converged); without
-    convergence, the last trapezoid value and its gap to the one before."""
-    span = hi - lo
-    if span == 0.0:
-        return 0.0, 0.0, 0, True
-    ends = np.asarray(w(np.array([lo, hi])), dtype=float)
-    weight_sum = 0.5 * (ends[0] + ends[1])
-    row = [weight_sum * span]
-    err = math.inf
-    for level in range(1, max_refinements + 1):
-        new = lo + span * (np.arange(2 ** (level - 1)) + 0.5) / 2 ** (level - 1)
-        weight_sum += float(np.sum(np.asarray(w(new), dtype=float)))
-        panels = 2**level
-        prev, row = row, [weight_sum * span / panels]
-        for j, r in enumerate(prev, 1):
-            row.append(row[-1] + (row[-1] - r) / (4**j - 1))
-        prev_err, err = err, abs(row[-1] - prev[-1])
-        if level >= 4 and err <= abs_tol and prev_err <= 100.0 * abs_tol:
-            return row[-1], err, panels, True
-    return row[0], abs(row[0] - prev[0]), panels, False
+    length, col = (scale, 0) if math.isinf(end) else (abs(end - origin), 2)
+    away = math.copysign(1.0, end - origin)
+    total, estimate = 0.0, 0.0
+    for level in range(max_level + 1):
+        lo, hi = (_ENDS[level - 1] if level else 0), _ENDS[level]
+        x = origin + away * length * _TABLE[col][lo:hi]
+        total += float(np.add.reduce(np.asarray(w(x), dtype=float) * _TABLE[col + 1][lo:hi]))
+        prev, estimate = estimate, length * 2.0 ** -(level + 1) * total
+        err = abs(estimate - prev) + 64.0 * np.finfo(float).eps * abs(estimate)
+        if level >= 2 and err <= abs_tol:
+            return estimate, err, hi, True
+    return estimate, err, hi, False

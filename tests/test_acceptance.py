@@ -157,7 +157,7 @@ class TestCriterion06SeriesRemainderOrder:
     )
     def test_n_squared_remainder_stability(self, name, model, prior, theta0):
         cs = expansions.exp_family_coefficients(model, prior, theta0, 0.05)
-        cfg = nk.QuadratureConfig(abs_tol=1e-12, max_refinements=24)
+        cfg = nk.QuadratureConfig(abs_tol=1e-12)
         resid_a, resid_at = [], []
         for n in (50, 100, 200):
             joint = exact.exact_joint(

@@ -9,6 +9,7 @@ scipy.stats.multivariate_normal with cov [[1,1],[1,2]].
 """
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfdr import exact, expansions, models, priors
+from bfdr import expansions, models, priors
 from bfdr import numkernel as nk
 from bfdr.exact import DegenerateDenominator, JointProbabilities, exact_joint, exact_rates
 from bfdr.models import TestSetup
 from bfdr.numkernel import IntegralValue, QuadratureConfig, QuadratureNonConvergence
 
-from oracles import scalar_find_cut
+from oracles import scalar_de
 
 NORMAL = models.normal_mean_model()
 EXP = models.exponential_rate_model()
@@ -36,41 +37,83 @@ ORTHANT_A_N1 = 0.0074905216
 
 
 # Independent high-precision (A, At): mpmath's own special functions and
-# tanh-sinh quadrature on closed-form power functions and prior densities.
+# quadrature on closed-form power functions and prior densities. mpmath's
+# default tanh-sinh is the family of rules the program uses, so each integral
+# is also taken by Gauss-Legendre, which shares no algorithm with it, on
+# geometric breakpoints; the two must agree to 1e-20 before either is trusted.
 def _mp():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 25
     return mp
 
 
+def _mp_quad(mp, f, points):
+    """tanh-sinh on every other breakpoint and Gauss-Legendre on all of them."""
+    ts = mp.quad(f, points[:-1:2] + points[-1:])
+    gl = mp.quad(f, points, method="gauss-legendre")
+    assert abs(ts - gl) <= 1e-20, f"tanh-sinh {ts} and Gauss-Legendre {gl} disagree"
+    return ts
+
+
+def _ladder(mp, center, width, reach, away):
+    """Breakpoints center + away * width * 4**k, k >= 0, out to ``reach`` from
+    ``center``, in increasing order."""
+    steps, x = [], mp.mpf(width)
+    while x < reach:
+        steps.append(center + away * x)
+        x *= 4
+    return steps if away > 0 else steps[::-1]
+
+
 def _mp_z(mp, alpha):
     return -mp.sqrt(2) * mp.erfinv(2 * mp.mpf(alpha) - 1)
 
 
+# Cached, with the scaled densities, since the README golden rows reuse cases.
+@functools.lru_cache(maxsize=None)
 def _mp_normal_mean(prior_pdf, alpha, n, scale=1):
     """N(theta, 1) data, reject when sqrt(n) Xbar > z_alpha; null theta <= 0.
 
-    ``scale`` places the quadrature breakpoints at 1 and 5 prior scales.
+    The breakpoints run geometrically from an eighth of the smaller of the
+    prior ``scale`` and 1/sqrt(n) out past both the prior and the power's step.
     """
     mp = _mp()
     z = _mp_z(mp, alpha)
-    power = lambda th: 1 - mp.ncdf(z - mp.sqrt(n) * th)
+    a, b = z / mp.sqrt(2), mp.sqrt(mp.mpf(n) / 2)
+    power = lambda th: mp.erfc(a - b * th) / 2
     g = prior_pdf(mp)
-    A = mp.quad(lambda th: power(th) * g(th), [-mp.inf, -5 * scale, -scale, 0])
-    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, scale, 5 * scale, mp.inf])
+    width = min(scale, 1 / mp.sqrt(n)) / 8
+    reach = max(16 * scale, (abs(z) + 10) / mp.sqrt(n))
+    A = _mp_quad(mp, lambda th: power(th) * g(th),
+                 [-mp.inf] + _ladder(mp, 0, width, reach, -1) + [0])
+    At = _mp_quad(mp, lambda th: (1 - power(th)) * g(th),
+                  [0] + _ladder(mp, 0, width, reach, 1) + [mp.inf])
     return A, At
 
 
 def _mp_normal_pdf(mp):
-    return mp.npdf
+    return _mp_scaled_normal_pdf(1)(mp)
 
 
+@functools.lru_cache(maxsize=None)
 def _mp_scaled_normal_pdf(tau):
-    return lambda mp: lambda th: mp.npdf(th / tau) / tau
+    def pdf(mp):
+        c, h = 1 / (tau * mp.sqrt(2 * mp.pi)), -1 / (2 * mp.mpf(tau) ** 2)
+        return lambda th: c * mp.exp(h * th * th)
+
+    return pdf
 
 
 def _mp_cauchy_pdf(mp):
     return lambda th: 1 / (mp.pi * (1 + th * th))
+
+
+def _mp_t_pdf(m):
+    def pdf(mp):
+        c = mp.gamma((m + 1) / mp.mpf(2)) / (mp.sqrt(m * mp.pi) * mp.gamma(m / mp.mpf(2)))
+        return lambda th: c * (1 + th * th / m) ** (-(m + 1) / mp.mpf(2))
+
+    return pdf
 
 
 def _mp_exp_rate_gamma2(alpha, n):
@@ -79,8 +122,9 @@ def _mp_exp_rate_gamma2(alpha, n):
     c0 = mp.findroot(lambda c: mp.gammainc(n, c, mp.inf, regularized=True) - alpha, n)
     power = lambda th: mp.gammainc(n, th * c0, mp.inf, regularized=True)
     g = lambda th: th * mp.exp(-th)
-    A = mp.quad(lambda th: power(th) * g(th), [1, 3, 10, mp.inf])
-    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, 0.5, 1])
+    width = 1 / (8 * mp.sqrt(n))
+    A = _mp_quad(mp, lambda th: power(th) * g(th), [1] + _ladder(mp, 1, width, 64, 1) + [mp.inf])
+    At = _mp_quad(mp, lambda th: (1 - power(th)) * g(th), [0] + _ladder(mp, 1, width, 1, -1) + [1])
     return A, At
 
 
@@ -90,9 +134,14 @@ def _mp_cauchy_median_n1(alpha):
     c = _mp_z(mp, alpha) * mp.pi / 2
     power = lambda th: mp.mpf(1) / 2 - mp.atan(c - th) / mp.pi
     g = _mp_cauchy_pdf(mp)
-    A = mp.quad(lambda th: power(th) * g(th), [-mp.inf, -10, -1, 0])
-    At = mp.quad(lambda th: (1 - power(th)) * g(th), [0, 1, 10, mp.inf])
+    A = _mp_quad(mp, lambda th: power(th) * g(th), [-mp.inf] + _ladder(mp, 0, 0.125, 1e12, -1) + [0])
+    At = _mp_quad(mp, lambda th: (1 - power(th)) * g(th), [0] + _ladder(mp, 0, 0.125, 1e12, 1) + [mp.inf])
     return A, At
+
+
+def _custom(prior):
+    """``prior``'s callables passed through :func:`~bfdr.priors.make_prior`."""
+    return priors.make_prior(prior.g, prior.g1, prior.g2, prior.support, prior.cdf, prior.ppf)
 
 
 MPMATH_CASES = {
@@ -108,8 +157,8 @@ MPMATH_CASES = {
                     None, lambda: _mp_exp_rate_gamma2(0.05, 5)),
     "exp-gamma-30": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.05, 30),
                      None, lambda: _mp_exp_rate_gamma2(0.05, 30)),
-    # Romberg stops on one small diagonal gap only if the gap before it was
-    # within 100 abs_tol: without that guard both of these break their bounds.
+    # An earlier Romberg stop rule, without a guard on the gap before the
+    # last, broke its bounds on both of these.
     "exp-gamma-4-alpha0.04": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.04, 4),
                               None, lambda: _mp_exp_rate_gamma2(0.04, 4)),
     "exp-gamma-20-alpha0.3": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.3, 20),
@@ -130,7 +179,20 @@ MPMATH_CASES = {
     "nn-10-tau1e3": (NORMAL, priors.scale_prior(priors.normal_prior(1.0), 1e3),
                      TestSetup("mean_ump", 0.0, 0.05, 10), None,
                      lambda: _mp_normal_mean(_mp_scaled_normal_pdf(1e3), 0.05, 10, scale=1e3)),
+    # A t prior with m = 0.5 has mass 1e-7 beyond 1e13, where the rule stops;
+    # the bound's tail term must carry the weight there, not the mass alone.
+    "nt0.5-10": (NORMAL, _custom(priors.student_t_prior(0.5, 1.0)), TestSetup("mean_ump", 0.0, 0.05, 10),
+                 None, lambda: _mp_normal_mean(_mp_t_pdf(0.5), 0.05, 10)),
 }
+# normal:1 scaled by tau from spiky to flat, at two levels (the two README
+# `spiky` rows above are not repeated).
+MPMATH_CASES.update({
+    f"nn-10-tau{tau:g}-alpha{alpha:g}": (
+        NORMAL, priors.scale_prior(priors.normal_prior(1.0), tau), TestSetup("mean_ump", 0.0, alpha, 10),
+        None, lambda tau=tau, alpha=alpha: _mp_normal_mean(_mp_scaled_normal_pdf(tau), alpha, 10, scale=tau))
+    for tau in (1e-6, 1e-3, 1.0, 1e3, 1e6) for alpha in (0.05, 1e-6)
+    if (tau, alpha) not in ((1e-3, 0.05), (1e3, 0.05))
+})
 
 
 def _joint(A, At, lam):
@@ -179,7 +241,7 @@ class TestExactJoint:
             assert joint.B + joint.B_tilde == 1.0
 
     def test_non_convergence_propagates_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, max_refinements=5)
+        cfg = QuadratureConfig(abs_tol=1e-14, max_level=2)
         setup = TestSetup("mean_ump", 0.0, 0.05, 10)
         with pytest.raises(QuadratureNonConvergence) as excinfo:
             exact_joint(NORMAL, priors.normal_prior(1.0), setup, cfg)
@@ -193,6 +255,16 @@ class TestExactJoint:
         A_mp, At_mp = oracle()
         assert abs(joint.A.value - float(A_mp)) <= joint.A.error_bound
         assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
+        # gap and floor within abs_tol, abs_tol / 10 more, and a tail term far smaller
+        tol = (cfg or nk.DEFAULT_QUADRATURE).abs_tol
+        assert max(joint.A.error_bound, joint.A_tilde.error_bound) <= 2.0 * tol
+
+    def test_flat_prior_is_right_to_twelve_digits(self):
+        # The README `spiky` row tau = 1000: an absolute stop once left A
+        # wrong by 3.5e-4 relative, inside its bound.
+        model, prior, setup, cfg, oracle = MPMATH_CASES["nn-10-tau1e3"]
+        A_mp, _ = oracle()
+        assert abs(exact_joint(model, prior, setup, cfg).A.value - float(A_mp)) <= 1e-12 * float(A_mp)
 
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
     @given(
@@ -287,69 +359,107 @@ BUILTIN_PAIRS = {
 }
 
 
-def _scalar(h):
-    """The array-valued bound ``h`` as a function of one float."""
-    return lambda th: float(h(np.array([th]))[0])
+def _march(f, origin, end, cfg, scale=1.0, tail=None, integrate=nk.integrate):
+    """``integrate`` on one side, beside the scalar level march
+    (``oracles.scalar_de``) on the same side. Returns the result, the march's
+    (value, level gap, nodes, converged), the march's node farthest from
+    ``origin``, and the edges at which ``integrate`` asked for the tail."""
+    edges, points = [], []
+
+    def recorded(edge):
+        edges.append(edge)
+        return 0.0 if tail is None else tail(edge)
+
+    def marched(x):
+        points.extend(x.tolist())
+        return f(x)
+
+    try:
+        res = integrate(f, origin, end, cfg, scale, recorded)
+    except QuadratureNonConvergence as exc:
+        res = exc.result
+    ref = scalar_de(marched, origin, end, cfg.abs_tol, cfg.max_level, scale)
+    return res, ref, max(points, key=lambda x: abs(x - origin)), edges
 
 
 class TestFindCut:
+    """Where each side is cut: at the outermost node of the levels summed,
+    where the caller's tail term is asked for. Checked against the scalar
+    level march, one call per level."""
+
     @pytest.mark.parametrize("alpha,n", [(0.05, 10), (1e-4, 4), (0.3, 20)])
     @pytest.mark.parametrize("pair", sorted(BUILTIN_PAIRS))
     def test_equals_the_scalar_march_on_builtin_pairs(self, monkeypatch, pair, alpha, n):
         model, spec, statistic, theta0 = BUILTIN_PAIRS[pair]
-        find_cut, cuts = exact._find_cut, []
+        integrate, sides = nk.integrate, []
 
-        def checked(h, *args):
-            cut = find_cut(h, *args)
-            cuts.append((cut, scalar_find_cut(_scalar(h), *args)))
-            return cut
+        def checked(f, origin, end, cfg, scale, tail):
+            res, ref, farthest, edges = _march(f, origin, end, cfg, scale, tail, integrate)
+            sides.append((res, ref, farthest, edges, tail))
+            return res
 
-        monkeypatch.setattr(exact, "_find_cut", checked)
+        monkeypatch.setattr(nk, "integrate", checked)
         exact_joint(model, priors.parse_prior_spec(spec), TestSetup(statistic, theta0, alpha, n))
-        assert len(cuts) == 2
-        for cut, ref in cuts:
-            assert cut == ref
+        assert len(sides) == 2
+        for res, (value, gap, _, converged), farthest, edges, tail in sides:
+            assert converged and res.converged
+            assert edges == [farthest]
+            assert (res.value, res.error_bound) == (value, gap + tail(farthest))
 
     @pytest.mark.parametrize("k", [0, 1, 6, 7, 8, 9, 15, 16, 40])
     @pytest.mark.parametrize("away", [-1, 1])
     def test_hit_on_the_kth_doubling(self, k, away):
-        # h crosses tol between the march distances 1e-3 * 2**(k-1) and 1e-3 * 2**k.
-        width = 1e-3 * 2.0 ** (k - 0.5) / 20.0
-        h = lambda th: np.exp(-np.abs(th - 0.5) / width)
-        tol = math.exp(-20.0)
-        cut = exact._find_cut(h, 0.5, away, away * math.inf, tol)
-        assert cut == scalar_find_cut(_scalar(h), 0.5, away, away * math.inf, tol)
-        assert cut == 0.5 + away * 1e-3 * 2.0**k
+        # A kernel of width s = 1e-3 * 2**k, integrated with the scale s: the
+        # same nodes in units of s at every k, so the rule stops on the same
+        # level (4) and cuts at s times the same outermost E.
+        s = 1e-3 * 2.0**k
+        f = lambda th: np.exp(-np.abs(th) / s)
+        res, (value, gap, nodes, converged), farthest, edges = _march(
+            f, 0.0, away * math.inf, QuadratureConfig(abs_tol=1e-10 * s), s)
+        assert converged and (res.value, res.error_bound) == (value, gap)
+        assert abs(res.value - s) <= res.error_bound
+        assert nodes == nk._ENDS[4]
+        assert edges == [farthest] == [away * s * nk._EDGES[0][4]]
 
     @pytest.mark.parametrize(
-        "h,theta0,away,limit,expect",
+        "f,origin,end,truth",
         [
-            # a bound vanishing at the limit 0, like exp-rate's toward 0: the capped step hits
-            (lambda th: th**4, 1.0, -1, 0.0, None),
-            # the limit is closer than the first step of 1e-3
-            (lambda th: np.exp(-(th - 1.0) * 1e5), 1.0, 1, 1.0005, None),
-            # a bound that never drops below tol returns the cap
-            (lambda th: np.ones_like(th), 1.0, -1, 0.0, 1.0 - 1.0 * (1.0 - 1e-9)),
-            (lambda th: np.ones_like(th), 1.0, 1, 1.0005, 1.0 + 0.0005 * (1.0 - 1e-9)),
-            (lambda th: np.ones_like(th), 0.0, 1, math.inf, 1e13),
-            (lambda th: np.ones_like(th), 0.0, -1, -math.inf, -1e13),
+            # an integrand vanishing at the limit 0, like exp-rate's toward 0
+            (lambda th: th**4, 1.0, 0.0, 0.2),
+            # a side far shorter than the infinite sides' scale of 1
+            (lambda th: np.exp(-(th - 1.0) * 1e5), 1.0, 1.0005, -math.expm1(-50.0) / 1e5),
+            # an integrand that never decays, on finite and infinite sides
+            (lambda th: np.ones_like(th), 1.0, 0.0, 1.0),
+            (lambda th: np.ones_like(th), 1.0, 1.0005, 1.0005 - 1.0),
+            (lambda th: np.ones_like(th), 0.0, math.inf, None),
+            (lambda th: np.ones_like(th), 0.0, -math.inf, None),
         ],
         ids=["limit-hit", "tiny-smax", "never-limit", "never-tiny-smax", "never-up", "never-down"],
     )
-    def test_edge_cases_equal_the_scalar_march(self, h, theta0, away, limit, expect):
-        cut = exact._find_cut(h, theta0, away, limit, 1e-9)
-        assert cut == scalar_find_cut(_scalar(h), theta0, away, limit, 1e-9)
-        if expect is not None:
-            assert cut == expect
+    def test_edge_cases_equal_the_scalar_march(self, f, origin, end, truth):
+        res, (value, gap, nodes, converged), farthest, edges = _march(
+            f, origin, end, QuadratureConfig(abs_tol=1e-9))
+        assert (res.value, res.error_bound, res.converged) == (value, gap, converged)
+        assert edges == [farthest]
+        if truth is None:
+            # no level agrees: the cut is the table's last node, inside E = 1e13
+            assert not converged and nodes == nk._ENDS[-1]
+            assert farthest == math.copysign(nk._EDGES[0][-1], end)
+            assert 9e12 < nk._EDGES[0][-1] <= 1e13
+        else:
+            assert converged and abs(res.value - truth) <= res.error_bound
+            assert min(origin, end) <= farthest <= max(origin, end)
 
     def test_block_march_adds_no_warnings(self):
+        # The batched first call and each later level, on every built-in pair
+        # and on scaled normal priors from 1e-6 to 1e6.
         cases = [
             (model, priors.parse_prior_spec(spec), TestSetup(statistic, theta0, alpha, n))
             for model, spec, statistic, theta0 in BUILTIN_PAIRS.values()
             for alpha, n in ((1e-6, 4), (0.05, 10), (0.3, 20))
         ] + [
             (NORMAL, priors.scale_prior(priors.normal_prior(1.0), tau), TestSetup("mean_ump", 0.0, 0.05, 10))
-            for tau in (1e-3, 1.0, 1e3)
+            for tau in (1e-6, 1e-3, 1.0, 1e3, 1e6)
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -357,9 +467,13 @@ class TestFindCut:
                 exact_joint(model, prior, setup)
 
     def test_cut_search_evaluates_the_prior_cdf_in_blocks(self):
-        # One call for lambda_alt; per side, one block of all 55 march distances.
+        # One call for lambda_alt, then one block of one point per side: the cut.
         prior = priors.normal_prior(1.0)
         calls = []
         counted = dataclasses.replace(prior, cdf=lambda th: calls.append(th) or prior.cdf(th))
         exact_joint(NORMAL, counted, TestSetup("mean_ump", 0.0, 0.05, 10))
-        assert len(calls) == 3
+        assert [np.size(th) for th in calls] == [1, 1, 1]
+        # the tails are taken at the outermost nodes, s * E(3.625) from theta0 = 0,
+        # with s the prior's half-IQR
+        edge = 0.5 * (prior.ppf(0.75) - prior.ppf(0.25)) * nk._EDGES[0][3]
+        assert [float(th) for th in calls[1:]] == [-edge, edge]

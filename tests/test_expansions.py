@@ -171,7 +171,7 @@ class TestExpFamilyCoefficients:
     def test_joint_probability_series_against_quadrature(self, model, prior, th0):
         # n^2-scaled residuals of the three-term series stay bounded
         cs = exp_family_coefficients(model, prior, th0, 0.05)
-        cfg = nk.QuadratureConfig(abs_tol=1e-12, max_refinements=24)
+        cfg = nk.QuadratureConfig(abs_tol=1e-12)
         resid_a, resid_at = [], []
         for n in (50, 100, 200):
             joint = exact.exact_joint(model, prior, TestSetup("mean_ump", th0, 0.05, n), cfg)
@@ -302,7 +302,7 @@ class TestMedianCoefficients:
         # same n^2-residual check as the mean case, median statistic
         for model, prior in ((NLOC, priors.normal_prior(1.0)), (CLOC, priors.cauchy_prior(1.0))):
             resid = []
-            cfg = nk.QuadratureConfig(abs_tol=1e-12, max_refinements=24)
+            cfg = nk.QuadratureConfig(abs_tol=1e-12)
             for n in (51, 101, 201):
                 cs = median_coefficients(model, prior, 0.05, n)
                 joint = exact.exact_joint(model, prior, TestSetup("median", 0.0, 0.05, n), cfg)

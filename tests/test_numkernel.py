@@ -12,7 +12,7 @@ import pytest
 from bfdr import numkernel as nk
 
 from derivations import log_binomial
-from oracles import bisect_quantile, scalar_romberg
+from oracles import bisect_quantile, scalar_de
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -114,19 +114,43 @@ class TestIntegrate:
         ],
     )
     def test_wide_limits_of_shifted_gaussian(self, a, b, truth):
-        # asymmetric about the anchor, so a flipped tail map would show
-        res = nk.integrate_split(lambda x: nk.std_normal_pdf(x - 1.0), a, b, 0.0)
-        assert res.value == pytest.approx(truth, abs=1e-7)
+        # out from 0 to each limit; asymmetric about 0, so a flipped side would show
+        f = lambda x: nk.std_normal_pdf(x - 1.0)
+        res = [nk.integrate(f, 0.0, end) for end in (a, b)]
+        assert sum(r.value for r in res) == pytest.approx(truth, abs=1e-7)
 
     @pytest.mark.parametrize(
-        "a,b", [(-np.inf, 0.0), (0.0, np.inf), (2.0, 0.0), (np.nan, 1.0)]
+        "end,truth", [(math.inf, 0.8413447460685429), (-math.inf, 0.15865525393145707)]
     )
-    def test_rejects_infinite_or_reversed_limits(self, a, b):
+    def test_infinite_end(self, end, truth):
+        res = nk.integrate(lambda x: nk.std_normal_pdf(x - 1.0), 0.0, end)
+        assert res.value == pytest.approx(truth, abs=1e-8)
+        assert abs(res.value - truth) <= res.error_bound
+
+    def test_tail_bound_is_taken_at_the_outermost_node(self):
+        edges = []
+        res = nk.integrate(nk.std_normal_pdf, 2.0, -math.inf, scale=0.5,
+                           tail=lambda edge: edges.append(edge) or 1e-3)
+        plain = nk.integrate(nk.std_normal_pdf, 2.0, -math.inf, scale=0.5)
+        assert (res.value, res.error_bound) == (plain.value, plain.error_bound + 1e-3)
+        # the farthest node of the levels used (2 or 3 here): 0.5 * E(3.625) below 2
+        assert edges == [2.0 - 0.5 * nk._EDGES[0][2]] == [2.0 - 0.5 * nk._EDGES[0][3]]
+        assert edges[0] == pytest.approx(2.0 - 0.5 * math.exp(0.5 * math.pi * math.sinh(3.625)))
+
+    @pytest.mark.parametrize(
+        "origin,end,scale",
+        [(-np.inf, 0.0, 1.0), (np.inf, 0.0, 1.0), (np.nan, 1.0, 1.0), (0.0, np.nan, 1.0),
+         (0.0, np.inf, 0.0), (0.0, -np.inf, np.inf), (0.0, np.inf, np.nan)],
+    )
+    def test_rejects_bad_limits(self, origin, end, scale):
         with pytest.raises(nk.DomainError):
-            nk.integrate(lambda x: x * x, a, b)
+            nk.integrate(lambda x: x * x, origin, end, scale=scale)
+
+    def test_empty_interval(self):
+        assert nk.integrate(np.exp, 1.5, 1.5) == nk.IntegralValue(0.0, 0.0)
 
     def test_non_convergence_carries_best_estimate(self):
-        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_refinements=5)
+        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_level=3)
         with pytest.raises(nk.QuadratureNonConvergence) as exc:
             nk.integrate(nk.std_normal_pdf, -30.0, 30.0, cfg)
         best = exc.value.result
@@ -134,16 +158,17 @@ class TestIntegrate:
         assert best.value == pytest.approx(1.0, abs=0.1)
 
     def test_non_convergence_reports_the_trapezoid(self):
-        # Under-resolved, the extrapolated diagonal (0.83) is worse than the
-        # trapezoid, so the 32-panel trapezoid and its gap to 16 panels are kept.
-        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_refinements=5)
+        # The last level's trapezoid sum in t, its gap to the level before and
+        # the nodes evaluated, as the one-call-per-level loop gives them.
+        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_level=2)
         with pytest.raises(nk.QuadratureNonConvergence) as exc:
             nk.integrate(nk.std_normal_pdf, -30.0, 30.0, cfg)
         best = exc.value.result
-        assert (best.value, best.error_bound, best.panels) == (
-            1.0072877454087963, 0.4913902737161582, 32)
-        x = np.linspace(-30.0, 30.0, 33)
-        assert best.value == pytest.approx(np.trapezoid(nk.std_normal_pdf(x), x), rel=1e-14)
+        w = lambda x: nk.std_normal_pdf(x)
+        assert (best.value, best.error_bound, best.panels, best.converged) == scalar_de(
+            w, -30.0, 30.0, 1e-14, 2)
+        assert best.panels == 84
+        assert abs(best.value - 1.0) <= best.error_bound
 
     @pytest.mark.parametrize(
         "f,a,b,truth",
@@ -165,22 +190,29 @@ def _gauss(v):
 
 
 class TestRombergBatching:
-    """The first integrand call covers the ends and levels 1..6; the result
-    must equal the one-call-per-level loop bit for bit."""
+    """The first integrand call covers levels 0..3; the result must equal the
+    one-call-per-level loop bit for bit. The class and its case ids keep the
+    names they had when the integrator was a Romberg rule."""
 
-    # (integrand of one float, lo, hi, abs_tol, level it stops at)
+    # (id, integrand of one float, origin, end, abs_tol, DE level it stops at)
     CASES = [
-        (math.exp, 0.0, 1.0, 1e-4, 4),
-        (_gauss, -3.0, 3.0, 1e-4, 5),
-        (lambda v: 1.0 / (1.0 + v * v), -3.0, 3.0, 1e-4, 6),
-        (math.sqrt, 0.0, 1.0, 1e-4, 7),
-        (_gauss, -3.0, 3.0, 1e-10, 8),
-        (math.cos, -30.0, 30.0, 1e-4, 9),
+        ("level4", math.exp, 0.0, 1.0, 1e-4, 2),
+        ("level5", math.cos, 0.0, 30.0, 1e-10, 3),
+        ("level6", _gauss, 0.0, math.inf, 1e-10, 4),
+        ("level7", lambda v: _gauss(v + 5.0), 0.0, -math.inf, 1e-10, 5),
+        ("level8", lambda v: _gauss(v - 10.0), 0.0, math.inf, 1e-10, 6),
+        ("level9", lambda v: _gauss(v - 20.0), 0.0, math.inf, 1e-10, 7),
     ]
 
+    # Level budgets; 1 and 20 lie outside QuadratureConfig's [2, 8], are
+    # refused, and run at the nearest end of that range.
     @pytest.mark.parametrize("max_refinements", [1, 2, 3, 4, 5, 6, 7, 20])
-    @pytest.mark.parametrize("f,lo,hi,tol,stop", CASES, ids=[f"level{c[-1]}" for c in CASES])
-    def test_matches_the_one_call_per_level_loop(self, f, lo, hi, tol, stop, max_refinements):
+    @pytest.mark.parametrize("f,origin,end,tol,stop", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_matches_the_one_call_per_level_loop(self, f, origin, end, tol, stop, max_refinements):
+        max_level = min(max(max_refinements, 2), nk._TOP_LEVEL)
+        if max_level != max_refinements:
+            with pytest.raises(nk.DomainError):
+                nk.QuadratureConfig(abs_tol=tol, max_level=max_refinements)
         points = []
 
         def w(x):
@@ -188,23 +220,67 @@ class TestRombergBatching:
             points.append(x.tolist())
             return np.array([f(v) for v in x.tolist()])
 
-        expected = scalar_romberg(w, lo, hi, tol, 20)
-        assert expected[2:] == (2**stop, True)
-        expected = scalar_romberg(w, lo, hi, tol, max_refinements)
+        assert scalar_de(w, origin, end, tol, 8)[3]
+        assert sum(map(len, points)) == nk._ENDS[stop]
+        expected = scalar_de(w, origin, end, tol, max_level)
         points.clear()
-        cfg = nk.QuadratureConfig(abs_tol=tol, max_refinements=max_refinements)
         try:
-            res = nk.integrate(w, lo, hi, cfg)
+            res = nk.integrate(w, origin, end, nk.QuadratureConfig(abs_tol=tol, max_level=max_level))
         except nk.QuadratureNonConvergence as exc:
             res = exc.result
-        assert (res.value, res.error_bound, res.panels, res.converged) == expected
+        assert (res.value, res.error_bound, res.converged) == (
+            expected[0], expected[1], expected[3])
 
-        # A piece stopping at level L <= 6 makes one call, one stopping later
-        # L - 5; no node beyond level max_refinements is evaluated.
-        last = max(min(6, max_refinements), min(stop, max_refinements))
-        assert len(points) == 1 + max(0, last - 6)
+        # A side stopping at level L <= 3 makes one call, one stopping later
+        # L - 2; no node beyond level max_level is evaluated.
+        last = max(min(3, max_level), min(stop, max_level))
+        assert len(points) == 1 + max(0, last - 3)
         flat = [x for call in points for x in call]
-        assert len(flat) == len(set(flat)) == 2**last + 1 <= 2**max_refinements + 1
+        assert res.panels == len(flat) == nk._ENDS[last]
+
+
+def _level(k):
+    """Slice of level k's nodes in the node table."""
+    return slice(nk._ENDS[k - 1] if k else 0, nk._ENDS[k])
+
+
+class TestNodeTable:
+    def test_equals_direct_evaluation_of_both_maps(self):
+        # Node by node: u = E(t) with du/dt = (pi/2) cosh(t) E(t) per unit
+        # scale, and u = E/(1 + E) with du/dt = (pi/2) cosh(t) E/(1 + E)**2 per
+        # unit length, for every t = j * 2**-(level+1) whose E lies in range.
+        for level in range(len(nk._ENDS)):
+            h = 2.0 ** -(level + 1)
+            rows = []
+            for j in range(round(-7.0 / h), round(4.0 / h) + 1):
+                if level and j % 2 == 0:
+                    continue
+                t = j * h
+                v = 0.5 * math.pi * math.sinh(t)
+                if not math.log(nk._E_MIN) <= v <= math.log(nk._E_MAX):
+                    continue
+                e = math.exp(v)
+                de = 0.5 * math.pi * math.cosh(t) * e
+                rows.append((e, de, e / (1.0 + e), de / (1.0 + e) ** 2))
+            table = np.array([col[_level(level)] for col in nk._TABLE]).T
+            # E carries the rounding of (pi/2) sinh t, up to 690 eps relative
+            np.testing.assert_allclose(table, np.array(rows), rtol=2e-13, atol=0.0)
+
+    def test_builds_without_floating_point_warnings(self):
+        with np.errstate(all="raise"):
+            table, ends = nk._node_table()
+        assert ends == nk._ENDS
+        for got, col in zip(table, nk._TABLE):
+            np.testing.assert_array_equal(got, col)
+            assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+
+    def test_level_sizes_and_edges(self):
+        # 167 nodes in the first call; each later level about doubles the one before
+        assert nk._ENDS[:5] == [21, 42, 84, 167, 333]
+        assert np.diff(nk._ENDS).tolist()[2:] == [83, 166, 334, 667, 1334, 2668]
+        for col, edges in nk._EDGES.items():
+            assert edges == [float(nk._TABLE[col][: nk._ENDS[k]].max()) for k in range(len(nk._ENDS))]
+        assert nk._EDGES[0][2] == pytest.approx(math.exp(0.5 * math.pi * math.sinh(3.625)))
 
 
 class TestConfigValidation:
@@ -213,8 +289,9 @@ class TestConfigValidation:
             nk.QuadratureConfig(abs_tol=0.0)
 
     def test_bad_refinements(self):
-        with pytest.raises(nk.DomainError):
-            nk.QuadratureConfig(max_refinements=0)
+        for max_level in (1, 9):
+            with pytest.raises(nk.DomainError):
+                nk.QuadratureConfig(max_level=max_level)
 
     def test_negative_error_bound_rejected(self):
         with pytest.raises(nk.DomainError):

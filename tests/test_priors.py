@@ -141,10 +141,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("prior", ALL_BUILTINS, ids=lambda p: p.name)
     def test_unit_mass(self, prior):
-        L, U = priors._tail_points(prior, 1e-9)
         anchor = float(prior.ppf(0.5))
-        res = nk.integrate_split(prior.g, L, U, anchor, nk.QuadratureConfig(abs_tol=1e-8))
-        assert res.value == pytest.approx(1.0, abs=1e-6)
+        cfg = nk.QuadratureConfig(abs_tol=1e-8)
+        mass = sum(nk.integrate(prior.g, anchor, end, cfg).value for end in prior.support)
+        assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_builtins_have_flat_center(self):
         for prior in (priors.normal_prior(1.0), priors.cauchy_prior(2.0),
@@ -263,9 +263,9 @@ class TestScalePrior:
     @pytest.mark.parametrize("tau", [0.1, 10.0])
     def test_scaled_mass_is_one(self, tau):
         p = priors.scale_prior(priors.normal_prior(1.0), tau)
-        L, U = priors._tail_points(p, 1e-9)
-        res = nk.integrate_split(p.g, L, U, 0.0, nk.QuadratureConfig(abs_tol=1e-9))
-        assert res.value == pytest.approx(1.0, abs=1e-7)
+        cfg = nk.QuadratureConfig(abs_tol=1e-9)
+        mass = sum(nk.integrate(p.g, 0.0, end, cfg).value for end in p.support)
+        assert mass == pytest.approx(1.0, abs=1e-7)
 
     def test_chain_rule_derivatives(self):
         tau = 3.0
