@@ -43,7 +43,6 @@ from .numkernel import (
     integrate,
     std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 from .priors import (
     Prior,

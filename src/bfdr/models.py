@@ -12,12 +12,12 @@ natural parameter is the negative of that (the exponential-rate family),
 ``natural_direction = -1`` records the flip and the power function is
 decreasing rather than increasing in the user parameter.
 
-:func:`resolve_test` is the one notion of a test: critical value (for the
-mean test, a scalar halving seeded at z_alpha), exact power, rejection rule
-and null region. Every route checks with :func:`prior_support` that the
-prior lives inside the model's parameter interval. :func:`reiss_coefficients`
-gives the coefficients of the two-term sample-median CDF expansion that the
-median series is built from; the expansion itself, like the Cornish-Fisher
+:func:`resolve_test` is the one notion of a test: critical value (for the mean
+test, a halving seeded at the pivot's inverse survival function), exact power,
+rejection rule and null region. Every route checks with :func:`prior_support`
+that the prior lies in the model's parameter interval.
+:func:`reiss_coefficients` gives the coefficients of the two-term sample-median
+CDF expansion behind the median series; that expansion, like the Cornish-Fisher
 critical value, is a test oracle (``tests/derivations.py``).
 """
 
@@ -44,9 +44,10 @@ class ExpFamilyModel:
     ``mu``, ``sigma``, ``rho3``, ``rho4`` are the natural-parameter mean,
     standard deviation and standardized third/fourth cumulant ratios of one
     observation, written as vectorized functions of the user parameter.
-    ``mean_statistic_cdf(theta, n, t)`` is the exact CDF of
-    sqrt(n)(Xbar - mu(theta))/sigma(theta), and ``sample_from_uniform(theta, u)``
-    maps iid uniforms to observations of that law.
+    ``mean_statistic_cdf(theta, n, t)`` is the exact CDF of sqrt(n)(Xbar -
+    mu(theta))/sigma(theta), ``mean_statistic_isf(theta, n, q)`` the t with
+    1 - cdf(t) = q, and ``sample_from_uniform(theta, u)`` maps iid uniforms to
+    observations of that law.
     """
 
     name: str
@@ -57,6 +58,7 @@ class ExpFamilyModel:
     rho3: Callable
     rho4: Callable
     mean_statistic_cdf: Callable
+    mean_statistic_isf: Callable
     sample_from_uniform: Callable
     natural_direction: int = 1
 
@@ -79,6 +81,10 @@ class ExpFamilyModel:
         back = np.asarray(self.mean_statistic_cdf(th, 1, (x - self.mu(th)) / self.sigma(th)), dtype=float)
         if min(np.max(np.abs(back - u)), np.max(np.abs(back - (1.0 - u)))) > 1e-9:
             raise ModelError(f"model {self.name!r}: sample_from_uniform does not follow mean_statistic_cdf")
+        for n in (1, 10):
+            back = np.asarray(self.mean_statistic_cdf(th, n, self.mean_statistic_isf(th, n, u)), dtype=float)
+            if not np.max(np.abs(1.0 - back - u)) <= 1e-9:
+                raise ModelError(f"model {self.name!r}: mean_statistic_isf does not invert 1 - mean_statistic_cdf")
 
     def _interior_grid(self) -> np.ndarray:
         lo = self.theta_lo if math.isfinite(self.theta_lo) else -8.0
@@ -189,6 +195,7 @@ def normal_mean_model() -> ExpFamilyModel:
         rho3=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
         rho4=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
         mean_statistic_cdf=_cdf,
+        mean_statistic_isf=lambda theta, n, q: -_sp.ndtri(q),
         sample_from_uniform=_sample,
         natural_direction=1,
     )
@@ -222,6 +229,7 @@ def exponential_rate_model() -> ExpFamilyModel:
         rho3=lambda th: 2.0 * _ones(th),
         rho4=lambda th: 6.0 * _ones(th),
         mean_statistic_cdf=_cdf,
+        mean_statistic_isf=lambda theta, n, q: (_sp.gammainccinv(n, q) - n) / math.sqrt(n),
         sample_from_uniform=_sample,
         natural_direction=-1,
     )
@@ -268,7 +276,8 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     """Critical value k with cdf(k) >= 1 - alpha > cdf(the double below k),
     ``cdf`` being the model's exact mean-statistic CDF at (theta0, n).
 
-    Seeded at z_alpha: a bracket of half-width 2**-30 (1 + |z_alpha|) grows
+    Seeded at z = ``mean_statistic_isf`` at 1 - (1 - alpha) (non-finite:
+    :class:`ModelError`), a bracket of half-width 2**-52 (1 + |z|) grows
     fourfold, its other end moving to the last point tested, until it
     straddles the level (or passes +-1e6: :class:`ModelError`); halving then
     closes it to adjacent doubles.
@@ -281,8 +290,10 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     def below(k):
         return cdf(setup.theta0, setup.n, k) < target
 
-    z = nk.upper_quantile_z(setup.alpha)
-    w = 2.0**-30 * (1.0 + abs(z))
+    z = float(model.mean_statistic_isf(setup.theta0, setup.n, 1.0 - target))
+    if not math.isfinite(z):
+        raise ModelError(f"mean_statistic_isf gave the non-finite seed {z}")
+    w = 2.0**-52 * (1.0 + abs(z))
     lo, hi = z - w, z + w
     while not below(lo):
         hi, lo, w = lo, z - 4.0 * w, 4.0 * w

@@ -59,8 +59,11 @@ def uniform_block(
     # numpy advances the counter before each block, so start one behind.
     bitgen = np.random.Philox(counter=(start * nblk - 1) % 2**256, key=key)
     x = bitgen.random_raw(rows * nblk * 4)
-    u = ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return u.reshape(rows, 4 * nblk)[:, :cols]
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u += 0.5  # (2**53 - 1) + 0.5 rounds to 2**53 (ties to even): clamp below 1
+    u *= 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u).reshape(rows, 4 * nblk)[:, :cols]
 
 
 @dataclass(frozen=True)

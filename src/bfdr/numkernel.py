@@ -89,18 +89,12 @@ def std_normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal_quantile(p):
-    """Inverse standard normal CDF for p in (0, 1)."""
-    p_arr = np.asarray(p, dtype=float)
-    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
-        raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
-    out = _sp.ndtri(p_arr)
-    return float(out) if out.ndim == 0 else out
-
-
 def upper_quantile_z(alpha: float) -> float:
     """z_alpha, the upper-alpha point of the standard normal distribution."""
-    return std_normal_quantile(1.0 - float(alpha))
+    p = 1.0 - float(alpha)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
+    return float(_sp.ndtri(p))
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,8 @@ def integrate(
     its own, in order. It stops at level k >= 2 once
     |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol``; that sum is the bound,
     plus ``tail(edge)`` when given: a bound on the integral beyond the
-    outermost node ``edge``. On an exhausted budget raises
+    outermost node ``edge``. Without ``tail`` the bound leaves that sliver
+    out. On an exhausted budget raises
     :class:`QuadratureNonConvergence` carrying the last level and its bound.
     """
     origin, end = float(origin), float(end)

@@ -94,14 +94,16 @@ def validate_prior(prior: Prior):
     gap = np.max(np.abs(np.asarray(prior.cdf(prior.ppf(u)), dtype=float) - u))
     if not gap <= _ROUND_TRIP_TOL:
         raise PriorError(f"prior {prior.name!r}: cdf(ppf(u)) misses u by {gap:.3g}")
-    # Integrate g out from ppf(0.5) to ppf(cut) and to ppf(1 - cut) and add
-    # the CDF's mass outside: this checks both that g integrates to 1 and
-    # that it matches its own CDF, whatever L < U the ppf gives.
+    # Integrate g out from ppf(0.5) to ppf(cut) and to ppf(1 - cut), bounding
+    # the mass between the outermost node and that point, and add the CDF's
+    # mass outside: this checks both that g integrates to 1 and that it
+    # matches its own CDF, whatever L < U the ppf gives.
     cut = _NORM_TOL / 10.0
     L, U = _tail_points(prior, cut)
     anchor = float(prior.ppf(0.5))
     cfg = nk.QuadratureConfig(abs_tol=cut)
-    halves = [nk.integrate(prior.g, anchor, end, cfg) for end in (L, U)]
+    halves = [nk.integrate(prior.g, anchor, end, cfg, tail=lambda e, end=end: abs(prior.cdf(end) - prior.cdf(e)))
+              for end in (L, U)]
     total = sum(h.value for h in halves) + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
     if abs(total - 1.0) > _NORM_TOL + sum(h.error_bound for h in halves):
         raise PriorError(f"prior {prior.name!r} mass {total:.8f} != 1")

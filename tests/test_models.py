@@ -92,7 +92,7 @@ class TestBuiltinModels:
             TestSetup("mean_ump", theta0, 0.05, 10)
 
     def test_sigma_positivity_enforced(self):
-        with pytest.raises(models.ModelError):
+        with pytest.raises(models.ModelError, match="sigma must be positive"):
             models.ExpFamilyModel(
                 name="broken",
                 theta_lo=-1.0,
@@ -102,34 +102,53 @@ class TestBuiltinModels:
                 rho3=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
                 rho4=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
                 mean_statistic_cdf=NORMAL.mean_statistic_cdf,
+                mean_statistic_isf=NORMAL.mean_statistic_isf,
                 sample_from_uniform=NORMAL.sample_from_uniform,
             )
 
     def test_location_quantile_must_invert_the_cdf(self):
         with pytest.raises(models.ModelError, match="cdf"):
             models.LocationModel("bad", NLOC.f0, NLOC.f0p, NLOC.f0pp, NLOC.pdf, NLOC.cdf,
-                                 ppf=lambda u: 2 * nk.std_normal_quantile(u))
+                                 ppf=lambda u: 2 * NLOC.ppf(u))
 
     def test_sampler_must_follow_the_mean_statistic_cdf(self):
         with pytest.raises(models.ModelError, match="sample_from_uniform"):
-            dataclasses.replace(NORMAL, sample_from_uniform=lambda th, u: th + 2 * nk.std_normal_quantile(u))
+            dataclasses.replace(NORMAL, sample_from_uniform=lambda th, u: th + 2 * NLOC.ppf(u))
+
+    @pytest.mark.parametrize("model", [NORMAL, EXP], ids=lambda m: m.name)
+    def test_isf_must_invert_the_survival_function(self, model):
+        isf = model.mean_statistic_isf
+        with pytest.raises(models.ModelError, match="mean_statistic_isf"):
+            dataclasses.replace(model, mean_statistic_isf=lambda th, n, q: 2.0 * isf(th, n, q))
+
+    @pytest.mark.parametrize("model", [NORMAL, EXP], ids=lambda m: m.name)
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_builtin_isf_round_trip(self, model, n):
+        q = np.array([1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3])
+        t = model.mean_statistic_isf(1.0, n, q)
+        np.testing.assert_allclose(1.0 - model.mean_statistic_cdf(1.0, n, t), q, rtol=1e-9, atol=1e-15)
 
 
 #: The (alpha, n) grid on which k is checked against its contract.
 STRADDLE_ALPHAS = [round(0.01 * i, 2) for i in range(1, 31)] + [1e-3, 1e-4, 1e-6]
 STRADDLE_NS = [1, 4, 10, 11, 20, 30]
-#: Most pivot-CDF calls one critical-value solve makes on that grid, as measured
-#: (exp-rate at n = 1, where k lies farthest from the z_alpha seed).
-MAX_NORMAL_CALLS = 27
-MAX_EXP_CALLS = 71
+#: Most pivot-CDF calls one critical-value solve makes on that grid, as measured.
+#: Both are at alpha = 1e-6 (for exp-rate at n = 1): near 1 - alpha the CDF
+#: steps by one of its own ulps only over some 10**4 ulps of k, so k lies
+#: farthest from the isf seed there (12,630 ulps for normal-mean, 31,250
+#: for exp-rate at n = 1).
+MAX_NORMAL_CALLS = 23
+MAX_EXP_CALLS = 27
 
 
 class _CountingPivot:
-    """A stand-in model: only ``mean_statistic_cdf``, recording every point it is asked at."""
+    """A stand-in model: ``mean_statistic_cdf``, recording every point it is asked
+    at, and ``mean_statistic_isf`` (the normal pivot's unless given)."""
 
-    def __init__(self, cdf):
+    def __init__(self, cdf, isf=NORMAL.mean_statistic_isf):
         self.points = []
         self._cdf = cdf
+        self.mean_statistic_isf = isf
 
     def mean_statistic_cdf(self, theta, n, t):
         self.points.append(t)
@@ -194,7 +213,7 @@ class TestUmpCriticalValue:
         for model, th0 in ((NORMAL, 0.0), (EXP, 1.0)):
             for n in STRADDLE_NS:
                 for alpha in STRADDLE_ALPHAS:
-                    counted = _CountingPivot(model.mean_statistic_cdf)
+                    counted = _CountingPivot(model.mean_statistic_cdf, model.mean_statistic_isf)
                     models.ump_critical_value(counted, TestSetup("mean_ump", th0, alpha, n))
                     most[model.name] = max(most.get(model.name, 0), len(counted.points))
         assert most["normal-mean"] <= MAX_NORMAL_CALLS
@@ -209,6 +228,13 @@ class TestUmpCriticalValue:
             models.ump_critical_value(counted, TestSetup("mean_ump", 0.0, 0.05, 10))
         # the bracket grew to the +-1e6 limit and stopped there
         assert 1e6 / 4.0 < max(abs(t) for t in counted.points) <= 1e6
+
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf])
+    def test_non_finite_seed_fails_before_any_cdf_call(self, seed):
+        counted = _CountingPivot(NORMAL.mean_statistic_cdf, isf=lambda theta, n, q: seed)
+        with pytest.raises(models.ModelError, match="non-finite seed"):
+            models.ump_critical_value(counted, TestSetup("mean_ump", 0.0, 0.05, 10))
+        assert counted.points == []
 
 
 class TestCornishFisher:

@@ -52,6 +52,21 @@ class TestUniformBlock:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    def test_top_words_stay_below_one(self, monkeypatch):
+        # (2**53 - 1 + 0.5) 2**-53 rounds to 1.0, where ndtri gives inf
+        words = np.array([2**64 - 1, 2**64 - 2048, 2**63, 0], dtype=np.uint64)
+
+        class RawWords:
+            def __init__(self, counter, key):
+                pass
+
+            def random_raw(self, size):
+                return words.copy()
+
+        monkeypatch.setattr(mtsim.np.random, "Philox", RawWords)
+        u = uniform_block(0, 0, 0, 1, 4)[0]
+        assert u.tolist() == [1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.5, 2.0**-54]
+
     def test_moments(self):
         u = uniform_block(11, 0, 0, 100000, 4).ravel()
         assert u.mean() == pytest.approx(0.5, abs=0.002)

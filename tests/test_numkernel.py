@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bfdr import numkernel as nk
+from bfdr._special import _sp
 
 from derivations import log_binomial
 from oracles import bisect_quantile, scalar_de
@@ -57,27 +58,36 @@ class TestStdNormalCdf:
 
 
 class TestStdNormalQuantile:
+    """The standard normal quantile as the library takes it: ``upper_quantile_z``
+    at the level p = 1 - alpha."""
+
     def test_median(self):
-        assert nk.std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-14)
+        assert nk.upper_quantile_z(0.5) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("p", [0.95, 0.975])
     def test_against_bisection_oracle(self, p):
         ref = bisect_quantile(nk.std_normal_cdf, p, -10.0, 10.0)
-        assert nk.std_normal_quantile(p) == pytest.approx(ref, abs=1e-10)
+        assert nk.upper_quantile_z(1.0 - p) == pytest.approx(ref, abs=1e-10)
 
     def test_known_points(self):
-        assert nk.std_normal_quantile(0.95) == pytest.approx(1.6448536269514722, rel=1e-12)
-        assert nk.std_normal_quantile(0.975) == pytest.approx(1.959963984540054, rel=1e-12)
+        assert nk.upper_quantile_z(0.05) == pytest.approx(1.6448536269514722, rel=1e-12)
+        assert nk.upper_quantile_z(0.025) == pytest.approx(1.959963984540054, rel=1e-12)
 
     def test_round_trip(self):
-        ps = [1e-6, 1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-4, 1 - 1e-6]
-        for p in ps:
-            assert abs(nk.std_normal_cdf(nk.std_normal_quantile(p)) - p) <= 1e-12
+        alphas = [1e-6, 1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-4, 1 - 1e-6]
+        for alpha in alphas:
+            assert abs(1.0 - nk.std_normal_cdf(nk.upper_quantile_z(alpha)) - alpha) <= 1e-12
+
+    def test_is_a_float_equal_to_ndtri(self):
+        for alpha in (1e-6, 0.05, 0.15, 0.5, 0.99):
+            z = nk.upper_quantile_z(alpha)
+            assert type(z) is float
+            assert z == float(_sp.ndtri(1.0 - alpha))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3, float("nan")])
     def test_rejects_bad_levels(self, p):
-        with pytest.raises(nk.DomainError):
-            nk.std_normal_quantile(p)
+        with pytest.raises(nk.DomainError, match=r"quantile level must lie in \(0, 1\)"):
+            nk.upper_quantile_z(1.0 - p)
 
 
 class TestLogBinomial:
@@ -136,6 +146,11 @@ class TestIntegrate:
         # the farthest node of the levels used (2 or 3 here): 0.5 * E(3.625) below 2
         assert edges == [2.0 - 0.5 * nk._EDGES[0][2]] == [2.0 - 0.5 * nk._EDGES[0][3]]
         assert edges[0] == pytest.approx(2.0 - 0.5 * math.exp(0.5 * math.pi * math.sinh(3.625)))
+
+    def test_finite_side_with_its_tail_meets_the_bound(self):
+        # the sliver beyond the outermost node is what a tail-free bound leaves out
+        res = nk.integrate(np.exp, 0.0, 1.0, tail=lambda edge: math.e * (1.0 - edge))
+        assert abs(res.value - (math.e - 1.0)) <= res.error_bound
 
     @pytest.mark.parametrize(
         "origin,end,scale",

@@ -181,14 +181,14 @@ class TestValidation:
             x = np.asarray(x, dtype=float)
             return 2.0 * np.exp(-0.5 * x * x) / SQRT_2PI
 
-        with pytest.raises(priors.PriorError):
+        with pytest.raises(priors.PriorError, match="mass"):
             priors.make_prior(
                 g,
                 lambda x: -np.asarray(x, dtype=float) * g(x),
                 lambda x: (np.asarray(x, dtype=float) ** 2 - 1) * g(x),
                 (-math.inf, math.inf),
                 cdf=lambda x: nk.std_normal_cdf(x),
-                ppf=lambda u: nk.std_normal_quantile(u),
+                ppf=priors.normal_prior(1.0).ppf,
             )
 
     def test_wrong_derivative_rejected(self):
