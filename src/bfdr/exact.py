@@ -103,19 +103,15 @@ def exact_joint(
 def exact_rates(joint: JointProbabilities) -> RatePair:
     """Rates delta = A/B and eps = At/(1-B) with propagated error bounds."""
     err_B = joint.A.error_bound + joint.A_tilde.error_bound
-    if joint.B <= 0.0:
-        raise DegenerateDenominator(
-            f"rejection probability B={joint.B} is not positive"
-        )
-    if joint.B_tilde <= 0.0:
-        raise DegenerateDenominator(
-            f"acceptance probability 1-B={joint.B_tilde} is not positive"
-        )
-    delta = joint.A.value / joint.B
-    eps = joint.A_tilde.value / joint.B_tilde
-    delta_err = (joint.A.error_bound + abs(delta) * err_B) / joint.B
-    eps_err = (joint.A_tilde.error_bound + abs(eps) * err_B) / joint.B_tilde
+
+    def quotient(part: IntegralValue, denominator: float, name: str) -> RateResult:
+        if denominator <= 0.0:
+            raise DegenerateDenominator(f"{name}={denominator} is not positive")
+        value = part.value / denominator
+        bound = (part.error_bound + abs(value) * err_B) / denominator
+        return RateResult(value, "quadrature", bound)
+
     return RatePair(
-        fdr=RateResult(delta, "quadrature", delta_err),
-        far=RateResult(eps, "quadrature", eps_err),
+        fdr=quotient(joint.A, joint.B, "rejection probability B"),
+        far=quotient(joint.A_tilde, joint.B_tilde, "acceptance probability 1-B"),
     )

@@ -14,18 +14,27 @@ B_n = A_n + lam - At_n, and formal division produces the rate series
 
 with b_i = at_i - a_i and
 
-    c1 = a1/lam                 d1 = at1/(1-lam)
-    c2 = a1 b1/lam^2 + a2/lam   d2 = at2/(1-lam) - at1 b1/(1-lam)^2
+    c1 = a1/lam
+    c2 = a1 b1/lam^2 + a2/lam
     c3 = a3/lam + (a1 b2 + a2 b1)/lam^2 + a1 b1^2/lam^3
-    d3 = at3/(1-lam) - (at2 b1 + at1 b2)/(1-lam)^2 + at1 b1^2/(1-lam)^3
 
-The a/at coefficients come from integrating the test's power expansion
-against the prior's Taylor expansion around theta0: for the exponential
-family the inner expansion is Edgeworth-with-Cornish-Fisher, for the median
-it is the two-term expansion of the sample-median CDF. The functions below
-hard-code the moments of those expansions; the expansions themselves (the
-g1/g2 and f1/f2 polynomials, the Cornish-Fisher critical value, the median
-CDF expansion) live with the tests in ``tests/derivations.py``.
+Both rates are mirror images, and each mirror is written once:
+
+* delta_n = A_n / (lam - (b1/sqrt(n) + ...)) and
+  eps_n = At_n / ((1 - lam) - (-b1/sqrt(n) - ...)), so d is the c-series of
+  (at, -b, 1 - lam).
+* The a/at coefficients come from integrating the test's power expansion
+  against the prior's Taylor expansion around theta0, over the null side for
+  a and the alternative side for at. Every a_i is linear in the level weight
+  s = alpha = P(reject at theta0); at_i is the same expression at
+  s = -(1 - alpha) = -P(accept at theta0), with z = z_alpha held fixed.
+
+For the exponential family the inner expansion is Edgeworth-with-Cornish-
+Fisher, for the median it is the two-term expansion of the sample-median
+CDF. The functions below hard-code the moments of those expansions; the
+expansions themselves (the g1/g2 and f1/f2 polynomials, the Cornish-Fisher
+critical value, the median CDF expansion) live with the tests in
+``tests/derivations.py``.
 """
 
 from __future__ import annotations
@@ -45,12 +54,7 @@ from .models import (
     prior_support,
     reiss_coefficients,
 )
-from .priors import (
-    Prior,
-    PriorError,
-    lambda_alt as _lambda_alt,
-    natural_lambda_alt as _natural_lambda_alt,
-)
+from .priors import Prior, PriorError, natural_lambda_alt
 from .results import RatePair, RateResult
 
 
@@ -83,6 +87,21 @@ class CoefficientSet:
     parity: Optional[str] = None
 
 
+def _quotient_series(
+    a: Tuple[float, float, float], b: Tuple[float, float, float], lam: float
+) -> Tuple[float, float, float]:
+    """Coefficients of (a1 r + a2 r^2 + a3 r^3) / (lam - b1 r - b2 r^2 - ...)
+    in powers of r = n^(-1/2), through r^3."""
+    a1, a2, a3 = a
+    b1, b2, _ = b
+    lam2 = lam * lam
+    return (
+        a1 / lam,
+        a1 * b1 / lam2 + a2 / lam,
+        a3 / lam + (a1 * b2 + a2 * b1) / lam2 + a1 * b1 * b1 / (lam2 * lam),
+    )
+
+
 def compose_coefficient_set(
     a: Tuple[float, float, float],
     at: Tuple[float, float, float],
@@ -93,22 +112,10 @@ def compose_coefficient_set(
     """Build the b/c/d coefficients from the joint-probability coefficients."""
     if not (0.0 < lam < 1.0):
         raise PriorError(f"lambda_alt must lie strictly in (0, 1), got {lam}")
-    a1, a2, a3 = a
-    at1, at2, at3 = at
-    b1, b2, b3 = at1 - a1, at2 - a2, at3 - a3
-    lam2, lam3 = lam * lam, lam * lam * lam
-    mu = 1.0 - lam
-    mu2, mu3 = mu * mu, mu * mu * mu
-    c1 = a1 / lam
-    c2 = a1 * b1 / lam2 + a2 / lam
-    c3 = a3 / lam + (a1 * b2 + a2 * b1) / lam2 + a1 * b1 * b1 / lam3
-    d1 = at1 / mu
-    d2 = at2 / mu - at1 * b1 / mu2
-    d3 = at3 / mu - (at2 * b1 + at1 * b2) / mu2 + at1 * b1 * b1 / mu3
-    return CoefficientSet(
-        a1, a2, a3, at1, at2, at3, b1, b2, b3, c1, c2, c3, d1, d2, d3,
-        lam, statistic, parity,
-    )
+    b = (at[0] - a[0], at[1] - a[1], at[2] - a[2])
+    c = _quotient_series(a, b, lam)
+    d = _quotient_series(at, (-b[0], -b[1], -b[2]), 1.0 - lam)
+    return CoefficientSet(*a, *at, *b, *c, *d, lam, statistic, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +124,12 @@ def compose_coefficient_set(
 
 
 def _natural_prior_view(
-    model: ExpFamilyModel, prior: Prior, theta0: float
+    prior: Prior, theta0: float, direction: int
 ) -> Tuple[float, float, float, float]:
     """Prior density values and alternative mass in natural coordinates.
 
-    For ``natural_direction = -1`` the natural parameter is the negative of
-    the user parameter, so odd derivatives flip sign and the alternative
+    For ``direction = -1`` the natural parameter is the negative of the user
+    parameter, so odd derivatives flip sign and the alternative
     {natural > natural0} is the *lower* tail {theta < theta0} of the
     user-facing prior.
     """
@@ -130,10 +137,9 @@ def _natural_prior_view(
     g0 = float(prior.g(th))
     g1 = float(prior.g1(th))
     g2 = float(prior.g2(th))
-    if model.natural_direction == -1:
+    if direction == -1:
         g1 = -g1
-    lam = _natural_lambda_alt(prior, theta0, model.natural_direction)
-    return g0, g1, g2, lam
+    return g0, g1, g2, natural_lambda_alt(prior, theta0, direction)
 
 
 def exp_family_coefficients(
@@ -148,46 +154,34 @@ def exp_family_coefficients(
         raise ModelError(f"sigma(theta0) must be positive, got {sigma0}")
     rho30 = float(model.rho3(th))
     rho40 = float(model.rho4(th))
-    g0, g1, g2, lam = _natural_prior_view(model, prior, theta0)
+    g0, g1, g2, lam = _natural_prior_view(prior, theta0, model.natural_direction)
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)
     z2, z3 = z * z, z**3
     r2 = rho30 * rho30
 
-    a1 = (g0 / sigma0) * (phi - alpha * z)
-    a2 = (rho30 * g0 / (6.0 * sigma0)) * (alpha + 2.0 * alpha * z2 - 2.0 * z * phi) - (
-        g1 / (2.0 * sigma0**2)
-    ) * (alpha * (z2 + 1.0) - z * phi)
-
     h11 = z2 + 2.0
     h12 = -(z3 + 3.0 * z)
     h21 = -(rho30 / 3.0) * (z2 + 1.0)
     h22 = (rho30 / 3.0) * (z3 + 2.0 * z)
     # phi(z)-weighted moments of the g2 polynomial over the null side; the
-    # alpha-weighted part h32 involves only the even g2 coefficients.
+    # level-weighted part h32 involves only the even g2 coefficients.
     h31 = r2 * (5.0 * z2 / 18.0 + 1.0 / 9.0) - rho40 * (z2 / 8.0 + 1.0 / 24.0)
     h32 = -5.0 * z3 * r2 / 18.0 - 11.0 * z * r2 / 36.0 + z3 * rho40 / 8.0 + z * rho40 / 8.0
-    a3 = (
-        (h11 * phi + alpha * h12) * g2 / (6.0 * sigma0**3)
-        + (h21 * phi + alpha * h22) * g1 / sigma0**2
-        + (h31 * phi + alpha * h32) * g0 / sigma0
-    )
 
-    beta = 1.0 - alpha
-    at1 = (g0 / sigma0) * (phi + beta * z)
-    at2 = (g1 / (2.0 * sigma0**2)) * (beta * (z2 + 1.0) + z * phi) - (
-        rho30 * g0 / (6.0 * sigma0)
-    ) * (beta * (1.0 + 2.0 * z2) + 2.0 * z * phi)
-    at3 = (
-        (h11 * phi - beta * h12) * g2 / (6.0 * sigma0**3)
-        - (-h21 * phi + beta * h22) * g1 / sigma0**2
-        - (-h31 * phi + beta * h32) * g0 / sigma0
-    )
+    def joint(s: float) -> Tuple[float, float, float]:
+        # (a1, a2, a3) at s = alpha; (at1, at2, at3) at s = -(1 - alpha)
+        return (
+            (g0 / sigma0) * (phi - s * z),
+            (rho30 * g0 / (6.0 * sigma0)) * (s + 2.0 * s * z2 - 2.0 * z * phi)
+            - (g1 / (2.0 * sigma0**2)) * (s * (z2 + 1.0) - z * phi),
+            (h11 * phi + s * h12) * g2 / (6.0 * sigma0**3)
+            + (h21 * phi + s * h22) * g1 / sigma0**2
+            + (h31 * phi + s * h32) * g0 / sigma0,
+        )
 
-    return compose_coefficient_set(
-        (a1, a2, a3), (at1, at2, at3), lam, statistic="mean_ump"
-    )
+    return compose_coefficient_set(joint(alpha), joint(alpha - 1.0), lam, statistic="mean_ump")
 
 
 def median_coefficients(
@@ -200,42 +194,27 @@ def median_coefficients(
     _check_alpha(alpha)
     rc = reiss_coefficients(model, n)
     f0 = model.f0
-    g0 = float(prior.g(np.asarray(0.0)))
-    g1 = float(prior.g1(np.asarray(0.0)))
-    g2 = float(prior.g2(np.asarray(0.0)))
-    lam = _lambda_alt(prior, 0.0)
+    g0, g1, g2, lam = _natural_prior_view(prior, 0.0, 1)
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)
     z2, z3, z4 = z * z, z**3, z**4
-    beta = 1.0 - alpha
     two_f0 = 2.0 * f0
-
-    a1 = (g0 / two_f0) * (phi - alpha * z)
-    a2 = (g1 / (8.0 * f0 * f0)) * (z * phi - alpha * (z2 + 1.0)) - (g0 / two_f0) * (
-        rc.f11 * (z * phi + alpha) + rc.f12 * alpha
-    )
     r2_quint = rc.f21 * (z4 + 4.0 * z2 + 8.0) + rc.f22 * (z2 + 2.0) + rc.f23
-    a3 = (
-        (g2 / (48.0 * f0**3)) * ((z2 + 2.0) * phi - alpha * (z3 + 3.0 * z))
-        - (g1 / (4.0 * f0 * f0))
-        * (rc.f11 * (alpha * z - 2.0 * phi) + rc.f12 * (alpha * z - phi))
-        - (g0 / two_f0) * r2_quint * phi
-    )
 
-    at1 = (g0 / two_f0) * (beta * z + phi)
-    at2 = (g1 / (8.0 * f0 * f0)) * (beta * (z2 + 1.0) + z * phi) + (g0 / two_f0) * (
-        rc.f11 * (beta - z * phi) + rc.f12 * beta
-    )
-    at3 = (
-        (g2 / (48.0 * f0**3)) * ((z2 + 2.0) * phi + beta * (z3 + 3.0 * z))
-        + (g1 / (4.0 * f0 * f0))
-        * (rc.f11 * (beta * z + 2.0 * phi) + rc.f12 * (beta * z + phi))
-        - (g0 / two_f0) * r2_quint * phi
-    )
+    def joint(s: float) -> Tuple[float, float, float]:
+        # (a1, a2, a3) at s = alpha; (at1, at2, at3) at s = -(1 - alpha)
+        return (
+            (g0 / two_f0) * (phi - s * z),
+            (g1 / (8.0 * f0 * f0)) * (z * phi - s * (z2 + 1.0))
+            - (g0 / two_f0) * (rc.f11 * (z * phi + s) + rc.f12 * s),
+            (g2 / (48.0 * f0**3)) * ((z2 + 2.0) * phi - s * (z3 + 3.0 * z))
+            - (g1 / (4.0 * f0 * f0)) * (rc.f11 * (s * z - 2.0 * phi) + rc.f12 * (s * z - phi))
+            - (g0 / two_f0) * r2_quint * phi,
+        )
 
     return compose_coefficient_set(
-        (a1, a2, a3), (at1, at2, at3), lam, statistic="median", parity=rc.parity
+        joint(alpha), joint(alpha - 1.0), lam, statistic="median", parity=rc.parity
     )
 
 

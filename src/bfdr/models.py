@@ -364,8 +364,7 @@ class ResolvedTest:
     the natural parameter is the negated user parameter. ``power(theta)`` is
     the exact power, vectorized; ``rejects(sample)`` applies the rejection
     rule to each row of an (experiments, n) sample; ``is_null(theta)`` marks
-    parameters in the null region; ``sampler(theta, u)`` maps uniforms to
-    observations.
+    parameters in the null region.
     """
 
     __test__ = False  # not a pytest collectible despite the name
@@ -375,7 +374,6 @@ class ResolvedTest:
     power: Callable
     rejects: Callable
     is_null: Callable
-    sampler: Callable
 
 
 def prior_support(model, prior) -> Tuple[float, float]:
@@ -421,7 +419,6 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
             return sample.mean(axis=1) > mean_threshold
 
         direction = model.natural_direction
-        sampler = model.sample_from_uniform
     elif isinstance(model, LocationModel):
         if setup.theta0 != 0.0:
             raise ModelError("the median test uses the location convention theta0 = 0")
@@ -440,11 +437,10 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
             return np.partition(sample, k_idx, axis=1)[:, k_idx] > median_threshold
 
         direction = 1
-        sampler = model.sample_from_uniform
     else:
         raise ModelError("median requires a LocationModel")
 
     def is_null(theta):
         return theta <= theta0 if direction == 1 else theta >= theta0
 
-    return ResolvedTest(theta0, direction, power, rejects, is_null, sampler)
+    return ResolvedTest(theta0, direction, power, rejects, is_null)

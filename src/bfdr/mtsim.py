@@ -125,7 +125,7 @@ def _chunk_tallies(config: SimConfig, test: ResolvedTest, job: Tuple[int, int, i
     n = config.setup.n
     u = uniform_block(config.seed, replication, start, stop, 1 + n)
     theta = np.asarray(config.prior.ppf(u[:, 0]), dtype=float)
-    sample = np.asarray(test.sampler(theta[:, None], u[:, 1:]), dtype=float)
+    sample = np.asarray(config.model.sample_from_uniform(theta[:, None], u[:, 1:]), dtype=float)
     rej = test.rejects(sample)
     is_null = test.is_null(theta)
     v = int(np.sum(rej & is_null))

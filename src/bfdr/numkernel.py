@@ -26,8 +26,8 @@ _EPS = float(np.finfo(float).eps)
 _E_MIN, _E_MAX = 1e-300, 1e13
 #: Levels in the table; level k has step 2**-(k+1) in t.
 _TOP_LEVEL = 8
-#: Levels 0.._BATCHED_LEVELS share the first integrand call.
-_BATCHED_LEVELS = 3
+#: The first level that may stop; levels 0.._FIRST_STOP share the first integrand call.
+_FIRST_STOP = 2
 
 
 def _node_table():
@@ -112,8 +112,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if not self.abs_tol > 0.0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not 2 <= self.max_level <= _TOP_LEVEL:
-            raise DomainError(f"max_level must lie in [2, {_TOP_LEVEL}], got {self.max_level}")
+        if not _FIRST_STOP <= self.max_level <= _TOP_LEVEL:
+            raise DomainError(
+                f"max_level must lie in [{_FIRST_STOP}, {_TOP_LEVEL}], got {self.max_level}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def integrate(
     with E(t) = exp((pi/2) sinh t) in [1e-300, 1e13], so the nodes crowd
     toward ``origin`` and, on a finite side, toward ``end``. Level k is the
     trapezoid sum in t with step 2**-(k+1) over all nodes so far; one call of
-    ``f`` covers levels 0..3, then one call per level, each level summed on
+    ``f`` covers levels 0..2, then one call per level, each level summed on
     its own, in order. It stops at level k >= 2 once
     |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol``; that sum is the bound,
     plus ``tail(edge)`` when given: a bound on the integral beyond the
@@ -181,7 +182,7 @@ def integrate(
     def values(lo, hi):
         return np.asarray(f(origin + away * length * u[lo:hi]), dtype=float)
 
-    first = _ENDS[min(_BATCHED_LEVELS, cfg.max_level)]
+    first = _ENDS[_FIRST_STOP]
     batch = values(0, first)
     total, estimate = 0.0, 0.0
     for level in range(cfg.max_level + 1):
@@ -190,12 +191,12 @@ def integrate(
         total += float(np.add.reduce(new * w[lo:hi]))
         prev, estimate = estimate, length * 2.0 ** -(level + 1) * total
         err = abs(estimate - prev) + 64.0 * _EPS * abs(estimate)
-        if level >= 2 and err <= cfg.abs_tol:
+        if level >= _FIRST_STOP and err <= cfg.abs_tol:
             break
     converged = bool(err <= cfg.abs_tol)
     if tail is not None:
         err += float(tail(origin + away * length * _EDGES[col][level]))
-    result = IntegralValue(estimate, err, panels=max(first, hi), converged=converged)
+    result = IntegralValue(estimate, err, panels=hi, converged=converged)
     if not converged:
         raise QuadratureNonConvergence(result)
     return result

@@ -47,6 +47,27 @@ A1_MEDIAN_NN = 0.010446479513898833
 C1_MEDIAN_NN = 0.020892959027797665
 G1_POLY_AT_0 = 1.8036956360636097
 
+_N01 = priors.normal_prior(1.0)
+# N(0.5, 1): g'(0) != 0, so the g1 terms of a2, a3, at2 and at3 count
+SHIFTED_NORMAL = priors.make_prior(
+    lambda x: _N01.g(x - 0.5),
+    lambda x: _N01.g1(x - 0.5),
+    lambda x: _N01.g2(x - 0.5),
+    _N01.support,
+    lambda x: _N01.cdf(x - 0.5),
+    lambda u: _N01.ppf(u) + 0.5,
+    name="normal(0.5,1)",
+)
+
+# The coefficient set of each built-in model with its default prior and
+# theta0, by CLI model name; the median sets take n = 20.
+BUILTIN_COEFFICIENTS = {
+    "normal-mean": lambda alpha: exp_family_coefficients(NORMAL, _N01, 0.0, alpha),
+    "exp-rate": lambda alpha: exp_family_coefficients(EXP, priors.gamma_mode1_prior(2.0), 1.0, alpha),
+    "normal-median": lambda alpha: median_coefficients(NLOC, _N01, alpha, 20),
+    "cauchy-median": lambda alpha: median_coefficients(CLOC, priors.cauchy_prior(1.0), alpha, 20),
+}
+
 
 class TestPolynomials:
     def test_g1_vanishes_without_skewness(self):
@@ -120,9 +141,11 @@ class TestExpFamilyCoefficients:
             assert cs.b2 == cs.at2 - cs.a2
             assert cs.b3 == cs.at3 - cs.a3
 
-    def test_rate_composition_identities(self):
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3])
+    @pytest.mark.parametrize("model", BUILTIN_COEFFICIENTS)
+    def test_rate_composition_identities(self, model, alpha):
         # re-derive c/d from a, at, lambda with the composition formulas
-        cs = exp_family_coefficients(EXP, priors.gamma_mode1_prior(2.0), 1.0, 0.05)
+        cs = BUILTIN_COEFFICIENTS[model](alpha)
         lam = cs.lambda_alt
         mu = 1.0 - lam
         b1, b2 = cs.at1 - cs.a1, cs.at2 - cs.a2
@@ -165,8 +188,13 @@ class TestExpFamilyCoefficients:
             (NORMAL, priors.cauchy_prior(1.0), 0.0),
             (EXP, priors.gamma_mode1_prior(2.0), 1.0),
             (EXP, priors.f_mode1_prior(2.0, 2.0), 1.0),
+            (NORMAL, SHIFTED_NORMAL, 0.0),
+            # the g1 term of a3 needs skewness and g'(theta0) != 0: the
+            # gamma and F priors have their mode at theta0 = 1
+            (EXP, priors.gamma_mode1_prior(2.0), 0.7),
         ],
-        ids=["normal-normal", "normal-cauchy", "exp-gamma", "exp-F"],
+        ids=["normal-normal", "normal-cauchy", "exp-gamma", "exp-F", "normal-shifted",
+             "exp-gamma-off-mode"],
     )
     def test_joint_probability_series_against_quadrature(self, model, prior, th0):
         # n^2-scaled residuals of the three-term series stay bounded
@@ -299,17 +327,27 @@ class TestMedianCoefficients:
         )
 
     def test_median_series_against_quadrature(self):
-        # same n^2-residual check as the mean case, median statistic
-        for model, prior in ((NLOC, priors.normal_prior(1.0)), (CLOC, priors.cauchy_prior(1.0))):
-            resid = []
-            cfg = nk.QuadratureConfig(abs_tol=1e-12)
+        # same n^2-residual check as the mean case, median statistic; the
+        # At residual grows about 2x from n = 51 to 201 if its n^(-3/2)
+        # term is wrong
+        cfg = nk.QuadratureConfig(abs_tol=1e-12)
+        for model, prior in (
+            (NLOC, priors.normal_prior(1.0)),
+            (CLOC, priors.cauchy_prior(1.0)),
+            (NLOC, SHIFTED_NORMAL),
+        ):
+            resid_a, resid_at = [], []
             for n in (51, 101, 201):
                 cs = median_coefficients(model, prior, 0.05, n)
                 joint = exact.exact_joint(model, prior, TestSetup("median", 0.0, 0.05, n), cfg)
                 rn = math.sqrt(n)
                 series_a = cs.a1 / rn + cs.a2 / n + cs.a3 / (n * rn)
-                resid.append(n**2 * abs(joint.A.value - series_a))
-            assert max(resid) < 1.0
+                series_at = cs.at1 / rn + cs.at2 / n + cs.at3 / (n * rn)
+                resid_a.append(n**2 * abs(joint.A.value - series_a))
+                resid_at.append(n**2 * abs(joint.A_tilde.value - series_at))
+            assert max(resid_a) < 1.0
+            assert max(resid_at) < 6.0
+            assert resid_at[-1] < 1.5 * resid_at[0]
 
 
 class TestFrequentistTypeOrdering:

@@ -205,7 +205,7 @@ def _gauss(v):
 
 
 class TestRombergBatching:
-    """The first integrand call covers levels 0..3; the result must equal the
+    """The first integrand call covers levels 0..2; the result must equal the
     one-call-per-level loop bit for bit. The class and its case ids keep the
     names they had when the integrator was a Romberg rule."""
 
@@ -246,10 +246,10 @@ class TestRombergBatching:
         assert (res.value, res.error_bound, res.converged) == (
             expected[0], expected[1], expected[3])
 
-        # A side stopping at level L <= 3 makes one call, one stopping later
-        # L - 2; no node beyond level max_level is evaluated.
-        last = max(min(3, max_level), min(stop, max_level))
-        assert len(points) == 1 + max(0, last - 3)
+        # A side stopping at level L <= 2 makes one call, one stopping later
+        # L - 1; no node beyond level max_level is evaluated.
+        last = max(2, min(stop, max_level))
+        assert len(points) == 1 + max(0, last - 2)
         flat = [x for call in points for x in call]
         assert res.panels == len(flat) == nk._ENDS[last]
 
@@ -290,7 +290,7 @@ class TestNodeTable:
             assert np.all(np.isfinite(got)) and np.all(got > 0.0)
 
     def test_level_sizes_and_edges(self):
-        # 167 nodes in the first call; each later level about doubles the one before
+        # 84 nodes in the first call; each later level about doubles the one before
         assert nk._ENDS[:5] == [21, 42, 84, 167, 333]
         assert np.diff(nk._ENDS).tolist()[2:] == [83, 166, 334, 667, 1334, 2668]
         for col, edges in nk._EDGES.items():
