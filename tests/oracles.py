@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the test suite.
 
 Deliberately written against different algorithms than the library (series
-and continued fractions in pure Python, binomial sums, bisection) so the
-tests cross two implementation routes rather than re-checking one. The
+and continued fractions in pure Python, binomial sums, bisection, mpmath's
+incomplete gamma and beta functions at 40 digits) so the tests cross two
+implementation routes rather than re-checking one. The
 exception is :func:`scalar_de`, the library's own rule one level per call,
 which pins the batched first call bit for bit.
 """
@@ -119,3 +120,32 @@ def scalar_de(w, origin: float, end: float, abs_tol: float, max_level: int, scal
         if level >= 2 and err <= abs_tol:
             return estimate, err, hi, True
     return estimate, err, hi, False
+
+
+def mp_unit_quantile(params, u: float, x0: float, dps: int = 40) -> float:
+    """Quantile at level u of Gamma(r, 1) (``params = (r,)``) or F(2r, 2s)
+    (``params = (r, s)``) by Newton's method on mpmath's regularized
+    incomplete gamma or beta function at ``dps`` digits, started at ``x0``.
+    Above u = 1/2 it solves sf(x) = 1 - u on the upper tail's own integral."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        upper = u > 0.5
+        level = 1 - mp.mpf(u) if upper else mp.mpf(u)
+        if len(params) == 1:
+            (r,) = map(mp.mpf, params)
+            tail = lambda x: mp.gammainc(r, *((x, mp.inf) if upper else (0, x)), regularized=True)
+            pdf = lambda x: mp.exp((r - 1) * mp.log(x) - x - mp.loggamma(r))
+        else:
+            r, s = map(mp.mpf, params)
+            tail = lambda x: (mp.betainc(s, r, 0, s / (r * x + s), regularized=True) if upper
+                              else mp.betainc(r, s, 0, r * x / (r * x + s), regularized=True))
+            pdf = lambda x: mp.exp(r * mp.log(r / s) + (r - 1) * mp.log(x)
+                                   - (r + s) * mp.log1p(r * x / s) - mp.log(mp.beta(r, s)))
+        x = mp.mpf(x0)
+        for _ in range(60):
+            step = (tail(x) - level) / pdf(x)
+            x = x + step if upper else x - step
+            if abs(step) < x * mp.mpf(10) ** (10 - dps):
+                return float(x)
+    raise ArithmeticError(f"Newton did not converge at u={u}")

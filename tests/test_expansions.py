@@ -328,16 +328,20 @@ class TestMedianCoefficients:
 
     def test_median_series_against_quadrature(self):
         # same n^2-residual check as the mean case, median statistic; the
-        # At residual grows about 2x from n = 51 to 201 if its n^(-3/2)
-        # term is wrong
+        # A or At residual grows about 2x from the first n to the last if
+        # its n^(-3/2) term is wrong
         cfg = nk.QuadratureConfig(abs_tol=1e-12)
-        for model, prior in (
-            (NLOC, priors.normal_prior(1.0)),
-            (CLOC, priors.cauchy_prior(1.0)),
-            (NLOC, SHIFTED_NORMAL),
+        odd, even = (51, 101, 201), (50, 100, 200)
+        for model, prior, ns in (
+            (NLOC, priors.normal_prior(1.0), odd),
+            (CLOC, priors.cauchy_prior(1.0), odd),
+            (NLOC, SHIFTED_NORMAL, odd),
+            # f12 = -1 at even n and the shifted prior has g1(0) != 0: only
+            # this row weighs the g1 x (f11, f12) term of a3 and at3
+            (NLOC, SHIFTED_NORMAL, even),
         ):
             resid_a, resid_at = [], []
-            for n in (51, 101, 201):
+            for n in ns:
                 cs = median_coefficients(model, prior, 0.05, n)
                 joint = exact.exact_joint(model, prior, TestSetup("median", 0.0, 0.05, n), cfg)
                 rn = math.sqrt(n)
@@ -347,6 +351,7 @@ class TestMedianCoefficients:
                 resid_at.append(n**2 * abs(joint.A_tilde.value - series_at))
             assert max(resid_a) < 1.0
             assert max(resid_at) < 6.0
+            assert resid_a[-1] < 1.5 * resid_a[0]
             assert resid_at[-1] < 1.5 * resid_at[0]
 
 

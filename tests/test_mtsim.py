@@ -168,6 +168,16 @@ class TestSimulate:
         ).fdr.value
         assert abs(res.fdr_hat - delta) <= 3.0 * res.se_fdr
 
+    def test_exp_rate_f_prior(self):
+        setup = TestSetup("mean_ump", 1.0, 0.05, 8)
+        prior = priors.f_mode1_prior(2.0, 2.0)
+        # the 20-replication design of the gamma case; the seed was fixed
+        # before the F quantile changed from fdtri to the table-seeded step
+        cfg = _config(model=EXP, prior=prior, setup=setup, m=10000, replications=20, seed=9)
+        res = simulate(cfg)
+        delta = exact.exact_rates(exact.exact_joint(EXP, prior, setup)).fdr.value
+        assert abs(res.fdr_hat - delta) <= 3.0 * res.se_fdr
+
     def test_median_statistic(self):
         setup = TestSetup("median", 0.0, 0.05, 11)
         # se_fdr is a standard deviation over replications: 20 of them keep
@@ -307,6 +317,18 @@ class TestConvergenceSweep:
             res = simulate(_config(m=row.m, replications=3, workers=workers))
             assert row.fdr_hat == res.fdr_hat
             assert row.se_fdr == res.se_fdr
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_f_prior_rows_equal_simulate_at_each_m(self, workers):
+        # the F prior's quantile runs on the table-seeded path, so each draw
+        # must be a function of its own level whatever the chunking
+        grid = [20000, 8192, 9000]
+        kw = dict(model=EXP, prior=priors.f_mode1_prior(2.0, 2.0),
+                  setup=TestSetup("mean_ump", 1.0, 0.05, 10), replications=2, workers=workers)
+        rows = convergence_sweep(_config(m=1, **kw), grid)
+        for row in rows:
+            res = simulate(_config(m=row.m, **kw))
+            assert (row.fdr_hat, row.se_fdr) == (res.fdr_hat, res.se_fdr)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(models.ModelError):

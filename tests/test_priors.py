@@ -10,6 +10,9 @@ import pytest
 
 from bfdr import numkernel as nk
 from bfdr import priors
+from bfdr._special import _sp
+from bfdr.mtsim import uniform_block
+from oracles import mp_unit_quantile
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -320,8 +323,97 @@ class TestSpecParsing:
             priors.parse_prior_spec("normal:abc")
 
 
+#: Relative error allowed in a gamma or F quantile against mpmath. The
+#: forward functions a quantile is solved on carry up to about 50 eps (scipy's
+#: gammaincc(1.5, x) is off by 1.2e-14 near x = 1.5), so scipy's inverses and
+#: the table-seeded ones both reach some 10-40 eps on these grids.
+_QUANTILE_RTOL = 64.0 * np.finfo(float).eps
+
+
+def _assert_quantile_accuracy(prior, params, tau, u, library):
+    """prior.ppf(u) and tau * library (the scipy inverse of the unit member)
+    both within _QUANTILE_RTOL of the 40-digit quantile."""
+    pytest.importorskip("mpmath")
+    exact = tau * np.array([mp_unit_quantile(params, ui, x0) for ui, x0 in zip(u, library)])
+    for name, got in (("ppf", prior.ppf(u)), ("library", tau * library)):
+        worst = np.max(np.abs(got - exact) / exact)
+        assert worst <= _QUANTILE_RTOL, f"{name}: relative error {worst:.3g}"
+
+
+def _unit_library(params):
+    """scipy's inverse of the Gamma(r, 1) or F(2r, 2s) unit member, and the scale."""
+    if len(params) == 1:
+        (r,) = params
+        return (lambda u: _sp.gammaincinv(r, u)), 1.0 / (r - 1.0)
+    r, s = params
+    return (lambda u: _sp.fdtri(2.0 * r, 2.0 * s, u)), r * (s + 1.0) / (s * (r - 1.0))
+
+
+TABLE_PRIORS = [(2.0, 2.0), (3.0, 4.0), (1.5, 0.5), (1.25, 1.5), (2.0,), (1.5,)]
+
+
+def _table_prior(params):
+    return priors.gamma_mode1_prior(*params) if len(params) == 1 else priors.f_mode1_prior(*params)
+
+
+def _prior_id(params):
+    return f"gamma:{params[0]:g}" if len(params) == 1 else f"f:{2 * params[0]:g}:{2 * params[1]:g}"
+
+
+class TestTableQuantile:
+    """The gamma and F priors' table-seeded quantile: accuracy, library tails, purity."""
+
+    # both tails down to the band's edge, 1e-10, and the middle
+    BAND = np.concatenate([np.geomspace(1e-10, 0.5, 50), 1.0 - np.geomspace(0.5, 1e-10, 50)])
+    OUTSIDE = np.array([0.0, 5e-324, 1e-300, 1e-12, 9.9e-11, 1.0 - 9.9e-11, 1.0 - 1e-12,
+                        1.0 - 2.0**-53, 1.0, np.nan, -0.5, 1.5])
+    # straddles 1e-10, 0.5 and 1 - 1e-10
+    STRADDLE = np.concatenate([
+        OUTSIDE,
+        np.geomspace(1e-11, 1e-9, 21),
+        np.linspace(0.5 - 1e-9, 0.5 + 1e-9, 21),
+        1.0 - np.geomspace(1e-9, 1e-11, 21),
+    ])
+
+    @pytest.mark.parametrize("params", TABLE_PRIORS, ids=_prior_id)
+    def test_band_accuracy_against_mpmath(self, params):
+        library, tau = _unit_library(params)
+        _assert_quantile_accuracy(_table_prior(params), params, tau, self.BAND,
+                                  library(self.BAND))
+
+    @pytest.mark.parametrize("params", TABLE_PRIORS, ids=_prior_id)
+    def test_outside_the_band_is_the_library(self, params):
+        # the suite turns warnings into errors: no RuntimeWarning from these
+        library, tau = _unit_library(params)
+        got = _table_prior(params).ppf(self.OUTSIDE)
+        np.testing.assert_array_equal(got, tau * library(self.OUTSIDE))
+
+    def test_tail_beyond_double_range_keeps_the_library(self):
+        # F(4, 0.1)'s quantile at 1 - ndtr(-8.5) is near 1e340: fdtri clamps
+        # near 1e306 there, the table's top nodes miss their round trip and
+        # fdtri serves every level
+        library, tau = _unit_library((2.0, 0.05))
+        u = np.concatenate([self.BAND, self.OUTSIDE])
+        np.testing.assert_array_equal(priors.f_mode1_prior(2.0, 0.05).ppf(u), tau * library(u))
+
+    @pytest.mark.parametrize("params", TABLE_PRIORS, ids=_prior_id)
+    def test_each_draw_depends_only_on_its_own_level(self, params):
+        # the simulator's stream is partition-free only if theta_i = ppf(u_i)
+        # whatever else is in the array and however it is laid out
+        ppf = _table_prior(params).ppf
+        drawn = uniform_block(11, 0, 0, 2048, 11)[:, 0]
+        laid_out = np.repeat(self.STRADDLE[:, None], 3, axis=1)[:, 0]
+        for u in (self.STRADDLE, laid_out, drawn, np.ascontiguousarray(drawn)):
+            whole = ppf(u)
+            alone = np.array([ppf(u[i:i + 1])[0] for i in range(u.size)])
+            np.testing.assert_array_equal(whole, alone)
+            np.testing.assert_array_equal(whole[::-1], ppf(u[::-1]))
+        assert float(ppf(0.3)) == ppf(np.array([0.3]))[0]
+
+
 class TestSpecialFunctionBackends:
-    """The t and F priors run on scipy.special; scipy.stats is the oracle."""
+    """The t, gamma and F priors run on scipy.special; the oracles are
+    scipy.stats and, for the gamma and F quantiles, mpmath."""
 
     @pytest.mark.parametrize("m,tau", [(1.0, 1.0), (4.0, 1.0), (2.5, 0.3), (30.0, 2.0)])
     def test_student_t_matches_scipy_stats(self, m, tau):
@@ -334,13 +426,24 @@ class TestSpecialFunctionBackends:
 
     @pytest.mark.parametrize("r,s", [(2.0, 2.0), (3.0, 4.0), (1.5, 0.5)])
     def test_f_matches_scipy_stats(self, r, s):
+        # the cdf is scipy's bit for bit; the quantile is table-seeded, so it
+        # is held to mpmath with the bound scipy's own inverse meets
         stats = pytest.importorskip("scipy.stats")
         p = priors.f_mode1_prior(r, s)
         tau = r * (s + 1.0) / (s * (r - 1.0))
         th = np.linspace(-5.0, 60.0, 801)
         np.testing.assert_array_equal(p.cdf(th), stats.f.cdf(th / tau, 2.0 * r, 2.0 * s))
         u = np.linspace(0.0, 1.0 - 1e-6, 501)
-        np.testing.assert_array_equal(p.ppf(u), tau * stats.f.ppf(u, 2.0 * r, 2.0 * s))
+        assert p.ppf(u)[0] == 0.0
+        _assert_quantile_accuracy(p, (r, s), tau, u[1:], stats.f.ppf(u[1:], 2.0 * r, 2.0 * s))
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_gamma_quantile_matches_mpmath(self, r):
+        stats = pytest.importorskip("scipy.stats")
+        p = priors.gamma_mode1_prior(r)
+        u = np.linspace(0.0, 1.0 - 1e-6, 501)
+        assert p.ppf(u)[0] == 0.0
+        _assert_quantile_accuracy(p, (r,), 1.0 / (r - 1.0), u[1:], stats.gamma.ppf(u[1:], r))
 
     def test_cli_import_loads_only_the_special_function_ufuncs(self):
         # scipy.special's __init__ pulls in scipy's array-API layer and with it
