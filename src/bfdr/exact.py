@@ -9,8 +9,8 @@ determine the rejection probability B = A + lambda_alt - At and the rates
 delta = A / B and eps = At / (1 - B). Each integral runs from theta0 out to
 the end of the prior's support by the double-exponential rule of
 :func:`~bfdr.numkernel.integrate`, on an infinite side with the scale
-s = min(prior half-IQR, 1). Its bound adds the (monotone) weight at the
-outermost node times the prior mass beyond it.
+s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
+(monotone) weight at the outermost node times the prior mass beyond it.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def exact_joint(
     if not (lo < theta0 < hi):
         raise ModelError(f"theta0={theta0} must be interior to ({lo}, {hi})")
     lam = natural_lambda_alt(prior, theta0, direction)
-    q1, q3 = np.asarray(prior.ppf(np.array([0.25, 0.75])), dtype=float)
-    scale = min(0.5 * (q3 - q1), 1.0)
+    scale = prior.quadrature_scale
 
     def side(alt: bool) -> IntegralValue:
         # The null region runs from theta0 away against the power direction and

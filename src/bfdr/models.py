@@ -31,6 +31,7 @@ import numpy as np
 
 from . import numkernel as nk
 from ._special import _sp
+from .priors import _STANDARD_CAUCHY, _STANDARD_NORMAL, Prior
 
 
 class ModelError(ValueError):
@@ -235,36 +236,19 @@ def exponential_rate_model() -> ExpFamilyModel:
     )
 
 
+def _location_model(name: str, member: Prior) -> LocationModel:
+    """The location model whose standard member is the unit prior ``member``:
+    its density, CDF and quantile, with f0, f0p and f0pp its g, g1, g2 at 0."""
+    f0, f0p, f0pp = (float(d(0.0)) for d in (member.g, member.g1, member.g2))
+    return LocationModel(name, f0, f0p, f0pp, member.g, member.cdf, member.ppf)
+
+
 def normal_location_model() -> LocationModel:
-    return LocationModel(
-        name="normal-location",
-        f0=1.0 / nk.SQRT_2PI,
-        f0p=0.0,
-        f0pp=-1.0 / nk.SQRT_2PI,
-        pdf=nk.std_normal_pdf,
-        cdf=nk.std_normal_cdf,
-        ppf=lambda u: _sp.ndtri(np.asarray(u, dtype=float)),
-    )
+    return _location_model("normal-location", _STANDARD_NORMAL)
 
 
 def cauchy_location_model() -> LocationModel:
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 / (math.pi * (1.0 + x * x))
-
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 + np.arctan(x) / math.pi
-
-    return LocationModel(
-        name="cauchy-location",
-        f0=1.0 / math.pi,
-        f0p=0.0,
-        f0pp=-2.0 / math.pi,
-        pdf=pdf,
-        cdf=cdf,
-        ppf=lambda u: np.tan(math.pi * (np.asarray(u, dtype=float) - 0.5)),
-    )
+    return _location_model("cauchy-location", _STANDARD_CAUCHY)
 
 
 # ---------------------------------------------------------------------------

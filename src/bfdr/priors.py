@@ -16,7 +16,7 @@ the expansion layer owns it.
 
 Quantiles: the normal, t and Cauchy members use the library inverse. The
 Gamma and F members seed log x from a table over normal scores and take one
-Halley step on their library CDF (survival function above u = 1/2), several
+Newton step on their library CDF (survival function above u = 1/2), several
 times faster than ``gammaincinv``/``fdtri`` and about as accurate; levels
 outside [1e-10, 1 - 1e-10] keep the library inverse. A prior from
 :func:`make_prior` uses its ``ppf`` as given.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Tuple
 
 import numpy as np
@@ -60,6 +61,13 @@ class Prior:
     support: Tuple[float, float]
     cdf: Callable
     ppf: Callable
+
+    @cached_property
+    def quadrature_scale(self) -> float:
+        """min(half the IQR, 1): the exact route's scale on an infinite side,
+        solved from ``ppf`` once; a copy (``replace``, ``scale_prior``) solves its own."""
+        q1, q3 = np.asarray(self.ppf(np.array([0.25, 0.75])), dtype=float)
+        return min(0.5 * (q3 - q1), 1.0)
 
 
 #: Construction-time tolerances of :func:`validate_prior`: total mass, first
@@ -200,45 +208,39 @@ def scale_prior(base: Prior, tau: float) -> Prior:
 def _on_positive(th, fn: Callable):
     """``fn`` applied to the positive entries of ``th``, zero elsewhere.
 
-    A scalar ``th`` gives a float; ``fn`` always receives a 1-d array.
+    A scalar ``th`` gives a float, from ``fn`` on the 0-d array if positive;
+    an array gives an array, ``fn`` receiving its positive entries.
     """
     th = np.asarray(th, dtype=float)
-    flat = np.atleast_1d(th)
-    out = np.zeros_like(flat)
-    pos = flat > 0.0
-    out[pos] = fn(flat[pos])
-    return float(out[0]) if th.ndim == 0 else out
+    if th.ndim == 0:
+        return float(fn(th)) if th > 0.0 else 0.0
+    out = np.zeros_like(th)
+    pos = th > 0.0
+    out[pos] = fn(th[pos])
+    return out
 
 
-# The scale-1 members below are reached only through scale_prior, whose g,
-# g1, g2 and cdf pass them float arrays.
-
-
-def _normal_g(y):
-    return np.exp(-0.5 * y**2) / nk.SQRT_2PI
+# The scale-1 members below take float arrays and scalars (the normal and
+# Cauchy ones also serve models.py's location models). Powers go through numpy
+# ufuncs, not a scalar's ``**`` (libm's pow), so a scalar gets an array's bits.
 
 
 _STANDARD_NORMAL = Prior(
     name="N(0, 1)",
-    g=_normal_g,
-    g1=lambda y: -y * _normal_g(y),
-    g2=lambda y: (y**2 - 1.0) * _normal_g(y),
+    g=nk.std_normal_pdf,
+    g1=lambda y: -y * nk.std_normal_pdf(y),
+    g2=lambda y: (y * y - 1.0) * nk.std_normal_pdf(y),
     support=(-math.inf, math.inf),
     cdf=_sp.ndtr,
     ppf=_sp.ndtri,
 )
 
 
-def _cauchy_g2(y):
-    q = 1.0 + y * y
-    return (2.0 / math.pi) * (4.0 * y * y / q**3 - 1.0 / q**2)
-
-
 _STANDARD_CAUCHY = Prior(
     name="Cauchy(0, 1)",
     g=lambda y: 1.0 / (math.pi * (1.0 + y * y)),
-    g1=lambda y: -2.0 * y / (math.pi * (1.0 + y * y) ** 2),
-    g2=_cauchy_g2,
+    g1=lambda y: -2.0 * y / (math.pi * np.square(1.0 + y * y)),
+    g2=lambda y: (2.0 / math.pi) * (4.0 * y * y / np.power(1.0 + y * y, 3) - 1.0 / np.square(1.0 + y * y)),
     support=(-math.inf, math.inf),
     cdf=lambda y: 0.5 + np.arctan(y) / math.pi,
     ppf=lambda u: np.tan(math.pi * (np.asarray(u, dtype=float) - 0.5)),
@@ -261,10 +263,10 @@ def student_t_prior(m: float, tau: float = 1.0) -> Prior:
     )
 
     def h(y):
-        return c * (1.0 + y * y / m) ** (-(m + 1.0) / 2.0)
+        return c * np.power(1.0 + y * y / m, -(m + 1.0) / 2.0)
 
     def h1(y):
-        return -c * (m + 1.0) * (y / m) * (1.0 + y * y / m) ** (-(m + 3.0) / 2.0)
+        return -c * (m + 1.0) * (y / m) * np.power(1.0 + y * y / m, -(m + 3.0) / 2.0)
 
     def h2(y):
         q = 1.0 + y * y / m
@@ -272,7 +274,7 @@ def student_t_prior(m: float, tau: float = 1.0) -> Prior:
             -c
             * (m + 1.0)
             / m
-            * (q ** (-(m + 3.0) / 2.0) - (m + 3.0) * (y * y / m) * q ** (-(m + 5.0) / 2.0))
+            * (np.power(q, -(m + 3.0) / 2.0) - (m + 3.0) * (y * y / m) * np.power(q, -(m + 5.0) / 2.0))
         )
 
     standard = Prior(
@@ -303,18 +305,19 @@ _SEED_STEP = 2.0 * _SEED_EDGE / 512.0
 _LOG_SQRT_2PI = math.log(nk.SQRT_2PI)
 
 
-def _table_quantile(ppf, isf, cdf, sf, log_g, dlog_g) -> Callable:
-    """Quantile function of a unit member on (0, inf): table seed, one Halley step.
+def _table_quantile(ppf, isf, cdf, sf, log_g) -> Callable:
+    """Quantile function of a unit member on (0, inf): table seed, one Newton step.
 
     ``ppf``, ``isf``, ``cdf`` and ``sf`` are the library's inverse CDF,
     inverse survival function, CDF and survival function; ``log_g(x, log_x)``
-    is the log density and ``dlog_g(x)`` is g'/g. At construction, y = log x
+    is the log density. At construction, y = log x
     and dy/dz = phi(z) / (x g(x)) are tabulated at the nodes z of ``_SEED_Z``,
     where x is the quantile at ndtr(z) (from ``isf`` at ndtr(-z) for z > 0,
     where ndtr(z) rounds toward 1). A level u with |z| <= _TABLE_Z, for
     z = ndtri(u), gets y by cubic Hermite interpolation at z
-    and x = exp(y), then one Halley step on cdf(x) - u for u <= 1/2 and on
-    (1 - u) - sf(x) above, where 1 - u is exact. Other levels keep ``ppf``.
+    and x = exp(y), then one Newton step on cdf(x) - u for u <= 1/2 and on
+    (1 - u) - sf(x) above, where 1 - u is exact; from this seed a Halley
+    term would change at most the last bit. Other levels keep ``ppf``.
     Each entry is a function of its own level alone, whatever the array's
     size or layout: the simulator's partition-free stream rests on it. A
     table whose nodes do not round-trip through ``cdf`` and ``sf`` to 1e-8
@@ -335,7 +338,7 @@ def _table_quantile(ppf, isf, cdf, sf, log_g, dlog_g) -> Callable:
     if not (np.isfinite(coef).all() and np.all(np.abs(back - tail) <= 1e-8 * tail)):
         return ppf
 
-    def halley(u, t):
+    def newton(u, t):
         t += _SEED_EDGE
         t *= 1.0 / _SEED_STEP
         i = t.astype(np.intp)
@@ -349,7 +352,7 @@ def _table_quantile(ppf, isf, cdf, sf, log_g, dlog_g) -> Callable:
         y += c0
         x = np.exp(y)
         # f = cdf(x) - u below 1/2 and (1 - u) - sf(x) above, with u - hi
-        # exact either way, so f' = g and f'' = g'
+        # exact either way, so f' = g
         hi = u > 0.5
         lo = ~hi
         f = np.empty_like(x)
@@ -357,20 +360,49 @@ def _table_quantile(ppf, isf, cdf, sf, log_g, dlog_g) -> Callable:
         f[hi] = -sf(x[hi])
         f -= u - hi
         f /= np.exp(log_g(x, y))
-        return x - f / (1.0 - 0.5 * f * dlog_g(x))
+        return x - f
 
     def quantile(u):
         u = np.asarray(u, dtype=float)
         z = np.asarray(_sp.ndtri(u))
         band = np.abs(z) <= _TABLE_Z  # false at NaN
         if u.ndim == 1 and band.all():
-            return halley(u, z)
+            return newton(u, z)
         out = np.empty(u.shape)
         out[~band] = ppf(u[~band])
-        out[band] = halley(u[band], z[band])
+        out[band] = newton(u[band], z[band])
         return out
 
     return quantile
+
+
+def _half_line(name, log_h, dlog_h, d2log_h, cdf, sf, ppf, isf) -> Prior:
+    """Unit member on (0, inf) with density h = exp(log_h(x, log x)).
+
+    ``dlog_h`` and ``d2log_h`` are (log h)' and (log h)'', so g1 = h (log h)'
+    and g2 = h ((log h)'^2 + (log h)''), each from one exp. ``cdf``, ``sf``,
+    ``ppf`` and ``isf`` are the library's; its CDF, NaN below 0, is clipped.
+    """
+
+    def h(x):
+        return np.exp(log_h(x, np.log(x)))
+
+    def h1(x):
+        return h(x) * dlog_h(x)
+
+    def h2(x):
+        d = dlog_h(x)
+        return h(x) * (d * d + d2log_h(x))
+
+    return Prior(
+        name=name,
+        g=lambda x: _on_positive(x, h),
+        g1=lambda x: _on_positive(x, h1),
+        g2=lambda x: _on_positive(x, h2),
+        support=(0.0, math.inf),
+        cdf=lambda x: cdf(np.maximum(x, 0.0)),
+        ppf=_table_quantile(ppf, isf, cdf, sf, log_h),
+    )
 
 
 def gamma_mode1_prior(r: float) -> Prior:
@@ -384,39 +416,15 @@ def gamma_mode1_prior(r: float) -> Prior:
     _require_finite(r=r)
     r = float(r)
     log_norm = -math.lgamma(r)
-
-    def log_h(xp, log_xp):
-        return log_norm + (r - 1.0) * log_xp - xp
-
-    def logderiv(xp):
-        return (r - 1.0) / xp - 1.0
-
-    def g(x):
-        return _on_positive(x, lambda xp: np.exp(log_h(xp, np.log(xp))))
-
-    def g1(x):
-        return _on_positive(x, lambda xp: g(xp) * logderiv(xp))
-
-    def g2(x):
-        return _on_positive(
-            x, lambda xp: g(xp) * (((r - 1.0) / xp - 1.0) ** 2 - (r - 1.0) / xp**2)
-        )
-
-    standard = Prior(
-        name=f"Gamma({r:g}, 1)",
-        g=g,
-        g1=g1,
-        g2=g2,
-        support=(0.0, math.inf),
-        cdf=lambda x: _sp.gammainc(r, np.maximum(x, 0.0)),
-        ppf=_table_quantile(
-            ppf=lambda u: _sp.gammaincinv(r, u),
-            isf=lambda q: _sp.gammainccinv(r, q),
-            cdf=lambda x: _sp.gammainc(r, x),
-            sf=lambda x: _sp.gammaincc(r, x),
-            log_g=log_h,
-            dlog_g=logderiv,
-        ),
+    standard = _half_line(
+        f"Gamma({r:g}, 1)",
+        log_h=lambda x, log_x: log_norm + (r - 1.0) * log_x - x,
+        dlog_h=lambda x: (r - 1.0) / x - 1.0,
+        d2log_h=lambda x: -(r - 1.0) / (x * x),
+        cdf=lambda x: _sp.gammainc(r, x),
+        sf=lambda x: _sp.gammaincc(r, x),
+        ppf=lambda u: _sp.gammaincinv(r, u),
+        isf=lambda q: _sp.gammainccinv(r, q),
     )
     return replace(scale_prior(standard, 1.0 / (r - 1.0)), name=f"gamma-mode1:{r:g}")
 
@@ -437,44 +445,16 @@ def f_mode1_prior(r: float, s: float) -> Prior:
         math.lgamma(r + s) - math.lgamma(r) - math.lgamma(s) + r * (math.log(r) - math.log(s))
     )
 
-    def log_h(xp, log_xp):
-        return log_norm + (r - 1.0) * log_xp - (r + s) * np.log1p(b * xp)
-
-    def g(x):
-        return _on_positive(x, lambda xp: np.exp(log_h(xp, np.log(xp))))
-
-    def _logderiv(xp):
-        # d/dx log g = (r-1)/x - (r+s) b / (1 + b x)
-        return (r - 1.0) / xp - (r + s) * b / (1.0 + b * xp)
-
-    def g1(x):
-        return _on_positive(x, lambda xp: g(xp) * _logderiv(xp))
-
-    def g2(x):
-        def on_pos(xp):
-            ld = _logderiv(xp)
-            ld1 = -(r - 1.0) / xp**2 + (r + s) * b * b / (1.0 + b * xp) ** 2
-            return g(xp) * (ld * ld + ld1)
-
-        return _on_positive(x, on_pos)
-
-    standard = Prior(
-        name=f"F({2.0 * r:g}, {2.0 * s:g})",
-        g=g,
-        g1=g1,
-        g2=g2,
-        support=(0.0, math.inf),
-        # fdtr is NaN below 0 where the CDF is 0, so clip as the gamma prior does
-        cdf=lambda x: _sp.fdtr(2.0 * r, 2.0 * s, np.maximum(x, 0.0)),
+    standard = _half_line(
+        f"F({2.0 * r:g}, {2.0 * s:g})",
+        log_h=lambda x, log_x: log_norm + (r - 1.0) * log_x - (r + s) * np.log1p(b * x),
+        dlog_h=lambda x: (r - 1.0) / x - (r + s) * b / (1.0 + b * x),
+        d2log_h=lambda x: -(r - 1.0) / (x * x) + (r + s) * b * b / np.square(1.0 + b * x),
+        cdf=lambda x: _sp.fdtr(2.0 * r, 2.0 * s, x),
+        sf=lambda x: _sp.fdtrc(2.0 * r, 2.0 * s, x),
+        ppf=lambda u: _sp.fdtri(2.0 * r, 2.0 * s, u),
         # 1/X ~ F(2s, 2r): its lower quantile gives X's upper one
-        ppf=_table_quantile(
-            ppf=lambda u: _sp.fdtri(2.0 * r, 2.0 * s, u),
-            isf=lambda q: 1.0 / _sp.fdtri(2.0 * s, 2.0 * r, q),
-            cdf=lambda x: _sp.fdtr(2.0 * r, 2.0 * s, x),
-            sf=lambda x: _sp.fdtrc(2.0 * r, 2.0 * s, x),
-            log_g=log_h,
-            dlog_g=_logderiv,
-        ),
+        isf=lambda q: 1.0 / _sp.fdtri(2.0 * s, 2.0 * r, q),
     )
     tau = r * (s + 1.0) / (s * (r - 1.0))
     return replace(scale_prior(standard, tau), name=f"f-mode1:{r:g}:{s:g}")

@@ -280,6 +280,31 @@ class TestExactJoint:
         assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
 
 
+    def test_quartiles_are_solved_once_per_prior(self):
+        # the quadrature scale depends on the prior alone: 20 calls solve its
+        # quartiles once, and each copy solves its own from its own ppf
+        base = priors.gamma_mode1_prior(2.0)
+        levels = []
+
+        def counted(u):
+            levels.append(np.asarray(u).tolist())
+            return base.ppf(u)
+
+        prior = dataclasses.replace(base, ppf=counted)
+        for alpha in np.linspace(0.01, 0.2, 20):
+            setup = TestSetup("mean_ump", 1.0, float(alpha), 10)
+            assert exact_joint(EXP, prior, setup) == exact_joint(EXP, base, setup)
+        assert levels == [[0.25, 0.75]]
+        q1, q3 = base.ppf(np.array([0.25, 0.75]))
+        assert prior.quadrature_scale == min(0.5 * (q3 - q1), 1.0)
+
+        wider = dataclasses.replace(prior, ppf=lambda u: 8.0 * counted(u))
+        assert prior.quadrature_scale < 1.0
+        assert wider.quadrature_scale == 1.0  # its own quartiles, capped
+        scaled = priors.scale_prior(prior, 0.25)
+        assert scaled.quadrature_scale == 0.5 * (0.25 * q3 - 0.25 * q1)
+        assert levels == [[0.25, 0.75]] * 3
+
     @pytest.mark.parametrize("prior", [priors.normal_prior(1.0), priors.student_t_prior(3.0, 1.0)],
                              ids=["normal", "t"])
     def test_prior_mass_outside_the_parameter_interval_rejected(self, prior):

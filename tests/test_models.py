@@ -53,11 +53,21 @@ class TestBuiltinModels:
         assert EXP.natural_direction == -1
 
     def test_location_models(self):
-        assert NLOC.f0 == pytest.approx(1.0 / SQRT_2PI, rel=1e-15)
+        assert NLOC.f0 == 1.0 / SQRT_2PI
         assert NLOC.f0p == 0.0
-        assert NLOC.f0pp == pytest.approx(-1.0 / SQRT_2PI, rel=1e-15)
-        assert CLOC.f0 == pytest.approx(1.0 / math.pi, rel=1e-15)
-        assert CLOC.f0pp == pytest.approx(-2.0 / math.pi, rel=1e-15)
+        assert NLOC.f0pp == -1.0 / SQRT_2PI
+        assert CLOC.f0 == 1.0 / math.pi
+        assert CLOC.f0p == 0.0
+        assert CLOC.f0pp == -2.0 / math.pi
+
+    @pytest.mark.parametrize("model, member", [(NLOC, priors._STANDARD_NORMAL),
+                                               (CLOC, priors._STANDARD_CAUCHY)],
+                             ids=["normal", "cauchy"])
+    def test_location_models_are_the_unit_priors(self, model, member):
+        # one law per family: the model's density, CDF and quantile are the
+        # unit prior's, and f0, f0p, f0pp its g, g1, g2 at 0
+        assert (model.pdf, model.cdf, model.ppf) == (member.g, member.cdf, member.ppf)
+        assert (model.f0, model.f0p, model.f0pp) == (member.g(0.0), member.g1(0.0), member.g2(0.0))
 
     def test_invalid_setup_rejected(self):
         with pytest.raises(models.ModelError):

@@ -305,6 +305,27 @@ class TestScalePrior:
         u = np.linspace(1e-6, 1.0 - 1e-6, 101)
         np.testing.assert_array_equal(p.ppf(u), q.ppf(u))
 
+    @pytest.mark.parametrize(
+        "prior",
+        ALL_BUILTINS + [priors.scale_prior(p, 3.0) for p in ALL_BUILTINS[6:]],
+        ids=lambda p: p.name,
+    )
+    def test_scalar_derivatives_match_the_array_path(self, prior):
+        # the series evaluates g, g1, g2 at a scalar theta0, the quadrature and
+        # the validation on arrays: both must give the same bits, and zero off
+        # a half-line
+        lo = prior.support[0]
+        th = np.concatenate([[-2.5, -0.0, 0.0, 1e-9, 0.3, 1.0, 80.0, 1e4],
+                             np.random.default_rng(3).uniform(-6.0, 6.0, 40)])
+        for name in ("g", "g1", "g2"):
+            fn = getattr(prior, name)
+            for x in th:
+                got = fn(float(x))
+                assert isinstance(got, float)
+                assert got.hex() == float(fn(np.array([x]))[0]).hex(), (name, x)
+                if x <= lo:
+                    assert got == 0.0
+
     def test_bad_tau_rejected(self):
         with pytest.raises(priors.PriorError):
             priors.scale_prior(priors.normal_prior(1.0), 0.0)
