@@ -115,9 +115,6 @@ class LocationModel:
         if np.max(np.abs(np.asarray(self.cdf(self.ppf(u)), dtype=float) - u)) > 1e-9:
             raise ModelError(f"model {self.name!r}: cdf(ppf(u)) does not return u")
 
-    def sample_from_uniform(self, theta, u):
-        return np.asarray(theta, dtype=float) + np.asarray(self.ppf(u), dtype=float)
-
 
 def _check_alpha(alpha: float) -> None:
     """The level rule of every route: 0 < alpha < 1 with 1 - alpha below 1."""
@@ -346,9 +343,10 @@ class ResolvedTest:
 
     ``direction`` is +1 when the alternative is {theta > theta0} and -1 when
     the natural parameter is the negated user parameter. ``power(theta)`` is
-    the exact power, vectorized; ``rejects(sample)`` applies the rejection
-    rule to each row of an (experiments, n) sample; ``is_null(theta)`` marks
-    parameters in the null region.
+    the exact power, vectorized; ``rejects(theta, u)`` applies the rejection
+    rule to each experiment, given its parameter and the (experiments, n)
+    uniforms its sample is drawn from; ``is_null(theta)`` marks parameters in
+    the null region.
     """
 
     __test__ = False  # not a pytest collectible despite the name
@@ -399,8 +397,8 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
 
         mean_threshold = mu0 + k * sigma0 / rootn
 
-        def rejects(sample):
-            return sample.mean(axis=1) > mean_threshold
+        def rejects(theta, u):
+            return model.sample_from_uniform(theta[:, None], u).mean(axis=1) > mean_threshold
 
         direction = model.natural_direction
     elif isinstance(model, LocationModel):
@@ -417,8 +415,10 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
         median_threshold = z / scale
         k_idx = median_order_index(n) - 1  # 0-based
 
-        def rejects(sample):
-            return np.partition(sample, k_idx, axis=1)[:, k_idx] > median_threshold
+        # theta + ppf(.) does not decrease, so the sample median is theta +
+        # ppf at the k-th smallest uniform: one quantile per experiment.
+        def rejects(theta, u):
+            return theta + model.ppf(np.partition(u, k_idx, axis=1)[:, k_idx]) > median_threshold
 
         direction = 1
     else:

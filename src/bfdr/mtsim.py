@@ -36,9 +36,12 @@ from .models import ModelError, ResolvedTest, TestSetup, prior_support, resolve_
 from .models import ump_critical_value  # noqa: F401
 from .priors import Prior
 
-# Experiments are processed in fixed-size chunks; the chunk size is a stream
-# constant, not a tuning knob, so worker counts cannot influence results.
-_CHUNK = 8192
+# Uniforms per chunk. A chunk takes max(1, _CHUNK_UNIFORMS // width) rows of
+# uniform_block's padded width 4 ceil((1 + n)/4), so each per-chunk array stays
+# under glibc's default 128 KiB mmap threshold and is served from the heap
+# rather than mapped and faulted in afresh. No value depends on it: every
+# uniform has its own counter and the tallies are integer sums.
+_CHUNK_UNIFORMS = 2**14 - 64
 
 
 def uniform_block(
@@ -125,22 +128,20 @@ def _chunk_tallies(config: SimConfig, test: ResolvedTest, job: Tuple[int, int, i
     n = config.setup.n
     u = uniform_block(config.seed, replication, start, stop, 1 + n)
     theta = np.asarray(config.prior.ppf(u[:, 0]), dtype=float)
-    sample = np.asarray(config.model.sample_from_uniform(theta[:, None], u[:, 1:]), dtype=float)
-    rej = test.rejects(sample)
+    rej = test.rejects(theta, u[:, 1:])
     is_null = test.is_null(theta)
-    v = int(np.sum(rej & is_null))
-    r = int(np.sum(rej))
-    w = int(np.sum(~rej & ~is_null))
-    return v, r, w
+    return (np.count_nonzero(rej & is_null), np.count_nonzero(rej),
+            np.count_nonzero(~(rej | is_null)))
 
 
 def _prefix_tallies(config: SimConfig, test: ResolvedTest, stops: Sequence[int]) -> dict:
     """Per-replication (V, R, W) over experiments [0, m) for every m in ``stops``.
 
-    One pass over [0, max(stops)) in chunks that end at the multiples of
-    ``_CHUNK`` and at every stop, so each prefix is a sum of whole chunks.
+    One pass over [0, max(stops)) in chunks that end at the multiples of the
+    chunk's row count and at every stop, so each prefix is a sum of whole chunks.
     """
-    bounds = sorted(set(range(0, max(stops), _CHUNK)) | set(stops))
+    rows = max(1, _CHUNK_UNIFORMS // (4 * ((config.setup.n + 4) // 4)))
+    bounds = sorted(set(range(0, max(stops), rows)) | set(stops))
     reps = config.replications
     jobs = [(r, a, b) for r in range(reps) for a, b in zip(bounds, bounds[1:])]
 

@@ -376,12 +376,13 @@ def _table_quantile(ppf, isf, cdf, sf, log_g) -> Callable:
     return quantile
 
 
-def _half_line(name, log_h, dlog_h, d2log_h, cdf, sf, ppf, isf) -> Prior:
+def _half_line(name, log_h, dlog_h, bracket, cdf, sf, ppf, isf) -> Prior:
     """Unit member on (0, inf) with density h = exp(log_h(x, log x)).
 
-    ``dlog_h`` and ``d2log_h`` are (log h)' and (log h)'', so g1 = h (log h)'
-    and g2 = h ((log h)'^2 + (log h)''), each from one exp. ``cdf``, ``sf``,
-    ``ppf`` and ``isf`` are the library's; its CDF, NaN below 0, is clipped.
+    ``dlog_h`` is (log h)' and ``bracket`` is (log h)'^2 + (log h)'', written
+    so that it does not cancel as x -> 0; g1 = h (log h)' and g2 = h bracket,
+    each from one exp. ``cdf``, ``sf``, ``ppf`` and ``isf`` are the
+    library's; its CDF, NaN below 0, is clipped.
     """
 
     def h(x):
@@ -391,8 +392,7 @@ def _half_line(name, log_h, dlog_h, d2log_h, cdf, sf, ppf, isf) -> Prior:
         return h(x) * dlog_h(x)
 
     def h2(x):
-        d = dlog_h(x)
-        return h(x) * (d * d + d2log_h(x))
+        return h(x) * bracket(x)
 
     return Prior(
         name=name,
@@ -416,11 +416,12 @@ def gamma_mode1_prior(r: float) -> Prior:
     _require_finite(r=r)
     r = float(r)
     log_norm = -math.lgamma(r)
+    a = r - 1.0
     standard = _half_line(
         f"Gamma({r:g}, 1)",
-        log_h=lambda x, log_x: log_norm + (r - 1.0) * log_x - x,
-        dlog_h=lambda x: (r - 1.0) / x - 1.0,
-        d2log_h=lambda x: -(r - 1.0) / (x * x),
+        log_h=lambda x, log_x: log_norm + a * log_x - x,
+        dlog_h=lambda x: a / x - 1.0,
+        bracket=lambda x: (a * (a - 1.0) / x - 2.0 * a) / x + 1.0,
         cdf=lambda x: _sp.gammainc(r, x),
         sf=lambda x: _sp.gammaincc(r, x),
         ppf=lambda u: _sp.gammaincinv(r, u),
@@ -445,11 +446,17 @@ def f_mode1_prior(r: float, s: float) -> Prior:
         math.lgamma(r + s) - math.lgamma(r) - math.lgamma(s) + r * (math.log(r) - math.log(s))
     )
 
+    a, B = r - 1.0, r + s
+
+    def bracket(x):
+        y = b / (1.0 + b * x)
+        return (a * (a - 1.0) / x - 2.0 * a * B * y) / x + B * (B + 1.0) * y * y
+
     standard = _half_line(
         f"F({2.0 * r:g}, {2.0 * s:g})",
-        log_h=lambda x, log_x: log_norm + (r - 1.0) * log_x - (r + s) * np.log1p(b * x),
-        dlog_h=lambda x: (r - 1.0) / x - (r + s) * b / (1.0 + b * x),
-        d2log_h=lambda x: -(r - 1.0) / (x * x) + (r + s) * b * b / np.square(1.0 + b * x),
+        log_h=lambda x, log_x: log_norm + a * log_x - B * np.log1p(b * x),
+        dlog_h=lambda x: a / x - B * b / (1.0 + b * x),
+        bracket=bracket,
         cdf=lambda x: _sp.fdtr(2.0 * r, 2.0 * s, x),
         sf=lambda x: _sp.fdtrc(2.0 * r, 2.0 * s, x),
         ppf=lambda u: _sp.fdtri(2.0 * r, 2.0 * s, u),

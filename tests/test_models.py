@@ -498,11 +498,24 @@ class TestResolvedTest:
         assert test.power(1.0) == pytest.approx(0.05, abs=1e-12)
 
     def test_median_rejection_threshold(self):
+        # the median is theta + ppf at each row's middle uniform; ppf(1/2) = 0
         setup = TestSetup("median", 0.0, 0.05, 3)
         test = models.resolve_test(NLOC, setup)
         cut = Z95 / (2.0 * NLOC.f0 * math.sqrt(3))
-        rows = np.array([[-9.0, cut * 1.001, 9.0], [-9.0, cut * 0.999, 9.0]])
-        np.testing.assert_array_equal(test.rejects(rows), [True, False])
+        theta = np.array([cut * 1.001, cut * 0.999])
+        u = np.array([[0.99, 0.5, 0.01], [0.01, 0.99, 0.5]])
+        np.testing.assert_array_equal(test.rejects(theta, u), [True, False])
+        np.testing.assert_array_equal(test.is_null(np.array([-0.1, 0.0, 0.1])), [True, True, False])
+
+    def test_mean_rejection_threshold(self):
+        # the mean of theta + ndtri(u): a high draw lifts the third row over
+        # the cut that its median stays under
+        setup = TestSetup("mean_ump", 0.0, 0.05, 3)
+        test = models.resolve_test(NORMAL, setup)
+        cut = models.ump_critical_value(NORMAL, setup) / math.sqrt(3)
+        theta = np.array([cut * 1.001, cut * 0.999, cut * 0.999])
+        u = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.999, 0.5]])
+        np.testing.assert_array_equal(test.rejects(theta, u), [True, False, True])
         np.testing.assert_array_equal(test.is_null(np.array([-0.1, 0.0, 0.1])), [True, True, False])
 
     def test_statistic_must_fit_model(self):

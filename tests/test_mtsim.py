@@ -1,5 +1,6 @@
 """Multiple-testing simulator: tallies, convergence, determinism, parallelism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from bfdr.mtsim import SimConfig, convergence_sweep, simulate, uniform_block
 NORMAL = models.normal_mean_model()
 EXP = models.exponential_rate_model()
 NLOC = models.normal_location_model()
+CLOC = models.cauchy_location_model()
+# Rows per simulator chunk at n = 10 and 11, whose rows are 12 uniforms wide.
+CHUNK_ROWS_N10 = mtsim._CHUNK_UNIFORMS // 12
 
 
 def _config(**kw):
@@ -28,9 +32,14 @@ def _config(**kw):
 
 
 class TestUniformBlock:
-    # splits that are multiples of neither 4 nor _CHUNK, one crossing a chunk
+    # splits that are multiples of neither 4 nor the chunk rows, one at a large
+    # offset and one crossing the simulator's chunk boundary at n = 10 and 11
     @pytest.mark.parametrize("cols", [1, 3, 4, 5, 11, 12])
-    @pytest.mark.parametrize("a,b,c", [(0, 50, 101), (7, 13, 30), (8190, 8195, 8203)])
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [(0, 50, 101), (7, 13, 30), (8190, 8195, 8203),
+         (CHUNK_ROWS_N10 - 2, CHUNK_ROWS_N10 + 3, CHUNK_ROWS_N10 + 11)],
+    )
     def test_counter_addressing_is_partition_free(self, cols, a, b, c):
         whole = uniform_block(7, 3, a, c, cols)
         parts = np.vstack([uniform_block(7, 3, a, b, cols), uniform_block(7, 3, b, c, cols)])
@@ -309,7 +318,7 @@ class TestConvergenceSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_equal_simulate_at_each_m(self, workers):
         # unsorted grid, a repeated m, a stop on a chunk boundary and one inside
-        grid = [20000, 8192, 9000, 20000]
+        grid = [20000, CHUNK_ROWS_N10, CHUNK_ROWS_N10 + 808, 20000]
         cfg = _config(replications=3, workers=workers)
         rows = convergence_sweep(cfg, grid)
         assert [row.m for row in rows] == grid
@@ -322,7 +331,7 @@ class TestConvergenceSweep:
     def test_f_prior_rows_equal_simulate_at_each_m(self, workers):
         # the F prior's quantile runs on the table-seeded path, so each draw
         # must be a function of its own level whatever the chunking
-        grid = [20000, 8192, 9000]
+        grid = [20000, CHUNK_ROWS_N10, CHUNK_ROWS_N10 + 808]
         kw = dict(model=EXP, prior=priors.f_mode1_prior(2.0, 2.0),
                   setup=TestSetup("mean_ump", 1.0, 0.05, 10), replications=2, workers=workers)
         rows = convergence_sweep(_config(m=1, **kw), grid)
@@ -333,3 +342,71 @@ class TestConvergenceSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(models.ModelError):
             convergence_sweep(_config(m=1), [])
+
+
+def _assert_same_result(a, b):
+    for field in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                      err_msg=field.name)
+
+
+CHUNK_CASES = {
+    "normal-mean": dict(setup=TestSetup("mean_ump", 0.0, 0.05, 10)),
+    "cauchy-median-odd": dict(model=CLOC, prior=priors.cauchy_prior(1.0),
+                              setup=TestSetup("median", 0.0, 0.05, 11)),
+    "cauchy-median-even": dict(model=CLOC, prior=priors.cauchy_prior(1.0),
+                               setup=TestSetup("median", 0.0, 0.05, 10)),
+    "exp-rate-f": dict(model=EXP, prior=priors.f_mode1_prior(2.0, 2.0),
+                       setup=TestSetup("mean_ump", 1.0, 0.05, 10)),
+}
+
+
+class TestChunking:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_chunk_budget_changes_nothing(self, monkeypatch, case, workers):
+        default = mtsim._CHUNK_UNIFORMS
+
+        def run(m, budget):
+            monkeypatch.setattr(mtsim, "_CHUNK_UNIFORMS", budget)
+            cfg = _config(m=m, replications=2, workers=workers, **CHUNK_CASES[case])
+            return simulate(cfg), convergence_sweep(cfg, [m // 3, m, m // 2])
+
+        # one row per chunk on a small m; the default, three chunks at n = 10
+        # and 11, against one chunk on a larger m
+        for m, budgets in ((300, (1, default, 10**9)), (4000, (default, 10**9))):
+            (res, rows), *others = [run(m, budget) for budget in budgets]
+            for other_res, other_rows in others:
+                _assert_same_result(res, other_res)
+                assert rows == other_rows
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 10_000])
+    def test_chunk_uniforms_stay_under_the_mmap_threshold(self, monkeypatch, n):
+        # n = 10,000 has rows of 10,004 uniforms: one row per chunk
+        blocks = []
+
+        def recording_block(*args):
+            u = uniform_block(*args)
+            blocks.append(u.shape[0] * u.strides[0])  # bytes of the whole allocation
+            return u
+
+        monkeypatch.setattr(mtsim, "uniform_block", recording_block)
+        simulate(_config(m=5000 if n <= 64 else 3, setup=TestSetup("mean_ump", 0.0, 0.05, n)))
+        width = 4 * ((n + 4) // 4)  # uniform_block's row width for 1 + n columns
+        assert max(blocks) < 131_072
+        # the chunk is full: one more row would overrun the budget
+        assert (max(blocks) // (8 * width) + 1) * width > mtsim._CHUNK_UNIFORMS
+
+    @pytest.mark.parametrize("n", [4, 10, 11])
+    @pytest.mark.parametrize(
+        "model,prior", [(NLOC, priors.normal_prior(1.0)), (CLOC, priors.cauchy_prior(1.0))],
+        ids=["normal", "cauchy"],
+    )
+    def test_median_is_read_at_the_middle_uniform(self, model, prior, n):
+        u = uniform_block(21, 0, 0, 20000, 1 + n)
+        theta = np.asarray(prior.ppf(u[:, 0]), dtype=float)
+        cols = u[:, 1:]  # a strided view, as the simulator passes it
+        k = models.median_order_index(n) - 1
+        median = np.sort(theta[:, None] + model.ppf(cols), axis=1)[:, k]
+        via_order = theta + model.ppf(np.partition(cols, k, axis=1)[:, k])
+        np.testing.assert_array_equal(via_order, median)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestBuiltinClosedForms:
         eps = 1e-4
         assert float(p.g(1.0)) > float(p.g(1.0 + eps))
         assert float(p.g(1.0)) > float(p.g(1.0 - eps))
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-150, 1e-160])
+    def test_half_line_second_derivative_near_zero(self, x):
+        # g'' -> -2 (gamma-mode1:2) and -16/9 (f-mode1:2:2) as x -> 0; the
+        # bracket (log h)'^2 + (log h)'' of g'' = h bracket must not cancel
+        y = x / 3.0  # f-mode1:2:2 is F(4, 4), density 6 y (1 + y)^-4, at tau = 3
+        cases = [
+            (priors.gamma_mode1_prior(2.0), (x - 2.0) * math.exp(-x)),
+            (priors.f_mode1_prior(2.0, 2.0),
+             6.0 * (20.0 * y / (1.0 + y) - 8.0) / (1.0 + y) ** 5 / 27.0),
+        ]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for prior, want in cases:
+                got = [float(prior.g2(x)), float(prior.g2(np.array([x]))[0])]
+                assert got == pytest.approx([want, want], rel=1e-13)
 
     @pytest.mark.parametrize("bad", [0.5, 1.0])
     def test_gamma_needs_interior_mode(self, bad):
