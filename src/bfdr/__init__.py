@@ -36,14 +36,7 @@ from .models import (
     ump_critical_value,
 )
 from .mtsim import SimConfig, SimResult, convergence_sweep, simulate
-from .numkernel import (
-    IntegralValue,
-    QuadratureConfig,
-    QuadratureNonConvergence,
-    integrate,
-    std_normal_cdf,
-    std_normal_pdf,
-)
+from .numkernel import IntegralValue, QuadratureNonConvergence, integrate, std_normal_pdf
 from .priors import (
     Prior,
     builtin_prior,

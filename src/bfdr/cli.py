@@ -38,7 +38,13 @@ from . import analysis, exact, expansions, models, mtsim, priors
 from .models import TestSetup
 from .numkernel import QuadratureNonConvergence
 
-_MODEL_SPECS = ("normal-mean", "exp-rate", "normal-median", "cauchy-median")
+#: Model spec -> (factory in ``models``, statistic, default theta0).
+_MODELS = {
+    "normal-mean": (models.normal_mean_model, "mean_ump", 0.0),
+    "exp-rate": (models.exponential_rate_model, "mean_ump", 1.0),
+    "normal-median": (models.normal_location_model, "median", 0.0),
+    "cauchy-median": (models.cauchy_location_model, "median", 0.0),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,15 +55,8 @@ _MAX_GRID_POINTS = 10_000
 
 def _build_model(spec: str):
     """Returns (model, statistic, default theta0) for a model spec string."""
-    if spec == "normal-mean":
-        return models.normal_mean_model(), "mean_ump", 0.0
-    if spec == "exp-rate":
-        return models.exponential_rate_model(), "mean_ump", 1.0
-    if spec == "normal-median":
-        return models.normal_location_model(), "median", 0.0
-    if spec == "cauchy-median":
-        return models.cauchy_location_model(), "median", 0.0
-    raise ValueError(f"unknown model spec {spec!r}; known: {_MODEL_SPECS}")
+    factory, statistic, theta0 = _MODELS[spec]
+    return factory(), statistic, theta0
 
 
 def _fmt_cell(x) -> str:
@@ -147,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, need_model=True):
         if need_model:
-            p.add_argument("--model", required=True, choices=_MODEL_SPECS)
+            p.add_argument("--model", required=True, choices=list(_MODELS))
         p.add_argument("--prior", required=True, help="prior spec, e.g. normal:1")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
@@ -212,14 +211,14 @@ def _check_all(violations: List[str], values: list, ok, what: str) -> None:
 
 
 def _validate(args: argparse.Namespace) -> tuple:
-    """Put the parsed ``alphas``, ``ns`` and ``tau_grid`` on ``args``.
+    """Put the parsed ``prior``, ``alphas``, ``ns`` and ``tau_grid`` on ``args``.
 
     Returns ``(args, violations)``, every violation rather than the first.
     """
     violations: List[str] = []
     get = vars(args).get
     try:
-        priors.parse_prior_spec(args.prior)
+        args.prior = priors.parse_prior_spec(args.prior)
     except Exception as exc:
         violations.append(f"prior: {exc}")
 
@@ -243,7 +242,7 @@ def _validate(args: argparse.Namespace) -> tuple:
 
     if get("theta0") is not None and not math.isfinite(args.theta0):
         violations.append(f"theta0 must be finite, got {args.theta0}")
-    median = get("model") in ("normal-median", "cauchy-median")
+    median = get("model") is not None and _MODELS[args.model][1] == "median"
     if median and args.theta0 not in (None, 0.0):
         violations.append("the median test uses the location convention theta0 = 0")
     if median and args.command == "coeffs" and not args.ns:
@@ -277,7 +276,7 @@ def _coefficients_for(model, statistic, theta0, prior, alpha, n):
 
 def run(args: argparse.Namespace) -> int:
     """Execute a validated invocation; returns the process exit code."""
-    prior = priors.parse_prior_spec(args.prior)
+    prior = args.prior
     if vars(args).get("model"):
         model, statistic, theta0 = _build_model(args.model)
         theta0 = theta0 if args.theta0 is None else args.theta0

@@ -16,7 +16,6 @@ s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import numkernel as nk
 from .models import ModelError, TestSetup, prior_support, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
-from .numkernel import IntegralValue, QuadratureConfig
+from .numkernel import ABS_TOL, IntegralValue
 from .priors import Prior, natural_lambda_alt
 from .results import RatePair, RateResult
 
@@ -53,7 +52,7 @@ def exact_joint(
     model,
     prior: Prior,
     setup: TestSetup,
-    cfg: Optional[QuadratureConfig] = None,
+    abs_tol: float = ABS_TOL,
 ) -> JointProbabilities:
     """Joint probabilities P(null, reject) and P(alt, accept) by quadrature.
 
@@ -65,7 +64,6 @@ def exact_joint(
     :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
     result.
     """
-    cfg = cfg or nk.DEFAULT_QUADRATURE
     test = resolve_test(model, setup)
     power, direction, theta0 = test.power, test.direction, test.theta0
     lo, hi = prior_support(model, prior)
@@ -90,8 +88,8 @@ def exact_joint(
             p = weight(min(max(float(power(edge)), 0.0), 1.0))
             return p * float(prior.cdf(edge) if away == -1 else 1.0 - prior.cdf(edge))
 
-        res = nk.integrate(integrand, theta0, lo if away == -1 else hi, cfg, scale, tail)
-        return replace(res, error_bound=res.error_bound + cfg.abs_tol / 10.0)
+        res = nk.integrate(integrand, theta0, lo if away == -1 else hi, abs_tol, scale, tail)
+        return replace(res, error_bound=res.error_bound + abs_tol / 10.0)
 
     A = side(alt=False)
     At = side(alt=True)

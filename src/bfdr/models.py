@@ -179,7 +179,7 @@ def normal_mean_model() -> ExpFamilyModel:
     """N(theta, 1): the pivot sqrt(n)(Xbar - theta) is exactly standard normal."""
 
     def _cdf(theta, n, t):
-        return nk.std_normal_cdf(t)
+        return _sp.ndtr(t)
 
     def _sample(theta, u):
         return np.asarray(theta, dtype=float) + _sp.ndtri(np.asarray(u, dtype=float))

@@ -21,13 +21,12 @@ equal seeds reproduce results bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -158,9 +157,9 @@ def _prefix_tallies(config: SimConfig, test: ResolvedTest, stops: Sequence[int])
     return {m: prefix[:, bounds.index(m) - 1].T for m in stops}
 
 
-def _result(config: SimConfig, V: np.ndarray, R: np.ndarray, W: np.ndarray) -> SimResult:
-    """Rate estimators from the per-replication tallies of ``config``."""
-    m, reps = config.m, config.replications
+def _result(config: SimConfig, m: int, V: np.ndarray, R: np.ndarray, W: np.ndarray) -> SimResult:
+    """Rate estimators from the per-replication tallies of ``config``'s first m experiments."""
+    reps = config.replications
     S = R - V
     fdr = V / np.maximum(R, 1)
     fdr_hat = float(fdr.mean())
@@ -203,36 +202,21 @@ def simulate(config: SimConfig) -> SimResult:
     worker, and on min(workers, jobs, CPUs) threads otherwise; the stream is
     partition-free, so the tallies are the same either way.
     """
-    test = resolve_test(config.model, config.setup)
-    tallies = _prefix_tallies(config, test, [config.m])
-    return _result(config, *tallies[config.m])
+    return convergence_sweep(config, [config.m])[0]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    m: int
-    fdr_hat: float
-    se_fdr: float
+def convergence_sweep(config: SimConfig, m_grid: Sequence[int]) -> List[SimResult]:
+    """The :func:`simulate` result at every m in ``m_grid``, read off one pass.
 
-
-def convergence_sweep(
-    config: SimConfig,
-    m_grid: Sequence[int],
-) -> list:
-    """Rows for every m in ``m_grid``, read off one simulation pass.
-
-    Experiment i draws the same data in every row that includes it, so each
-    row equals :func:`simulate` at that m and growing m extends the
+    Experiment i draws the same data at every m that includes it, so each
+    result equals :func:`simulate` at that m and growing m extends the
     experiment set rather than reshuffling it. One pass to max(m) tallies
-    every prefix. Rows keep the grid's order.
+    every prefix; ``config.m`` is not used. Results keep the grid's order.
     """
-    if not m_grid:
+    ms = [int(m) for m in m_grid]
+    if not ms:
         raise ModelError("m_grid must be non-empty")
-    configs = [dataclasses.replace(config, m=int(m)) for m in m_grid]
-    test = resolve_test(config.model, config.setup)
-    tallies = _prefix_tallies(config, test, [c.m for c in configs])
-    rows = []
-    for c in configs:
-        res = _result(c, *tallies[c.m])
-        rows.append(SweepRow(m=c.m, fdr_hat=res.fdr_hat, se_fdr=res.se_fdr))
-    return rows
+    if min(ms) < 1:
+        raise ModelError(f"m must be >= 1, got {min(ms)}")
+    tallies = _prefix_tallies(config, resolve_test(config.model, config.setup), ms)
+    return [_result(config, m, *tallies[m]) for m in ms]

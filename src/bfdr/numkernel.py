@@ -28,6 +28,8 @@ _E_MIN, _E_MAX = 1e-300, 1e13
 _TOP_LEVEL = 8
 #: The first level that may stop; levels 0.._FIRST_STOP share the first integrand call.
 _FIRST_STOP = 2
+#: Default absolute tolerance of :func:`integrate` and of the exact route.
+ABS_TOL = 1e-8
 
 
 def _node_table():
@@ -82,39 +84,12 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF; vectorized, absolute error below 1e-14."""
-    x = np.asarray(x, dtype=float)
-    out = _sp.ndtr(x)
-    return float(out) if out.ndim == 0 else out
-
-
 def upper_quantile_z(alpha: float) -> float:
     """z_alpha, the upper-alpha point of the standard normal distribution."""
     p = 1.0 - float(alpha)
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie in (0, 1), got {p!r}")
     return float(_sp.ndtri(p))
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and level budget for :func:`integrate`.
-
-    The rule stops at the first level k >= 2 whose gap to level k - 1, plus
-    a rounding floor of 64 eps |I_k|, is within ``abs_tol``; ``max_level``
-    (2..8) is the last level tried, with step 2**-(max_level+1) in t.
-    """
-
-    abs_tol: float = 1e-8
-    max_level: int = _TOP_LEVEL
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not _FIRST_STOP <= self.max_level <= _TOP_LEVEL:
-            raise DomainError(
-                f"max_level must lie in [{_FIRST_STOP}, {_TOP_LEVEL}], got {self.max_level}")
 
 
 @dataclass(frozen=True)
@@ -130,21 +105,17 @@ class IntegralValue:
     value: float
     error_bound: float
     panels: int = 0
-    converged: bool = True
 
     def __post_init__(self):
         if self.error_bound < 0.0:
             raise DomainError("error_bound must be nonnegative")
 
 
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 def integrate(
     f: Callable,
     origin: float,
     end: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    abs_tol: float = ABS_TOL,
     scale: float = 1.0,
     tail: Optional[Callable[[float], float]] = None,
 ) -> IntegralValue:
@@ -159,13 +130,15 @@ def integrate(
     trapezoid sum in t with step 2**-(k+1) over all nodes so far; one call of
     ``f`` covers levels 0..2, then one call per level, each level summed on
     its own, in order. It stops at level k >= 2 once
-    |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol``; that sum is the bound,
-    plus ``tail(edge)`` when given: a bound on the integral beyond the
+    |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol`` (> 0); that sum is the
+    bound, plus ``tail(edge)`` when given: a bound on the integral beyond the
     outermost node ``edge``. Without ``tail`` the bound leaves that sliver
-    out. On an exhausted budget raises
-    :class:`QuadratureNonConvergence` carrying the last level and its bound.
+    out. When level 8, the last, still misses ``abs_tol``, raises
+    :class:`QuadratureNonConvergence` carrying that level and its bound.
     """
     origin, end = float(origin), float(end)
+    if not abs_tol > 0.0:
+        raise DomainError(f"abs_tol must be positive, got {abs_tol}")
     if not (math.isfinite(origin) and not math.isnan(end)):
         raise DomainError(f"need a finite origin and an end, got ({origin}, {end})")
     if end == origin:
@@ -185,18 +158,16 @@ def integrate(
     first = _ENDS[_FIRST_STOP]
     batch = values(0, first)
     total, estimate = 0.0, 0.0
-    for level in range(cfg.max_level + 1):
+    for level in range(_TOP_LEVEL + 1):
         lo, hi = (_ENDS[level - 1] if level else 0), _ENDS[level]
         new = batch[lo:hi] if hi <= first else values(lo, hi)
         total += float(np.add.reduce(new * w[lo:hi]))
         prev, estimate = estimate, length * 2.0 ** -(level + 1) * total
         err = abs(estimate - prev) + 64.0 * _EPS * abs(estimate)
-        if level >= _FIRST_STOP and err <= cfg.abs_tol:
+        if level >= _FIRST_STOP and err <= abs_tol:
             break
-    converged = bool(err <= cfg.abs_tol)
-    if tail is not None:
-        err += float(tail(origin + away * length * _EDGES[col][level]))
-    result = IntegralValue(estimate, err, panels=hi, converged=converged)
-    if not converged:
+    bound = err if tail is None else err + float(tail(origin + away * length * _EDGES[col][level]))
+    result = IntegralValue(estimate, bound, panels=hi)
+    if err > abs_tol:
         raise QuadratureNonConvergence(result)
     return result

@@ -116,8 +116,7 @@ def validate_prior(prior: Prior):
     cut = _NORM_TOL / 10.0
     L, U = _tail_points(prior, cut)
     anchor = float(prior.ppf(0.5))
-    cfg = nk.QuadratureConfig(abs_tol=cut)
-    halves = [nk.integrate(prior.g, anchor, end, cfg, tail=lambda e, end=end: abs(prior.cdf(end) - prior.cdf(e)))
+    halves = [nk.integrate(prior.g, anchor, end, cut, tail=lambda e, end=end: abs(prior.cdf(end) - prior.cdf(e)))
               for end in (L, U)]
     total = sum(h.value for h in halves) + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
     if abs(total - 1.0) > _NORM_TOL + sum(h.error_bound for h in halves):
@@ -365,12 +364,10 @@ def _table_quantile(ppf, isf, cdf, sf, log_g) -> Callable:
     def quantile(u):
         u = np.asarray(u, dtype=float)
         z = np.asarray(_sp.ndtri(u))
-        band = np.abs(z) <= _TABLE_Z  # false at NaN
-        if u.ndim == 1 and band.all():
-            return newton(u, z)
-        out = np.empty(u.shape)
-        out[~band] = ppf(u[~band])
-        out[band] = newton(u[band], z[band])
+        outside = ~(np.abs(z) <= _TABLE_Z)  # true at NaN
+        z[outside] = 0.0  # any level in the table: ppf overwrites these
+        out = np.asarray(newton(u, z))  # newton gives a scalar at a 0-d u
+        out[outside] = ppf(u[outside])
         return out
 
     return quantile

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bfdr import numkernel as nk
+from bfdr._special import _sp
 from bfdr.analysis import AnalysisError
 from bfdr.models import ModelError, median_order_index, reiss_coefficients
 
@@ -94,7 +95,7 @@ def power_mean_edgeworth(rho30: float, rho40: float, alpha: float, n: int, x):
     x = np.asarray(x, dtype=float)
     phi = nk.std_normal_pdf(x)
     out = (
-        nk.std_normal_cdf(x)
+        _sp.ndtr(x)
         + phi * g1_poly(x, rho30, z) / math.sqrt(n)
         + phi * g2_poly(x, rho30, rho40, z) / n
     )
@@ -174,7 +175,7 @@ def median_cdf_edgeworth(model, n: int, t):
     t = np.asarray(t, dtype=float)
     phi = nk.std_normal_pdf(t)
     out = (
-        nk.std_normal_cdf(t)
+        _sp.ndtr(t)
         + phi * reiss_r1(rc, t) / math.sqrt(n)
         + phi * reiss_r2(rc, t) / n
     )

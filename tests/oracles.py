@@ -100,18 +100,19 @@ def order_stat_cdf(F: float, k: int, n: int) -> float:
     return total
 
 
-def scalar_de(w, origin: float, end: float, abs_tol: float, max_level: int, scale: float = 1.0):
+def scalar_de(w, origin: float, end: float, abs_tol: float, scale: float = 1.0):
     """The double-exponential rule with one call of ``w`` per level, on the
     library's node table: level k adds its nodes' f * weight to the running
     sum, and I_k = length * 2**-(k+1) * sum. Same stopping rule as the library
-    (level >= 2, |I_k - I_(k-1)| + 64 eps |I_k| <= abs_tol). Returns
-    (value, error_bound, nodes, converged) at the last level reached."""
+    (level >= 2, |I_k - I_(k-1)| + 64 eps |I_k| <= abs_tol) and the same last
+    level, 8. Returns (value, error_bound, nodes, converged) at the last level
+    reached."""
     from bfdr.numkernel import _ENDS, _TABLE
 
     length, col = (scale, 0) if math.isinf(end) else (abs(end - origin), 2)
     away = math.copysign(1.0, end - origin)
     total, estimate = 0.0, 0.0
-    for level in range(max_level + 1):
+    for level in range(9):
         lo, hi = (_ENDS[level - 1] if level else 0), _ENDS[level]
         x = origin + away * length * _TABLE[col][lo:hi]
         total += float(np.add.reduce(np.asarray(w(x), dtype=float) * _TABLE[col + 1][lo:hi]))

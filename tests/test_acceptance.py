@@ -157,11 +157,11 @@ class TestCriterion06SeriesRemainderOrder:
     )
     def test_n_squared_remainder_stability(self, name, model, prior, theta0):
         cs = expansions.exp_family_coefficients(model, prior, theta0, 0.05)
-        cfg = nk.QuadratureConfig(abs_tol=1e-12)
+        tol = 1e-12
         resid_a, resid_at = [], []
         for n in (50, 100, 200):
             joint = exact.exact_joint(
-                model, prior, TestSetup("mean_ump", theta0, 0.05, n), cfg
+                model, prior, TestSetup("mean_ump", theta0, 0.05, n), tol
             )
             rn = math.sqrt(n)
             resid_a.append(n**2 * abs(joint.A.value - (cs.a1 / rn + cs.a2 / n + cs.a3 / (n * rn))))

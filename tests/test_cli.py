@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bfdr import cli
+from bfdr import cli, priors
 from bfdr.numkernel import IntegralValue, QuadratureNonConvergence
 
 
@@ -206,6 +206,49 @@ class TestOtherCommands:
         assert taus == pytest.approx([0.5, 1.0, 2.0], rel=1e-12)
 
 
+class TestModelAndPriorSpecs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--model", "exp-rate", "--prior", "gamma-mode1:2", "--alpha", "0.05"],
+            ["rates", "--model", "exp-rate", "--prior", "f-mode1:2:2", "--alpha-grid",
+             "0.05:0.1:0.05", "--n", "10"],
+            ["sim", "--model", "cauchy-median", "--prior", "cauchy:1", "--alpha", "0.05",
+             "--n", "5", "--m", "200", "--seed", "3"],
+            ["spiky", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
+             "--n", "10", "--tau-grid", "0.5,2"],
+            ["compare", "--prior", "t:4:1", "--alpha", "0.05"],
+        ],
+        ids=["coeffs", "rates", "sim", "spiky", "compare"],
+    )
+    def test_prior_is_parsed_once_per_run(self, capsys, monkeypatch, argv):
+        parse, specs = priors.parse_prior_spec, []
+
+        def counted(spec):
+            specs.append(spec)
+            return parse(spec)
+
+        monkeypatch.setattr(priors, "parse_prior_spec", counted)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out
+        assert specs == [argv[argv.index("--prior") + 1]]
+
+    @pytest.mark.parametrize("spec", sorted(cli._MODELS))
+    def test_each_model_spec_builds_its_table_entry(self, spec):
+        factory, statistic, theta0 = cli._MODELS[spec]
+        model, got_statistic, got_theta0 = cli._build_model(spec)
+        assert model.name == factory().name
+        assert (got_statistic, got_theta0) == (statistic, theta0)
+        # the median rule follows the table's statistic
+        argv = ["coeffs", "--model", spec, "--prior", "normal:1", "--alpha", "0.05",
+                "--theta0", "1"]
+        median_rules = ["the median test uses the location convention theta0 = 0",
+                        "coeffs with a median statistic needs --n (sets parity)"]
+        assert cli._validate(cli._build_parser().parse_args(argv))[1] == (
+            median_rules if statistic == "median" else [])
+
+
 class TestValidationAndErrors:
     def test_all_violations_listed(self, capsys):
         code, out, err = run_cli(
@@ -399,7 +442,7 @@ class TestValidationAndErrors:
 
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
-            raise QuadratureNonConvergence(IntegralValue(0.1, 0.05, converged=False))
+            raise QuadratureNonConvergence(IntegralValue(0.1, 0.05))
 
         monkeypatch.setattr(cli.exact, "exact_joint", explode)
         code, out, err = run_cli(

@@ -22,7 +22,7 @@ from bfdr import expansions, models, priors
 from bfdr import numkernel as nk
 from bfdr.exact import DegenerateDenominator, JointProbabilities, exact_joint, exact_rates
 from bfdr.models import TestSetup
-from bfdr.numkernel import IntegralValue, QuadratureConfig, QuadratureNonConvergence
+from bfdr.numkernel import IntegralValue, QuadratureNonConvergence
 
 from oracles import scalar_de
 
@@ -164,14 +164,13 @@ MPMATH_CASES = {
     "exp-gamma-20-alpha0.3": (EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", 1.0, 0.3, 20),
                               None, lambda: _mp_exp_rate_gamma2(0.3, 20)),
     "nn-10-tol1e-9": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 0.05, 10),
-                      QuadratureConfig(abs_tol=1e-9),
-                      lambda: _mp_normal_mean(_mp_normal_pdf, 0.05, 10)),
+                      1e-9, lambda: _mp_normal_mean(_mp_normal_pdf, 0.05, 10)),
     # The trapezoid stop rule once stopped here on a chance agreement of two
     # levels: At error 1.6e-8 against a reported bound of 4.4e-9.
     "nn-10-alpha1e-6": (NORMAL, priors.normal_prior(1.0), TestSetup("mean_ump", 0.0, 1e-6, 10),
                         None, lambda: _mp_normal_mean(_mp_normal_pdf, 1e-6, 10)),
     "cc-median-1-tol1e-9": (CLOC, priors.cauchy_prior(1.0), TestSetup("median", 0.0, 0.05, 1),
-                            QuadratureConfig(abs_tol=1e-9), lambda: _mp_cauchy_median_n1(0.05)),
+                            1e-9, lambda: _mp_cauchy_median_n1(0.05)),
     # The README `spiky` rows: a prior spiked at the boundary, and a flat one.
     "nn-10-tau1e-3": (NORMAL, priors.scale_prior(priors.normal_prior(1.0), 1e-3),
                       TestSetup("mean_ump", 0.0, 0.05, 10), None,
@@ -240,31 +239,45 @@ class TestExactJoint:
             assert 0.0 <= joint.A_tilde.value <= lam + tol
             assert joint.B + joint.B_tilde == 1.0
 
-    def test_non_convergence_propagates_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, max_level=2)
+    def test_non_convergence_propagates_best_estimate(self, monkeypatch):
+        # 1e-20 lies below the rounding floor 64 eps |A|: the first side runs
+        # every level and its result reaches the caller unchanged
         setup = TestSetup("mean_ump", 0.0, 0.05, 10)
+        integrate, sides = nk.integrate, []
+
+        def recorded(*args):
+            try:
+                return integrate(*args)
+            except QuadratureNonConvergence as exc:
+                sides.append(exc.result)
+                raise
+
+        monkeypatch.setattr(nk, "integrate", recorded)
         with pytest.raises(QuadratureNonConvergence) as excinfo:
-            exact_joint(NORMAL, priors.normal_prior(1.0), setup, cfg)
+            exact_joint(NORMAL, priors.normal_prior(1.0), setup, 1e-20)
+        assert [excinfo.value.result] == sides
+        assert excinfo.value.result.panels == nk._ENDS[-1]
         assert math.isfinite(excinfo.value.result.value)
-        assert not excinfo.value.result.converged
+        with pytest.raises(nk.DomainError, match="abs_tol must be positive"):
+            exact_joint(NORMAL, priors.normal_prior(1.0), setup, 0.0)
 
     @pytest.mark.parametrize("case", sorted(MPMATH_CASES))
     def test_matches_mpmath_quadrature(self, case):
-        model, prior, setup, cfg, oracle = MPMATH_CASES[case]
-        joint = exact_joint(model, prior, setup, cfg)
+        model, prior, setup, abs_tol, oracle = MPMATH_CASES[case]
+        abs_tol = abs_tol or nk.ABS_TOL
+        joint = exact_joint(model, prior, setup, abs_tol)
         A_mp, At_mp = oracle()
         assert abs(joint.A.value - float(A_mp)) <= joint.A.error_bound
         assert abs(joint.A_tilde.value - float(At_mp)) <= joint.A_tilde.error_bound
         # gap and floor within abs_tol, abs_tol / 10 more, and a tail term far smaller
-        tol = (cfg or nk.DEFAULT_QUADRATURE).abs_tol
-        assert max(joint.A.error_bound, joint.A_tilde.error_bound) <= 2.0 * tol
+        assert max(joint.A.error_bound, joint.A_tilde.error_bound) <= 2.0 * abs_tol
 
     def test_flat_prior_is_right_to_twelve_digits(self):
         # The README `spiky` row tau = 1000: an absolute stop once left A
         # wrong by 3.5e-4 relative, inside its bound.
-        model, prior, setup, cfg, oracle = MPMATH_CASES["nn-10-tau1e3"]
+        model, prior, setup, _, oracle = MPMATH_CASES["nn-10-tau1e3"]
         A_mp, _ = oracle()
-        assert abs(exact_joint(model, prior, setup, cfg).A.value - float(A_mp)) <= 1e-12 * float(A_mp)
+        assert abs(exact_joint(model, prior, setup).A.value - float(A_mp)) <= 1e-12 * float(A_mp)
 
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
     @given(
@@ -384,7 +397,7 @@ BUILTIN_PAIRS = {
 }
 
 
-def _march(f, origin, end, cfg, scale=1.0, tail=None, integrate=nk.integrate):
+def _march(f, origin, end, abs_tol, scale=1.0, tail=None, integrate=nk.integrate):
     """``integrate`` on one side, beside the scalar level march
     (``oracles.scalar_de``) on the same side. Returns the result, the march's
     (value, level gap, nodes, converged), the march's node farthest from
@@ -400,10 +413,11 @@ def _march(f, origin, end, cfg, scale=1.0, tail=None, integrate=nk.integrate):
         return f(x)
 
     try:
-        res = integrate(f, origin, end, cfg, scale, recorded)
+        res, raised = integrate(f, origin, end, abs_tol, scale, recorded), False
     except QuadratureNonConvergence as exc:
-        res = exc.result
-    ref = scalar_de(marched, origin, end, cfg.abs_tol, cfg.max_level, scale)
+        res, raised = exc.result, True
+    ref = scalar_de(marched, origin, end, abs_tol, scale)
+    assert raised != ref[3]  # it raises where the march does not converge
     return res, ref, max(points, key=lambda x: abs(x - origin)), edges
 
 
@@ -418,8 +432,8 @@ class TestFindCut:
         model, spec, statistic, theta0 = BUILTIN_PAIRS[pair]
         integrate, sides = nk.integrate, []
 
-        def checked(f, origin, end, cfg, scale, tail):
-            res, ref, farthest, edges = _march(f, origin, end, cfg, scale, tail, integrate)
+        def checked(f, origin, end, abs_tol, scale, tail):
+            res, ref, farthest, edges = _march(f, origin, end, abs_tol, scale, tail, integrate)
             sides.append((res, ref, farthest, edges, tail))
             return res
 
@@ -427,7 +441,7 @@ class TestFindCut:
         exact_joint(model, priors.parse_prior_spec(spec), TestSetup(statistic, theta0, alpha, n))
         assert len(sides) == 2
         for res, (value, gap, _, converged), farthest, edges, tail in sides:
-            assert converged and res.converged
+            assert converged
             assert edges == [farthest]
             assert (res.value, res.error_bound) == (value, gap + tail(farthest))
 
@@ -440,7 +454,7 @@ class TestFindCut:
         s = 1e-3 * 2.0**k
         f = lambda th: np.exp(-np.abs(th) / s)
         res, (value, gap, nodes, converged), farthest, edges = _march(
-            f, 0.0, away * math.inf, QuadratureConfig(abs_tol=1e-10 * s), s)
+            f, 0.0, away * math.inf, 1e-10 * s, s)
         assert converged and (res.value, res.error_bound) == (value, gap)
         assert abs(res.value - s) <= res.error_bound
         assert nodes == nk._ENDS[4]
@@ -463,8 +477,8 @@ class TestFindCut:
     )
     def test_edge_cases_equal_the_scalar_march(self, f, origin, end, truth):
         res, (value, gap, nodes, converged), farthest, edges = _march(
-            f, origin, end, QuadratureConfig(abs_tol=1e-9))
-        assert (res.value, res.error_bound, res.converged) == (value, gap, converged)
+            f, origin, end, 1e-9)
+        assert (res.value, res.error_bound) == (value, gap)
         assert edges == [farthest]
         if truth is None:
             # no level agrees: the cut is the table's last node, inside E = 1e13

@@ -11,6 +11,7 @@ import pytest
 
 from bfdr import exact, expansions, models, priors
 from bfdr import numkernel as nk
+from bfdr._special import _sp
 from bfdr.expansions import (
     CoefficientSet,
     compose_coefficient_set,
@@ -199,10 +200,10 @@ class TestExpFamilyCoefficients:
     def test_joint_probability_series_against_quadrature(self, model, prior, th0):
         # n^2-scaled residuals of the three-term series stay bounded
         cs = exp_family_coefficients(model, prior, th0, 0.05)
-        cfg = nk.QuadratureConfig(abs_tol=1e-12)
+        tol = 1e-12
         resid_a, resid_at = [], []
         for n in (50, 100, 200):
-            joint = exact.exact_joint(model, prior, TestSetup("mean_ump", th0, 0.05, n), cfg)
+            joint = exact.exact_joint(model, prior, TestSetup("mean_ump", th0, 0.05, n), tol)
             rn = math.sqrt(n)
             series_a = cs.a1 / rn + cs.a2 / n + cs.a3 / (n * rn)
             series_at = cs.at1 / rn + cs.at2 / n + cs.at3 / (n * rn)
@@ -260,7 +261,7 @@ class TestEdgeworthPowerCheck:
         theta = 1.0 - (xs + Z95) / math.sqrt(n)
         exact_power = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, alpha, n)).power(theta)
         phi = nk.std_normal_pdf(xs)
-        base = nk.std_normal_cdf(xs) + phi * g1_poly(xs, 2.0, Z95) / math.sqrt(n)
+        base = _sp.ndtr(xs) + phi * g1_poly(xs, 2.0, Z95) / math.sqrt(n)
         err_derived = np.max(np.abs(base + phi * g2_poly(xs, 2.0, 6.0, Z95) / n - exact_power))
         err_variant = np.max(np.abs(base + phi * g2_variant(xs, 2.0, 6.0, Z95) / n - exact_power))
         assert err_derived < err_variant / 100.0
@@ -330,7 +331,7 @@ class TestMedianCoefficients:
         # same n^2-residual check as the mean case, median statistic; the
         # A or At residual grows about 2x from the first n to the last if
         # its n^(-3/2) term is wrong
-        cfg = nk.QuadratureConfig(abs_tol=1e-12)
+        tol = 1e-12
         odd, even = (51, 101, 201), (50, 100, 200)
         for model, prior, ns in (
             (NLOC, priors.normal_prior(1.0), odd),
@@ -343,7 +344,7 @@ class TestMedianCoefficients:
             resid_a, resid_at = [], []
             for n in ns:
                 cs = median_coefficients(model, prior, 0.05, n)
-                joint = exact.exact_joint(model, prior, TestSetup("median", 0.0, 0.05, n), cfg)
+                joint = exact.exact_joint(model, prior, TestSetup("median", 0.0, 0.05, n), tol)
                 rn = math.sqrt(n)
                 series_a = cs.a1 / rn + cs.a2 / n + cs.a3 / (n * rn)
                 series_at = cs.at1 / rn + cs.at2 / n + cs.at3 / (n * rn)

@@ -9,6 +9,8 @@ referenced, as a name or an attribute (a string does not count), from
 scipy's special functions come in through ``_special.py`` alone, and nothing
 imports ``scipy.stats`` or ``scipy.optimize``: each costs a CLI process a
 large share of its start-up.
+
+The benchmark keeps its own copy of the CLI's model table; the two must agree.
 """
 
 import ast
@@ -126,3 +128,24 @@ def test_the_import_check_sees_every_spelling():
         "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.optimize.brentq",
         "scipy.integrate",
     }
+
+
+def perfbench_model_specs():
+    """``MODEL_SPECS`` of perfbench/run.py, read from its source: importing the
+    script would put perfbench/ on ``sys.path``."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "MODEL_SPECS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no MODEL_SPECS")
+
+
+def test_the_cli_model_table_agrees_with_the_benchmark():
+    from bfdr import cli, models
+
+    table = {}
+    for spec, (factory, statistic, theta0) in cli._MODELS.items():
+        assert getattr(models, factory.__name__) is factory
+        table[spec] = (factory.__name__, statistic, theta0)
+    assert table == perfbench_model_specs()

@@ -323,9 +323,7 @@ class TestConvergenceSweep:
         rows = convergence_sweep(cfg, grid)
         assert [row.m for row in rows] == grid
         for row in rows:
-            res = simulate(_config(m=row.m, replications=3, workers=workers))
-            assert row.fdr_hat == res.fdr_hat
-            assert row.se_fdr == res.se_fdr
+            _assert_same_result(row, simulate(_config(m=row.m, replications=3, workers=workers)))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_f_prior_rows_equal_simulate_at_each_m(self, workers):
@@ -336,12 +334,13 @@ class TestConvergenceSweep:
                   setup=TestSetup("mean_ump", 1.0, 0.05, 10), replications=2, workers=workers)
         rows = convergence_sweep(_config(m=1, **kw), grid)
         for row in rows:
-            res = simulate(_config(m=row.m, **kw))
-            assert (row.fdr_hat, row.se_fdr) == (res.fdr_hat, res.se_fdr)
+            _assert_same_result(row, simulate(_config(m=row.m, **kw)))
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(models.ModelError):
+        with pytest.raises(models.ModelError, match="non-empty"):
             convergence_sweep(_config(m=1), [])
+        with pytest.raises(models.ModelError, match="m must be >= 1, got 0"):
+            convergence_sweep(_config(m=1), [5, 0])
 
 
 def _assert_same_result(a, b):
@@ -377,8 +376,8 @@ class TestChunking:
         for m, budgets in ((300, (1, default, 10**9)), (4000, (default, 10**9))):
             (res, rows), *others = [run(m, budget) for budget in budgets]
             for other_res, other_rows in others:
-                _assert_same_result(res, other_res)
-                assert rows == other_rows
+                for a, b in zip([res, *rows], [other_res, *other_rows], strict=True):
+                    _assert_same_result(a, b)
 
     @pytest.mark.parametrize("n", [*range(1, 65), 10_000])
     def test_chunk_uniforms_stay_under_the_mmap_threshold(self, monkeypatch, n):

@@ -37,23 +37,23 @@ class TestStdNormalPdf:
 
 class TestStdNormalCdf:
     def test_at_zero(self):
-        assert nk.std_normal_cdf(0.0) == 0.5
+        assert _sp.ndtr(0.0) == 0.5
 
     def test_upper_tail(self):
-        assert nk.std_normal_cdf(8.0) >= 1.0 - 1e-14
+        assert _sp.ndtr(8.0) >= 1.0 - 1e-14
 
     def test_high_precision_point(self):
-        assert nk.std_normal_cdf(0.644854) == pytest.approx(NCDF_0_644854, abs=1e-14)
+        assert _sp.ndtr(0.644854) == pytest.approx(NCDF_0_644854, abs=1e-14)
 
     def test_complement_sums_to_one(self):
         for x in np.linspace(-6.0, 6.0, 25):
-            assert nk.std_normal_cdf(x) + nk.std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
+            assert _sp.ndtr(x) + _sp.ndtr(-x) == pytest.approx(1.0, abs=1e-14)
 
     def test_derivative_matches_pdf(self):
         # |(Phi(x+h)-Phi(x-h))/2h - phi(x)| <= 1e-6 on [-5, 5]
         h = 1e-5
         xs = np.linspace(-5.0, 5.0, 101)
-        fd = (nk.std_normal_cdf(xs + h) - nk.std_normal_cdf(xs - h)) / (2 * h)
+        fd = (_sp.ndtr(xs + h) - _sp.ndtr(xs - h)) / (2 * h)
         assert np.max(np.abs(fd - nk.std_normal_pdf(xs))) <= 1e-6
 
 
@@ -66,7 +66,7 @@ class TestStdNormalQuantile:
 
     @pytest.mark.parametrize("p", [0.95, 0.975])
     def test_against_bisection_oracle(self, p):
-        ref = bisect_quantile(nk.std_normal_cdf, p, -10.0, 10.0)
+        ref = bisect_quantile(_sp.ndtr, p, -10.0, 10.0)
         assert nk.upper_quantile_z(1.0 - p) == pytest.approx(ref, abs=1e-10)
 
     def test_known_points(self):
@@ -76,7 +76,7 @@ class TestStdNormalQuantile:
     def test_round_trip(self):
         alphas = [1e-6, 1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-4, 1 - 1e-6]
         for alpha in alphas:
-            assert abs(1.0 - nk.std_normal_cdf(nk.upper_quantile_z(alpha)) - alpha) <= 1e-12
+            assert abs(1.0 - _sp.ndtr(nk.upper_quantile_z(alpha)) - alpha) <= 1e-12
 
     def test_is_a_float_equal_to_ndtri(self):
         for alpha in (1e-6, 0.05, 0.15, 0.5, 0.99):
@@ -165,25 +165,31 @@ class TestIntegrate:
         assert nk.integrate(np.exp, 1.5, 1.5) == nk.IntegralValue(0.0, 0.0)
 
     def test_non_convergence_carries_best_estimate(self):
-        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_level=3)
+        # 1e-20 lies below the rounding floor 64 eps |I| (1.4e-14 here): no level stops
         with pytest.raises(nk.QuadratureNonConvergence) as exc:
-            nk.integrate(nk.std_normal_pdf, -30.0, 30.0, cfg)
+            nk.integrate(nk.std_normal_pdf, -30.0, 30.0, 1e-20)
         best = exc.value.result
-        assert not best.converged
-        assert best.value == pytest.approx(1.0, abs=0.1)
+        assert best.panels == nk._ENDS[-1]
+        assert best.value == pytest.approx(1.0, abs=1e-13)
+        assert abs(best.value - 1.0) <= best.error_bound
 
     def test_non_convergence_reports_the_trapezoid(self):
         # The last level's trapezoid sum in t, its gap to the level before and
-        # the nodes evaluated, as the one-call-per-level loop gives them.
-        cfg = nk.QuadratureConfig(abs_tol=1e-14, max_level=2)
+        # the nodes evaluated, as the one-call-per-level loop gives them: all
+        # levels run, in one call for levels 0..2 and one for each later level.
+        calls = []
+
+        def w(x):
+            calls.append(x.size)
+            return nk.std_normal_pdf(x)
+
         with pytest.raises(nk.QuadratureNonConvergence) as exc:
-            nk.integrate(nk.std_normal_pdf, -30.0, 30.0, cfg)
+            nk.integrate(w, -30.0, 30.0, 1e-20)
         best = exc.value.result
-        w = lambda x: nk.std_normal_pdf(x)
-        assert (best.value, best.error_bound, best.panels, best.converged) == scalar_de(
-            w, -30.0, 30.0, 1e-14, 2)
-        assert best.panels == 84
-        assert abs(best.value - 1.0) <= best.error_bound
+        assert len(calls) == 1 + nk._TOP_LEVEL - 2
+        assert (best.value, best.error_bound, best.panels, False) == scalar_de(
+            nk.std_normal_pdf, -30.0, 30.0, 1e-20)
+        assert best.panels == sum(calls) == nk._ENDS[-1] == nk._ENDS[8]
 
     @pytest.mark.parametrize(
         "f,a,b,truth",
@@ -196,7 +202,7 @@ class TestIntegrate:
         ],
     )
     def test_schemes_agree(self, f, a, b, truth):
-        r1 = nk.integrate(f, a, b, nk.QuadratureConfig(abs_tol=1e-9))
+        r1 = nk.integrate(f, a, b, 1e-9)
         assert r1.value == pytest.approx(truth, abs=1e-7)
 
 
@@ -219,15 +225,11 @@ class TestRombergBatching:
         ("level9", lambda v: _gauss(v - 20.0), 0.0, math.inf, 1e-10, 7),
     ]
 
-    # Level budgets; 1 and 20 lie outside QuadratureConfig's [2, 8], are
-    # refused, and run at the nearest end of that range.
-    @pytest.mark.parametrize("max_refinements", [1, 2, 3, 4, 5, 6, 7, 20])
+    # The case's abs_tol divided by 10**tighten: the rule stops on the same
+    # level or a later one, or on none, as at 10**-20, below the rounding floor.
+    @pytest.mark.parametrize("tighten", [1, 2, 3, 4, 5, 6, 7, 20])
     @pytest.mark.parametrize("f,origin,end,tol,stop", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-    def test_matches_the_one_call_per_level_loop(self, f, origin, end, tol, stop, max_refinements):
-        max_level = min(max(max_refinements, 2), nk._TOP_LEVEL)
-        if max_level != max_refinements:
-            with pytest.raises(nk.DomainError):
-                nk.QuadratureConfig(abs_tol=tol, max_level=max_refinements)
+    def test_matches_the_one_call_per_level_loop(self, f, origin, end, tol, stop, tighten):
         points = []
 
         def w(x):
@@ -235,23 +237,27 @@ class TestRombergBatching:
             points.append(x.tolist())
             return np.array([f(v) for v in x.tolist()])
 
-        assert scalar_de(w, origin, end, tol, 8)[3]
+        assert scalar_de(w, origin, end, tol)[3]
         assert sum(map(len, points)) == nk._ENDS[stop]
-        expected = scalar_de(w, origin, end, tol, max_level)
+        tol *= 10.0**-tighten
+        value, bound, nodes, converged = scalar_de(w, origin, end, tol)
         points.clear()
         try:
-            res = nk.integrate(w, origin, end, nk.QuadratureConfig(abs_tol=tol, max_level=max_level))
+            res = nk.integrate(w, origin, end, tol)
         except nk.QuadratureNonConvergence as exc:
             res = exc.result
-        assert (res.value, res.error_bound, res.converged) == (
-            expected[0], expected[1], expected[3])
+            assert not converged
+        assert (res.value, res.error_bound) == (value, bound)
+        assert converged or tighten >= 4  # the looser tolerances all stop
+        assert not (converged and tighten == 20)
 
         # A side stopping at level L <= 2 makes one call, one stopping later
-        # L - 1; no node beyond level max_level is evaluated.
-        last = max(2, min(stop, max_level))
+        # L - 1; no node beyond level L is evaluated.
+        last = nk._ENDS.index(nodes)
+        assert last >= stop
         assert len(points) == 1 + max(0, last - 2)
         flat = [x for call in points for x in call]
-        assert res.panels == len(flat) == nk._ENDS[last]
+        assert res.panels == len(flat) == nodes
 
 
 def _level(k):
@@ -300,13 +306,11 @@ class TestNodeTable:
 
 class TestConfigValidation:
     def test_bad_tolerance(self):
-        with pytest.raises(nk.DomainError):
-            nk.QuadratureConfig(abs_tol=0.0)
-
-    def test_bad_refinements(self):
-        for max_level in (1, 9):
-            with pytest.raises(nk.DomainError):
-                nk.QuadratureConfig(max_level=max_level)
+        # refused before any work, on an empty interval too
+        for end in (1.0, 0.0):
+            for abs_tol in (0.0, -1e-8, math.nan):
+                with pytest.raises(nk.DomainError, match="abs_tol must be positive"):
+                    nk.integrate(np.exp, 0.0, end, abs_tol)
 
     def test_negative_error_bound_rejected(self):
         with pytest.raises(nk.DomainError):
