@@ -133,8 +133,9 @@ def integrate(
     |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol`` (> 0); that sum is the
     bound, plus ``tail(edge)`` when given: a bound on the integral beyond the
     outermost node ``edge``. Without ``tail`` the bound leaves that sliver
-    out. When level 8, the last, still misses ``abs_tol``, raises
-    :class:`QuadratureNonConvergence` carrying that level and its bound.
+    out. When level 8, the last, still misses ``abs_tol`` (or its gap is
+    NaN), raises :class:`QuadratureNonConvergence` carrying that level and
+    its bound.
     """
     origin, end = float(origin), float(end)
     if not abs_tol > 0.0:
@@ -168,6 +169,6 @@ def integrate(
             break
     bound = err if tail is None else err + float(tail(origin + away * length * _EDGES[col][level]))
     result = IntegralValue(estimate, bound, panels=hi)
-    if err > abs_tol:
+    if not err <= abs_tol:  # true at a NaN gap too
         raise QuadratureNonConvergence(result)
     return result

@@ -119,7 +119,7 @@ def validate_prior(prior: Prior):
     halves = [nk.integrate(prior.g, anchor, end, cut, tail=lambda e, end=end: abs(prior.cdf(end) - prior.cdf(e)))
               for end in (L, U)]
     total = sum(h.value for h in halves) + float(prior.cdf(L)) + (1.0 - float(prior.cdf(U)))
-    if abs(total - 1.0) > _NORM_TOL + sum(h.error_bound for h in halves):
+    if not abs(total - 1.0) <= _NORM_TOL + sum(h.error_bound for h in halves):  # refuses NaN
         raise PriorError(f"prior {prior.name!r} mass {total:.8f} != 1")
     grid = _validation_grid(prior)
     g = prior.g

@@ -261,6 +261,14 @@ class TestExactJoint:
         with pytest.raises(nk.DomainError, match="abs_tol must be positive"):
             exact_joint(NORMAL, priors.normal_prior(1.0), setup, 0.0)
 
+    def test_nan_density_raises_rather_than_giving_nan_rates(self):
+        # a prior built without validation, NaN beyond |theta| = 2
+        base = priors.normal_prior(1.0)
+        prior = dataclasses.replace(
+            base, g=lambda x: np.where(np.abs(np.asarray(x, dtype=float)) > 2.0, np.nan, base.g(x)))
+        with pytest.raises(QuadratureNonConvergence):
+            exact_joint(NORMAL, prior, TestSetup("mean_ump", 0.0, 0.05, 10))
+
     @pytest.mark.parametrize("case", sorted(MPMATH_CASES))
     def test_matches_mpmath_quadrature(self, case):
         model, prior, setup, abs_tol, oracle = MPMATH_CASES[case]

@@ -191,6 +191,19 @@ class TestIntegrate:
             nk.std_normal_pdf, -30.0, 30.0, 1e-20)
         assert best.panels == sum(calls) == nk._ENDS[-1] == nk._ENDS[8]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("end", [1.0, math.inf])
+    def test_non_finite_values_never_converge(self, bad, end):
+        # NaN at some nodes gives a NaN gap, and inf at two levels gives
+        # inf - inf = NaN: neither may pass as a value within the tolerance
+        def f(x):
+            return np.where(x > 0.5, bad, np.exp(-x))
+
+        with pytest.raises(nk.QuadratureNonConvergence) as exc:
+            nk.integrate(f, 0.0, end)
+        assert exc.value.result.panels == nk._ENDS[-1]
+        assert math.isnan(exc.value.result.error_bound)
+
     @pytest.mark.parametrize(
         "f,a,b,truth",
         [

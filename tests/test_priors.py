@@ -211,6 +211,29 @@ class TestValidation:
                 ppf=priors.normal_prior(1.0).ppf,
             )
 
+    def test_density_nan_at_quadrature_nodes_rejected(self):
+        # the mass integral meets NaN beyond |x| = 2 and cannot converge
+        base = priors.normal_prior(1.0)
+
+        def g(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) > 2.0, np.nan, base.g(x))
+
+        with pytest.raises(nk.QuadratureNonConvergence):
+            priors.make_prior(g, base.g1, base.g2, base.support, cdf=base.cdf, ppf=base.ppf)
+
+    def test_cdf_nan_at_the_tail_points_rejected(self):
+        # the round trip on [0.01, 0.99] holds, but the mass outside the
+        # tail points ppf(1e-7) and ppf(1 - 1e-7) is NaN
+        base = priors.normal_prior(1.0)
+
+        def cdf(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) > 5.0, np.nan, base.cdf(x))
+
+        with pytest.raises(priors.PriorError, match="mass"):
+            priors.make_prior(base.g, base.g1, base.g2, base.support, cdf=cdf, ppf=base.ppf)
+
     def test_wrong_derivative_rejected(self):
         base = priors.normal_prior(1.0)
         with pytest.raises(priors.PriorError):
