@@ -39,13 +39,13 @@ from .mtsim import SimConfig, SimResult, convergence_sweep, simulate
 from .numkernel import IntegralValue, QuadratureNonConvergence, integrate, std_normal_pdf
 from .priors import (
     Prior,
-    builtin_prior,
     cauchy_prior,
     f_mode1_prior,
     gamma_mode1_prior,
     lambda_alt,
     make_prior,
     normal_prior,
+    parse_prior_spec,
     scale_prior,
     student_t_prior,
 )

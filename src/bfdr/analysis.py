@@ -85,23 +85,18 @@ def n_alpha(
     if method == "series3":
         if statistic == "mean_ump":
             coeffs = exp_family_coefficients(model, prior, theta0, alpha)
-            per_parity = {0: coeffs, 1: coeffs}
+            by_parity = (coeffs, coeffs)
         else:
-            per_parity = {
-                0: median_coefficients(model, prior, alpha, 2),
-                1: median_coefficients(model, prior, alpha, 1),
-            }
-        for n in range(1, n_max + 1):
-            if rate_series(per_parity[n % 2], n, 3).fdr.value <= alpha:
-                return n
-        return None
+            by_parity = (median_coefficients(model, prior, alpha, 2),
+                         median_coefficients(model, prior, alpha, 1))
 
-    for n in range(1, n_max + 1):
-        setup = TestSetup(statistic, theta0, alpha, n)
-        rates = exact_rates(exact_joint(model, prior, setup))
-        if rates.fdr.value <= alpha:
-            return n
-    return None
+        def fdr(n):
+            return rate_series(by_parity[n % 2], n, 3).fdr.value
+    else:
+        def fdr(n):
+            setup = TestSetup(statistic, theta0, alpha, n)
+            return exact_rates(exact_joint(model, prior, setup)).fdr.value
+    return next((n for n in range(1, n_max + 1) if fdr(n) <= alpha), None)
 
 
 @dataclass(frozen=True)

@@ -368,8 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "error_bound": exc.result.error_bound,
         }) + "\n")
         return EXIT_NUMERICAL
-    except (priors.PriorError, models.ModelError, exact.DegenerateDenominator,
-            analysis.AnalysisError, ValueError) as exc:
+    except (ValueError, exact.DegenerateDenominator) as exc:
         sys.stderr.write(json.dumps({"error": "config", "violations": [str(exc)]}) + "\n")
         return EXIT_CONFIG
 

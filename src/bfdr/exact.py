@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkernel as nk
-from .models import ModelError, TestSetup, prior_support, resolve_test
+from .models import TestSetup, prior_support, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .numkernel import ABS_TOL, IntegralValue
-from .priors import Prior, natural_lambda_alt
+from .priors import Prior, lambda_alt
 from .results import RatePair, RateResult
 
 
@@ -34,18 +34,16 @@ class DegenerateDenominator(ArithmeticError):
 
 @dataclass(frozen=True)
 class JointProbabilities:
-    """Joint null/alternative probabilities and the derived marginals.
+    """Joint null/alternative probabilities and the rejection probability B.
 
-    ``B_tilde`` is 1 - B by construction. ``A.value`` is bounded by the null
-    mass and ``A_tilde.value`` by the alternative mass, up to quadrature
-    error.
+    ``A.value`` is bounded by the null mass and ``A_tilde.value`` by the
+    alternative mass, up to quadrature error.
     """
 
     A: IntegralValue
     A_tilde: IntegralValue
     lambda_alt: float
     B: float
-    B_tilde: float
 
 
 def exact_joint(
@@ -67,9 +65,7 @@ def exact_joint(
     test = resolve_test(model, setup)
     power, direction, theta0 = test.power, test.direction, test.theta0
     lo, hi = prior_support(model, prior)
-    if not (lo < theta0 < hi):
-        raise ModelError(f"theta0={theta0} must be interior to ({lo}, {hi})")
-    lam = natural_lambda_alt(prior, theta0, direction)
+    lam = lambda_alt(prior, theta0, direction)  # PriorError unless lo < theta0 < hi
     scale = prior.quadrature_scale
 
     def side(alt: bool) -> IntegralValue:
@@ -94,7 +90,7 @@ def exact_joint(
     A = side(alt=False)
     At = side(alt=True)
     B = A.value + lam - At.value
-    return JointProbabilities(A=A, A_tilde=At, lambda_alt=lam, B=B, B_tilde=1.0 - B)
+    return JointProbabilities(A=A, A_tilde=At, lambda_alt=lam, B=B)
 
 
 def exact_rates(joint: JointProbabilities) -> RatePair:
@@ -110,5 +106,5 @@ def exact_rates(joint: JointProbabilities) -> RatePair:
 
     return RatePair(
         fdr=quotient(joint.A, joint.B, "rejection probability B"),
-        far=quotient(joint.A_tilde, joint.B_tilde, "acceptance probability 1-B"),
+        far=quotient(joint.A_tilde, 1.0 - joint.B, "acceptance probability 1-B"),
     )

@@ -54,7 +54,7 @@ from .models import (
     prior_support,
     reiss_coefficients,
 )
-from .priors import Prior, PriorError, natural_lambda_alt
+from .priors import Prior, PriorError, lambda_alt
 from .results import RatePair, RateResult
 
 
@@ -139,7 +139,7 @@ def _natural_prior_view(
     g2 = float(prior.g2(th))
     if direction == -1:
         g1 = -g1
-    return g0, g1, g2, natural_lambda_alt(prior, theta0, direction)
+    return g0, g1, g2, lambda_alt(prior, theta0, direction)
 
 
 def exp_family_coefficients(
@@ -222,12 +222,15 @@ def rate_series(coeffs: CoefficientSet, n: int, order: int = 3) -> RatePair:
     """Evaluate the truncated rate series at sample size n.
 
     Values are clamped to [0, 1] with an explicit flag; the reported
-    error_estimate is the magnitude of the last retained term.
+    error_estimate is the magnitude of the last retained term. Median
+    coefficients apply only at sample sizes of their own parity.
     """
     if order not in (1, 2, 3):
         raise ModelError(f"order must be 1, 2 or 3, got {order}")
     if n < 1:
         raise ModelError(f"n must be >= 1, got {n}")
+    if coeffs.parity not in (None, ("even", "odd")[n % 2]):
+        raise ModelError(f"coefficients for {coeffs.parity} n do not apply at n={n}")
     rn = math.sqrt(n)
     c_terms = [coeffs.c1 / rn, coeffs.c2 / n, coeffs.c3 / (n * rn)]
     d_terms = [coeffs.d1 / rn, coeffs.d2 / n, coeffs.d3 / (n * rn)]

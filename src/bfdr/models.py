@@ -349,8 +349,6 @@ class ResolvedTest:
     the null region.
     """
 
-    __test__ = False  # not a pytest collectible despite the name
-
     theta0: float
     direction: int
     power: Callable

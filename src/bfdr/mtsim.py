@@ -112,7 +112,6 @@ class SimResult:
     delta_hat: float
     eps_hat: float
     se_delta: float
-    rejections: int
 
     def per_replication_se(self) -> np.ndarray:
         """Binomial-approximation standard error of each replication's FDR."""
@@ -191,7 +190,6 @@ def _result(config: SimConfig, m: int, V: np.ndarray, R: np.ndarray, W: np.ndarr
         delta_hat=delta_hat,
         eps_hat=eps_hat,
         se_delta=se_delta,
-        rejections=total_R,
     )
 
 

@@ -39,13 +39,6 @@ class PriorError(ValueError):
     """Invalid prior specification or a failed construction-time check."""
 
 
-def _require_finite(**params: float) -> None:
-    """Rejects an infinite parameter, which the factories' range checks let through."""
-    for name, value in params.items():
-        if math.isinf(value):
-            raise PriorError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class Prior:
     """Density g with derivatives g', g'', CDF and quantile function.
@@ -150,11 +143,14 @@ def make_prior(
     return prior
 
 
-def lambda_alt(prior: Prior, theta0: float) -> float:
-    """Prior mass of the alternative {theta > theta0}, from the CDF.
+def lambda_alt(prior: Prior, theta0: float, direction: int = 1) -> float:
+    """Prior mass of the alternative in the test's natural direction, from the CDF.
 
-    Degenerate masses (0 or 1) are rejected since the rate expansions divide
-    by both tails; a theta0 outside the open support has one of them.
+    ``direction = +1`` tests H1: theta > theta0 on the user scale;
+    ``direction = -1`` (a negated natural parameter) flips the alternative to
+    {theta < theta0}. Degenerate masses (0 or 1) are rejected since the rate
+    expansions divide by both tails; a theta0 outside the open support has
+    one of them.
     """
     lo, hi = prior.support
     if not (lo < theta0 < hi):
@@ -165,25 +161,13 @@ def lambda_alt(prior: Prior, theta0: float) -> float:
             f"degenerate alternative mass {lam} at theta0={theta0}; "
             "the null and alternative both need positive prior mass"
         )
-    return lam
-
-
-def natural_lambda_alt(prior: Prior, theta0: float, direction: int) -> float:
-    """Alternative mass in the test's natural direction.
-
-    ``direction = +1`` tests H1: theta > theta0 on the user scale;
-    ``direction = -1`` (a negated natural parameter) flips the alternative to
-    {theta < theta0}.
-    """
-    lam = lambda_alt(prior, theta0)
     return lam if direction == 1 else 1.0 - lam
 
 
 def scale_prior(base: Prior, tau: float) -> Prior:
     """Scale family g_tau(theta) = g(theta/tau)/tau with chain-rule derivatives."""
-    if not tau > 0.0:
-        raise PriorError(f"tau must be positive, got {tau}")
-    _require_finite(tau=tau)
+    if not 0.0 < tau < math.inf:
+        raise PriorError(f"tau must be positive and finite, got {tau}")
     tau = float(tau)
     lo, hi = base.support
     g, g1, g2 = base.g, base.g1, base.g2
@@ -253,9 +237,8 @@ def normal_prior(tau: float = 1.0) -> Prior:
 
 def student_t_prior(m: float, tau: float = 1.0) -> Prior:
     """theta/tau ~ t_m; m = 1 recovers the Cauchy prior."""
-    if not m > 0.0:
-        raise PriorError(f"need m > 0, got m={m}")
-    _require_finite(m=m)
+    if not 0.0 < m < math.inf:
+        raise PriorError(f"need a positive finite m, got m={m}")
     m = float(m)
     c = math.exp(math.lgamma((m + 1.0) / 2.0) - math.lgamma(m / 2.0)) / math.sqrt(
         m * math.pi
@@ -408,9 +391,8 @@ def gamma_mode1_prior(r: float) -> Prior:
     Expressed in the data model's rate parameterization on (0, inf): the
     Gamma(r, 1) member scaled by 1/(r - 1).
     """
-    if not r > 1.0:
-        raise PriorError(f"gamma-mode1 needs r > 1, got {r}")
-    _require_finite(r=r)
+    if not 1.0 < r < math.inf:
+        raise PriorError(f"gamma-mode1 needs a finite r > 1, got {r}")
     r = float(r)
     log_norm = -math.lgamma(r)
     a = r - 1.0
@@ -433,9 +415,8 @@ def f_mode1_prior(r: float, s: float) -> Prior:
     Requires r > 1 (so the F density has an interior mode); tau is then
     r(s+1)/[s(r-1)].
     """
-    if not (r > 1.0 and s > 0.0):
-        raise PriorError(f"f-mode1 needs r > 1 and s > 0, got r={r}, s={s}")
-    _require_finite(r=r, s=s)
+    if not (1.0 < r < math.inf and 0.0 < s < math.inf):
+        raise PriorError(f"f-mode1 needs finite r > 1 and s > 0, got r={r}, s={s}")
     r = float(r)
     s = float(s)
     b = r / s
@@ -473,24 +454,16 @@ _BUILTIN_FACTORIES = {
 }
 
 
-def builtin_prior(kind: str, *params: float) -> Prior:
-    """Construct a built-in prior by kind name and positional parameters."""
+def parse_prior_spec(spec: str) -> Prior:
+    """Built-in prior from a compact spec like ``normal:1``, ``t:3:2``, ``gamma-mode1:2``."""
+    kind, *parts = spec.split(":")
+    try:
+        params = [float(p) for p in parts]
+    except ValueError as exc:
+        raise PriorError(f"bad numeric parameter in prior spec {spec!r}") from exc
     if kind not in _BUILTIN_FACTORIES:
-        raise PriorError(
-            f"unknown prior kind {kind!r}; known: {sorted(_BUILTIN_FACTORIES)}"
-        )
+        raise PriorError(f"unknown prior kind {kind!r}; known: {sorted(_BUILTIN_FACTORIES)}")
     factory, nargs = _BUILTIN_FACTORIES[kind]
     if len(params) != nargs:
         raise PriorError(f"prior kind {kind!r} takes {nargs} parameter(s), got {len(params)}")
     return factory(*params)
-
-
-def parse_prior_spec(spec: str) -> Prior:
-    """Parse compact prior specs like ``normal:1``, ``t:3:2``, ``gamma-mode1:2``."""
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        params = tuple(float(p) for p in parts[1:])
-    except ValueError as exc:
-        raise PriorError(f"bad numeric parameter in prior spec {spec!r}") from exc
-    return builtin_prior(kind, *params)

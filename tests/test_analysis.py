@@ -107,8 +107,9 @@ class TestNAlpha:
                 break
         assert got == expected
 
-    def test_not_found_returns_none(self):
-        assert n_alpha(NORMAL, priors.normal_prior(1.0), 0.01, 0.05, n_max=2) is None
+    @pytest.mark.parametrize("method", ["exact", "series3"])
+    def test_not_found_returns_none(self, method):
+        assert n_alpha(NORMAL, priors.normal_prior(1.0), 0.01, 0.05, method, n_max=2) is None
 
     def test_scan_is_smallest_qualifying_n(self):
         found = n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05)

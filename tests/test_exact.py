@@ -201,7 +201,6 @@ def _joint(A, At, lam):
         A_tilde=IntegralValue(At, 1e-12),
         lambda_alt=lam,
         B=B,
-        B_tilde=1.0 - B,
     )
 
 
@@ -237,7 +236,10 @@ class TestExactJoint:
             tol = 1e-6
             assert 0.0 <= joint.A.value <= 1.0 - lam + tol
             assert 0.0 <= joint.A_tilde.value <= lam + tol
-            assert joint.B + joint.B_tilde == 1.0
+            assert joint.B == joint.A.value + lam - joint.A_tilde.value
+            assert 0.0 < joint.B < 1.0
+            # the far rate divides by the complement 1 - B itself
+            assert exact_rates(joint).far.value == joint.A_tilde.value / (1.0 - joint.B)
 
     def test_non_convergence_propagates_best_estimate(self, monkeypatch):
         # 1e-20 lies below the rounding floor 64 eps |A|: the first side runs
@@ -332,6 +334,11 @@ class TestExactJoint:
         # exp-rate lives on rates > 0; these priors put half their mass below 0
         with pytest.raises(models.ModelError, match="reaches outside"):
             exact_joint(EXP, prior, TestSetup("mean_ump", 1.0, 0.05, 10))
+
+    def test_theta0_outside_the_open_support_rejected(self):
+        # the gamma prior lives on (0, inf); lambda_alt makes the interior check
+        with pytest.raises(priors.PriorError, match="outside the open support"):
+            exact_joint(EXP, priors.gamma_mode1_prior(2.0), TestSetup("mean_ump", -1.0, 0.05, 10))
 
 
 class TestExactRates:

@@ -403,6 +403,17 @@ class TestRateSeries:
         assert pair_neg.fdr.value == 0.0
         assert pair_neg.fdr.clamped
 
+    def test_median_coefficients_of_the_other_parity_rejected(self):
+        # the n = 11 set at n = 10 would give fdr 0.01106 against 0.01963
+        odd = median_coefficients(NLOC, priors.normal_prior(1.0), 0.05, 11)
+        even = median_coefficients(NLOC, priors.normal_prior(1.0), 0.05, 10)
+        with pytest.raises(models.ModelError, match="odd n"):
+            rate_series(odd, 10, order=3)
+        with pytest.raises(models.ModelError, match="even n"):
+            rate_series(even, 11, order=3)
+        assert rate_series(even, 10, order=3).fdr.value == pytest.approx(0.01963, abs=1e-5)
+        assert rate_series(odd, 11, order=3).fdr.value == pytest.approx(0.01031, abs=1e-5)
+
     def test_bad_order_rejected(self):
         cs = compose_coefficient_set((0.1, 0.0, 0.0), (0.1, 0.0, 0.0), 0.5, "mean_ump")
         with pytest.raises(models.ModelError):

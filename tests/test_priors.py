@@ -138,20 +138,28 @@ class TestBuiltinClosedForms:
             (priors.gamma_mode1_prior, (math.inf,)),
             (priors.f_mode1_prior, (math.inf, 2.0)),
             (priors.f_mode1_prior, (2.0, math.inf)),
+            (priors.normal_prior, (math.nan,)),
+            (priors.student_t_prior, (math.nan, 1.0)),
+            (priors.gamma_mode1_prior, (math.nan,)),
+            (priors.f_mode1_prior, (2.0, math.nan)),
         ],
-        ids=["normal", "cauchy", "t-m", "t-tau", "gamma-mode1", "f-mode1-r", "f-mode1-s"],
+        ids=["normal", "cauchy", "t-m", "t-tau", "gamma-mode1", "f-mode1-r", "f-mode1-s",
+             "normal-nan", "t-m-nan", "gamma-mode1-nan", "f-mode1-s-nan"],
     )
     def test_infinite_parameters_rejected(self, factory, params):
-        with pytest.raises(priors.PriorError, match="must be finite, got inf"):
+        # one open-range comparison per parameter refuses inf and NaN alike
+        with pytest.raises(priors.PriorError, match=r"finite.*got.*(inf|nan)"):
             factory(*params)
 
     def test_builtin_dispatch(self):
-        p = priors.builtin_prior("normal", 2.0)
+        p = priors.parse_prior_spec("normal:2")
         assert p.name == "normal:2"
-        with pytest.raises(priors.PriorError):
-            priors.builtin_prior("bogus", 1.0)
-        with pytest.raises(priors.PriorError):
-            priors.builtin_prior("normal", 1.0, 2.0)
+        with pytest.raises(priors.PriorError, match="unknown prior kind"):
+            priors.parse_prior_spec("bogus:1")
+        with pytest.raises(priors.PriorError, match="takes 1 parameter"):
+            priors.parse_prior_spec("normal:1:2")
+        with pytest.raises(priors.PriorError, match="bad numeric parameter"):
+            priors.parse_prior_spec("normal:x")
 
 
 class TestValidation:
@@ -276,7 +284,7 @@ class TestLambdaAlt:
         lam = priors.lambda_alt(p, 1.0)
         assert lam == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
         # the natural parameter negates the rate, flipping the alternative
-        assert priors.natural_lambda_alt(p, 1.0, -1) == pytest.approx(
+        assert priors.lambda_alt(p, 1.0, -1) == pytest.approx(
             1.0 - 2.0 * math.exp(-1.0), rel=1e-12
         )
 
@@ -369,7 +377,7 @@ class TestScalePrior:
     def test_bad_tau_rejected(self):
         with pytest.raises(priors.PriorError):
             priors.scale_prior(priors.normal_prior(1.0), 0.0)
-        with pytest.raises(priors.PriorError, match="tau must be finite"):
+        with pytest.raises(priors.PriorError, match="tau must be positive and finite, got inf"):
             priors.scale_prior(priors.normal_prior(1.0), math.inf)
 
 
