@@ -27,6 +27,7 @@ from .models import (
     ResolvedTest,
     TestSetup,
     cauchy_location_model,
+    check_problem,
     exponential_rate_model,
     median_cdf_exact,
     normal_location_model,

@@ -22,7 +22,7 @@ from .expansions import (
     median_coefficients,
     rate_series,
 )
-from .models import ExpFamilyModel, LocationModel, ModelError, TestSetup, _check_alpha
+from .models import ExpFamilyModel, TestSetup, _check_alpha, check_problem
 from .priors import Prior, scale_prior
 
 
@@ -73,14 +73,8 @@ def n_alpha(
     if method not in ("exact", "series3"):
         raise AnalysisError(f"unknown method {method!r}")
     prior = scale_prior(base_prior, tau)
-    if isinstance(model, ExpFamilyModel):
-        statistic = "mean_ump"
-    elif isinstance(model, LocationModel):
-        statistic = "median"
-        if theta0 != 0.0:
-            raise ModelError("the median test uses the location convention theta0 = 0")
-    else:
-        raise ModelError(f"unsupported model type {type(model).__name__}")
+    check_problem(model, prior, theta0, alpha)
+    statistic = "mean_ump" if isinstance(model, ExpFamilyModel) else "median"
 
     if method == "series3":
         if statistic == "mean_ump":

@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkernel as nk
-from .models import TestSetup, prior_support, resolve_test
+from .models import TestSetup, check_problem, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .numkernel import ABS_TOL, IntegralValue
-from .priors import Prior, lambda_alt
+from .priors import Prior
 from .results import RatePair, RateResult
 
 
@@ -62,10 +62,10 @@ def exact_joint(
     :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
     result.
     """
+    lam = check_problem(model, prior, setup.theta0, setup.alpha)
     test = resolve_test(model, setup)
     power, direction, theta0 = test.power, test.direction, test.theta0
-    lo, hi = prior_support(model, prior)
-    lam = lambda_alt(prior, theta0, direction)  # PriorError unless lo < theta0 < hi
+    lo, hi = prior.support
     scale = prior.quadrature_scale
 
     def side(alt: bool) -> IntegralValue:

@@ -50,11 +50,10 @@ from .models import (
     ExpFamilyModel,
     LocationModel,
     ModelError,
-    _check_alpha,
-    prior_support,
+    check_problem,
     reiss_coefficients,
 )
-from .priors import Prior, PriorError, lambda_alt
+from .priors import Prior
 from .results import RatePair, RateResult
 
 
@@ -109,9 +108,8 @@ def compose_coefficient_set(
     statistic: str,
     parity: Optional[str] = None,
 ) -> CoefficientSet:
-    """Build the b/c/d coefficients from the joint-probability coefficients."""
-    if not (0.0 < lam < 1.0):
-        raise PriorError(f"lambda_alt must lie strictly in (0, 1), got {lam}")
+    """Build the b/c/d coefficients from the joint-probability coefficients
+    and lam in (0, 1), which :func:`~bfdr.models.check_problem` returns."""
     b = (at[0] - a[0], at[1] - a[1], at[2] - a[2])
     c = _quotient_series(a, b, lam)
     d = _quotient_series(at, (-b[0], -b[1], -b[2]), 1.0 - lam)
@@ -125,36 +123,25 @@ def compose_coefficient_set(
 
 def _natural_prior_view(
     prior: Prior, theta0: float, direction: int
-) -> Tuple[float, float, float, float]:
-    """Prior density values and alternative mass in natural coordinates.
-
-    For ``direction = -1`` the natural parameter is the negative of the user
-    parameter, so odd derivatives flip sign and the alternative
-    {natural > natural0} is the *lower* tail {theta < theta0} of the
-    user-facing prior.
+) -> Tuple[float, float, float]:
+    """Prior density and its first two derivatives at theta0 in natural
+    coordinates: for ``direction = -1`` the natural parameter is the negative
+    of the user parameter, so the odd derivative flips sign.
     """
     th = np.asarray(theta0, dtype=float)
-    g0 = float(prior.g(th))
-    g1 = float(prior.g1(th))
-    g2 = float(prior.g2(th))
-    if direction == -1:
-        g1 = -g1
-    return g0, g1, g2, lambda_alt(prior, theta0, direction)
+    return float(prior.g(th)), direction * float(prior.g1(th)), float(prior.g2(th))
 
 
 def exp_family_coefficients(
     model: ExpFamilyModel, prior: Prior, theta0: float, alpha: float
 ) -> CoefficientSet:
     """Series coefficients for the UMP mean test in an exponential family."""
-    _check_alpha(alpha)
-    prior_support(model, prior)
+    lam = check_problem(model, prior, theta0, alpha)
     th = np.asarray(theta0, dtype=float)
     sigma0 = float(model.sigma(th))
-    if not sigma0 > 0.0:
-        raise ModelError(f"sigma(theta0) must be positive, got {sigma0}")
     rho30 = float(model.rho3(th))
     rho40 = float(model.rho4(th))
-    g0, g1, g2, lam = _natural_prior_view(prior, theta0, model.natural_direction)
+    g0, g1, g2 = _natural_prior_view(prior, theta0, model.natural_direction)
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)
@@ -191,10 +178,10 @@ def median_coefficients(
     n: int,
 ) -> CoefficientSet:
     """Series coefficients for the median test; n enters only through parity."""
-    _check_alpha(alpha)
+    lam = check_problem(model, prior, 0.0, alpha)
     rc = reiss_coefficients(model, n)
     f0 = model.f0
-    g0, g1, g2, lam = _natural_prior_view(prior, 0.0, 1)
+    g0, g1, g2 = _natural_prior_view(prior, 0.0, 1)
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)

@@ -12,10 +12,10 @@ natural parameter is the negative of that (the exponential-rate family),
 ``natural_direction = -1`` records the flip and the power function is
 decreasing rather than increasing in the user parameter.
 
-:func:`resolve_test` is the one notion of a test: critical value (for the mean
+:func:`check_problem` is the one rule of which problems every route answers,
+and :func:`resolve_test` the one notion of a test: critical value (for the mean
 test, a halving seeded at the pivot's inverse survival function), exact power,
-rejection rule and null region. Every route checks with :func:`prior_support`
-that the prior lies in the model's parameter interval.
+rejection rule and null region.
 :func:`reiss_coefficients` gives the coefficients of the two-term sample-median
 CDF expansion behind the median series; that expansion, like the Cornish-Fisher
 critical value, is a test oracle (``tests/derivations.py``).
@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
 from . import numkernel as nk
 from ._special import _sp
-from .priors import _STANDARD_CAUCHY, _STANDARD_NORMAL, Prior
+from .priors import _STANDARD_CAUCHY, _STANDARD_NORMAL, Prior, lambda_alt
 
 
 class ModelError(ValueError):
@@ -356,23 +356,41 @@ class ResolvedTest:
     is_null: Callable
 
 
-def prior_support(model, prior) -> Tuple[float, float]:
-    """The prior's support, which must lie inside an exponential family's
-    parameter interval ``(theta_lo, theta_hi)``; raises :class:`ModelError`
-    when it reaches outside, where the model has no law to sample or weigh."""
+def check_problem(model, prior: Prior, theta0: float, alpha: float) -> float:
+    """Lambda, the prior's alternative mass in the test's natural direction,
+    once the rules of every route hold. In order, no model function running
+    before rule 5: (1) the level; (2) an :class:`ExpFamilyModel`, or a
+    :class:`LocationModel` at theta0 = 0; (3) the prior's support inside the
+    model's parameter interval; (4) theta0 inside the prior's open support and
+    an alternative mass in (0, 1), else :class:`~bfdr.priors.PriorError`;
+    (5) finite mu and finite, positive sigma at theta0. Else :class:`ModelError`."""
+    _check_alpha(alpha)
+    if isinstance(model, LocationModel):
+        if theta0 != 0.0:
+            raise ModelError("the median test uses the location convention theta0 = 0")
+        return lambda_alt(prior, theta0)
+    if not isinstance(model, ExpFamilyModel):
+        raise ModelError(f"unsupported model type {type(model).__name__}")
     lo, hi = prior.support
-    if isinstance(model, ExpFamilyModel) and not (model.theta_lo <= lo and hi <= model.theta_hi):
+    if not (model.theta_lo <= lo and hi <= model.theta_hi):
         raise ModelError(
             f"prior support ({lo}, {hi}) reaches outside the parameter interval "
             f"({model.theta_lo}, {model.theta_hi}) of model {model.name!r}"
         )
-    return lo, hi
+    lam = lambda_alt(prior, theta0, model.natural_direction)
+    th = np.asarray(theta0, dtype=float)
+    with np.errstate(all="ignore"):
+        mu0, sigma0 = float(model.mu(th)), float(model.sigma(th))
+    if not (math.isfinite(mu0) and 0.0 < sigma0 < math.inf):
+        raise ModelError(f"need finite mu, sigma > 0 at theta0={theta0}, got {mu0}, {sigma0}")
+    return lam
 
 
 def resolve_test(model, setup: TestSetup) -> ResolvedTest:
     """Critical value, power, rejection rule and null region of ``setup``.
 
-    Raises :class:`ModelError` when the statistic does not fit the model.
+    Raises :class:`ModelError` when the statistic does not fit the model;
+    every other rule is :func:`check_problem`'s, which callers run first.
     """
     n = setup.n
     rootn = math.sqrt(n)
@@ -400,8 +418,6 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
 
         direction = model.natural_direction
     elif isinstance(model, LocationModel):
-        if setup.theta0 != 0.0:
-            raise ModelError("the median test uses the location convention theta0 = 0")
         z = nk.upper_quantile_z(setup.alpha)
         scale = 2.0 * model.f0 * rootn
 

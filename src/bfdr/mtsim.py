@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .models import ModelError, ResolvedTest, TestSetup, prior_support, resolve_test
+from .models import ModelError, ResolvedTest, TestSetup, check_problem, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .priors import Prior
@@ -87,7 +87,7 @@ class SimConfig:
             raise ModelError(f"replications must be >= 1, got {self.replications}")
         if self.workers < 1:
             raise ModelError(f"workers must be >= 1, got {self.workers}")
-        prior_support(self.model, self.prior)
+        check_problem(self.model, self.prior, self.setup.theta0, self.setup.alpha)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -420,6 +423,33 @@ class TestValidationAndErrors:
         [violation] = json.loads(err)["violations"]
         assert violation.startswith("prior support (-inf, inf) reaches outside the parameter "
                                     "interval (0.0, inf) of model 'exp-rate'")
+
+    def test_sim_refuses_theta0_outside_the_prior_as_rates_does(self, capsys):
+        # the gamma prior lives on (0, inf), so the null theta >= -1 would hold all its mass
+        flags = ["--model", "exp-rate", "--prior", "gamma-mode1:2", "--theta0", "-1",
+                 "--alpha", "0.05", "--n", "10"]
+        sim = run_cli(["sim", *flags, "--m", "1000", "--seed", "1"], capsys)
+        rates = run_cli(["rates", *flags], capsys)
+        violation = {"error": "config",
+                     "violations": ["theta0=-1.0 outside the open support (0.0, inf)"]}
+        assert (sim[0], sim[1], json.loads(sim[2])) == (2, "", violation)
+        assert (rates[0], rates[1], json.loads(rates[2])) == (2, "", violation)
+
+    @pytest.mark.parametrize("command", [["sim", "--m", "1000", "--seed", "1"], ["rates"]],
+                             ids=["sim", "rates"])
+    def test_theta0_on_the_support_edge_writes_no_runtime_warning(self, command):
+        # exp-rate's mu and sigma divide by theta0 = 0; the refusal comes first
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [*command, "--model", "exp-rate", "--prior", "gamma-mode1:2", "--theta0", "0",
+                "--alpha", "0.05", "--n", "10"]
+        proc = subprocess.run([sys.executable, "-m", "bfdr.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stderr)["violations"] == [
+            "theta0=0.0 outside the open support (0.0, inf)"]
 
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000

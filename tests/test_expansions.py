@@ -420,5 +420,6 @@ class TestRateSeries:
             rate_series(cs, 10, order=4)
 
     def test_degenerate_lambda_rejected(self):
-        with pytest.raises(priors.PriorError):
-            compose_coefficient_set((0.1, 0.0, 0.0), (0.1, 0.0, 0.0), 1.0, "mean_ump")
+        # the normal prior's CDF rounds to 1 at theta0 = 40: lambda would be 0
+        with pytest.raises(priors.PriorError, match="degenerate alternative mass 0.0"):
+            exp_family_coefficients(NORMAL, priors.normal_prior(1.0), 40.0, 0.05)

@@ -90,12 +90,13 @@ class TestBuiltinModels:
 
     def test_prior_support_must_lie_in_the_parameter_interval(self):
         gamma = priors.gamma_mode1_prior(2.0)
-        assert models.prior_support(EXP, gamma) == (0.0, math.inf)
-        assert models.prior_support(NLOC, priors.normal_prior(1.0)) == (-math.inf, math.inf)
+        # accepted problems return lambda in the test's natural direction
+        assert models.check_problem(EXP, gamma, 1.0, 0.05) == priors.lambda_alt(gamma, 1.0, -1)
+        assert models.check_problem(NLOC, priors.normal_prior(1.0), 0.0, 0.05) == 0.5
         with pytest.raises(models.ModelError, match="reaches outside"):
-            models.prior_support(EXP, priors.normal_prior(1.0))
+            models.check_problem(EXP, priors.normal_prior(1.0), 1.0, 0.05)
         with pytest.raises(models.ModelError, match="reaches outside"):
-            models.prior_support(dataclasses.replace(EXP, theta_hi=10.0), gamma)
+            models.check_problem(dataclasses.replace(EXP, theta_hi=10.0), gamma, 1.0, 0.05)
 
     @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta0_rejected(self, theta0):
@@ -481,8 +482,8 @@ class TestPowerMedianTest:
 
     def test_requires_location_convention(self):
         setup = TestSetup("median", 0.3, 0.05, 9)
-        with pytest.raises(models.ModelError):
-            models.resolve_test(NLOC, setup)
+        with pytest.raises(models.ModelError, match="location convention theta0 = 0"):
+            models.check_problem(NLOC, priors.normal_prior(1.0), setup.theta0, setup.alpha)
         with pytest.raises(models.ModelError):
             power_median_edgeworth(NLOC, 0.1, setup)
 
@@ -524,3 +525,53 @@ class TestResolvedTest:
             models.resolve_test(NLOC, TestSetup("mean_ump", 0.0, 0.05, 5))
         with pytest.raises(models.ModelError):
             models.resolve_test(NORMAL, TestSetup("median", 0.0, 0.05, 5))
+
+
+def _counting(model):
+    """``model`` with mu and sigma counting their calls in ``calls``."""
+    calls = []
+
+    def count(name, f):
+        return lambda th: calls.append(name) or f(th)
+
+    counted = dataclasses.replace(model, mu=count("mu", model.mu), sigma=count("sigma", model.sigma))
+    calls.clear()  # construction checks evaluate both
+    return counted, calls
+
+
+class TestCheckProblem:
+    def test_rules_apply_in_order(self):
+        gamma = priors.gamma_mode1_prior(2.0)
+        # each problem breaks its rule and most later ones; the first rule broken speaks
+        with pytest.raises(models.ModelError, match="alpha must lie in"):
+            models.check_problem("no model", priors.normal_prior(1.0), -1.0, 1.5)
+        with pytest.raises(models.ModelError, match="unsupported model type str"):
+            models.check_problem("no model", priors.normal_prior(1.0), -1.0, 0.05)
+        with pytest.raises(models.ModelError, match="reaches outside"):
+            models.check_problem(EXP, priors.normal_prior(1.0), -1.0, 0.05)
+        with pytest.raises(priors.PriorError, match="outside the open support"):
+            models.check_problem(EXP, gamma, -1.0, 0.05)
+        with pytest.raises(priors.PriorError, match="degenerate alternative mass"):
+            models.check_problem(EXP, gamma, 5e-324, 0.05)
+
+    def test_no_model_function_runs_before_the_last_rule(self):
+        model, calls = _counting(EXP)
+        for prior, theta0 in ((priors.normal_prior(1.0), 1.0),
+                              (priors.gamma_mode1_prior(2.0), 0.0),
+                              (priors.gamma_mode1_prior(2.0), 1e300)):
+            with pytest.raises(ValueError):
+                models.check_problem(model, prior, theta0, 0.05)
+        assert calls == []
+        models.check_problem(model, priors.gamma_mode1_prior(2.0), 1.0, 0.05)
+        assert calls == ["mu", "sigma"]
+
+    def test_non_finite_mu_or_sigma_at_theta0_refused(self):
+        # the model's laws are checked on (-8, 8); at theta0 = 0.5 mu or
+        # sigma is broken, each without a floating-point warning
+        gamma = priors.gamma_mode1_prior(2.0)
+        inf_mu = dataclasses.replace(NORMAL, mu=lambda th: np.where(np.asarray(th) == 0.5, np.inf, th))
+        nan_sigma = dataclasses.replace(
+            NORMAL, sigma=lambda th: np.where(np.asarray(th) == 0.5, np.nan, 1.0))
+        for model in (inf_mu, nan_sigma):
+            with pytest.raises(models.ModelError, match="need finite mu, sigma > 0 at theta0=0.5"):
+                models.check_problem(model, gamma, 0.5, 0.05)

@@ -134,9 +134,13 @@ class TestPhiloxKnownAnswers:
 
 class TestSimulate:
     def test_no_true_nulls_gives_zero_fdr(self):
-        # gamma prior lives on (0, inf): every theta is in the alternative
-        cfg = _config(prior=priors.gamma_mode1_prior(2.0), m=2000)
+        # the gamma prior puts mass 5e-13 below theta0 = 1e-6, so no draw is
+        # null (theta0 on the support's edge, 0, is refused: lambda would be 1)
+        prior = priors.gamma_mode1_prior(2.0)
+        cfg = _config(prior=prior, setup=TestSetup("mean_ump", 1e-6, 0.05, 10), m=2000)
+        assert float(prior.cdf(1e-6)) < 1e-12
         res = simulate(cfg)
+        assert res.R.sum() > 0
         assert res.fdr_hat == 0.0
         assert np.all(res.V == 0)
 
