@@ -74,10 +74,9 @@ def n_alpha(
         raise AnalysisError(f"unknown method {method!r}")
     prior = scale_prior(base_prior, tau)
     check_problem(model, prior, theta0, alpha)
-    statistic = "mean_ump" if isinstance(model, ExpFamilyModel) else "median"
 
     if method == "series3":
-        if statistic == "mean_ump":
+        if isinstance(model, ExpFamilyModel):
             coeffs = exp_family_coefficients(model, prior, theta0, alpha)
             by_parity = (coeffs, coeffs)
         else:
@@ -88,7 +87,7 @@ def n_alpha(
             return rate_series(by_parity[n % 2], n, 3).fdr.value
     else:
         def fdr(n):
-            setup = TestSetup(statistic, theta0, alpha, n)
+            setup = TestSetup(model.statistic, theta0, alpha, n)
             return exact_rates(exact_joint(model, prior, setup)).fdr.value
     return next((n for n in range(1, n_max + 1) if fdr(n) <= alpha), None)
 

@@ -38,12 +38,12 @@ from . import analysis, exact, expansions, models, mtsim, priors
 from .models import TestSetup
 from .numkernel import QuadratureNonConvergence
 
-#: Model spec -> (factory in ``models``, statistic, default theta0).
+#: Model spec -> (factory in ``models``, default theta0).
 _MODELS = {
-    "normal-mean": (models.normal_mean_model, "mean_ump", 0.0),
-    "exp-rate": (models.exponential_rate_model, "mean_ump", 1.0),
-    "normal-median": (models.normal_location_model, "median", 0.0),
-    "cauchy-median": (models.cauchy_location_model, "median", 0.0),
+    "normal-mean": (models.normal_mean_model, 0.0),
+    "exp-rate": (models.exponential_rate_model, 1.0),
+    "normal-median": (models.normal_location_model, 0.0),
+    "cauchy-median": (models.cauchy_location_model, 0.0),
 }
 
 EXIT_OK = 0
@@ -54,9 +54,10 @@ _MAX_GRID_POINTS = 10_000
 
 
 def _build_model(spec: str):
-    """Returns (model, statistic, default theta0) for a model spec string."""
-    factory, statistic, theta0 = _MODELS[spec]
-    return factory(), statistic, theta0
+    """Returns (model, its statistic, default theta0) for a model spec string."""
+    factory, theta0 = _MODELS[spec]
+    model = factory()
+    return model, model.statistic, theta0
 
 
 def _fmt_cell(x) -> str:
@@ -211,7 +212,7 @@ def _check_all(violations: List[str], values: list, ok, what: str) -> None:
 
 
 def _validate(args: argparse.Namespace) -> tuple:
-    """Put the parsed ``prior``, ``alphas``, ``ns`` and ``tau_grid`` on ``args``.
+    """Put the built ``model``, the parsed ``prior``, ``alphas``, ``ns``, ``tau_grid`` on ``args``.
 
     Returns ``(args, violations)``, every violation rather than the first.
     """
@@ -242,7 +243,9 @@ def _validate(args: argparse.Namespace) -> tuple:
 
     if get("theta0") is not None and not math.isfinite(args.theta0):
         violations.append(f"theta0 must be finite, got {args.theta0}")
-    median = get("model") is not None and _MODELS[args.model][1] == "median"
+    if get("model") is not None:
+        args.model = _build_model(args.model)
+    median = get("model") is not None and isinstance(args.model[0], models.LocationModel)
     if median and args.theta0 not in (None, 0.0):
         violations.append("the median test uses the location convention theta0 = 0")
     if median and args.command == "coeffs" and not args.ns:
@@ -268,8 +271,8 @@ def _validate(args: argparse.Namespace) -> tuple:
     return args, violations
 
 
-def _coefficients_for(model, statistic, theta0, prior, alpha, n):
-    if statistic == "mean_ump":
+def _coefficients_for(model, theta0, prior, alpha, n):
+    if isinstance(model, models.ExpFamilyModel):
         return expansions.exp_family_coefficients(model, prior, theta0, alpha)
     return expansions.median_coefficients(model, prior, alpha, n)
 
@@ -278,14 +281,14 @@ def run(args: argparse.Namespace) -> int:
     """Execute a validated invocation; returns the process exit code."""
     prior = args.prior
     if vars(args).get("model"):
-        model, statistic, theta0 = _build_model(args.model)
+        model, statistic, theta0 = args.model
         theta0 = theta0 if args.theta0 is None else args.theta0
     alpha = args.alphas[0] if args.alphas else None
     n = args.ns[0] if args.ns else None
     rows = []
     if args.command == "coeffs":
         for alpha in args.alphas:
-            cs = _coefficients_for(model, statistic, theta0, prior, alpha, n or 1)
+            cs = _coefficients_for(model, theta0, prior, alpha, n or 1)
             row = {"alpha": alpha, "statistic": cs.statistic, "parity": cs.parity or "",
                    "lambda_alt": cs.lambda_alt}
             if n is not None:
@@ -303,7 +306,7 @@ def run(args: argparse.Namespace) -> int:
             for alpha in args.alphas:
                 row = {"alpha": alpha, "n": n}
                 if want_series:
-                    cs = _coefficients_for(model, statistic, theta0, prior, alpha, n)
+                    cs = _coefficients_for(model, theta0, prior, alpha, n)
                     pair = expansions.rate_series(cs, n, args.order)
                     row[f"fdr_{series}"] = pair.fdr.value
                     row[f"far_{series}"] = pair.far.value

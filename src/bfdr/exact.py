@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkernel as nk
-from .models import TestSetup, check_problem, resolve_test
+from .models import TestSetup, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .numkernel import ABS_TOL, IntegralValue
@@ -62,9 +62,8 @@ def exact_joint(
     :class:`~bfdr.numkernel.QuadratureNonConvergence` carrying the partial
     result.
     """
-    lam = check_problem(model, prior, setup.theta0, setup.alpha)
-    test = resolve_test(model, setup)
-    power, direction, theta0 = test.power, test.direction, test.theta0
+    test = resolve_test(model, prior, setup)
+    power, direction, theta0, lam = test.power, test.direction, test.theta0, test.lambda_alt
     lo, hi = prior.support
     scale = prior.quadrature_scale
 

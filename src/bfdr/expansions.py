@@ -168,7 +168,7 @@ def exp_family_coefficients(
             + (h31 * phi + s * h32) * g0 / sigma0,
         )
 
-    return compose_coefficient_set(joint(alpha), joint(alpha - 1.0), lam, statistic="mean_ump")
+    return compose_coefficient_set(joint(alpha), joint(alpha - 1.0), lam, model.statistic)
 
 
 def median_coefficients(
@@ -181,7 +181,7 @@ def median_coefficients(
     lam = check_problem(model, prior, 0.0, alpha)
     rc = reiss_coefficients(model, n)
     f0 = model.f0
-    g0, g1, g2 = _natural_prior_view(prior, 0.0, 1)
+    g0, g1, g2 = _natural_prior_view(prior, 0.0, model.natural_direction)
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)
@@ -201,7 +201,7 @@ def median_coefficients(
         )
 
     return compose_coefficient_set(
-        joint(alpha), joint(alpha - 1.0), lam, statistic="median", parity=rc.parity
+        joint(alpha), joint(alpha - 1.0), lam, model.statistic, rc.parity
     )
 
 

@@ -7,14 +7,17 @@ Two sampling regimes are covered:
 * a location family tested with the sample median ``X_((floor(n/2)+1))``
   against the asymptotic critical value ``z_alpha / (2 f(0))``.
 
+Each model class names its statistic as the class constant ``statistic``.
 Exponential-family models are expressed in a user-facing parameter; when the
 natural parameter is the negative of that (the exponential-rate family),
 ``natural_direction = -1`` records the flip and the power function is
-decreasing rather than increasing in the user parameter.
+decreasing rather than increasing in the user parameter (a location model's
+is the class constant +1).
 
 :func:`check_problem` is the one rule of which problems every route answers,
-and :func:`resolve_test` the one notion of a test: critical value (for the mean
-test, a halving seeded at the pivot's inverse survival function), exact power,
+and :func:`resolve_test` the one notion of a test, built only for a problem
+that rule accepts: alternative mass, critical value (for the mean test, a
+halving seeded at the pivot's inverse survival function), exact power,
 rejection rule and null region.
 :func:`reiss_coefficients` gives the coefficients of the two-term sample-median
 CDF expansion behind the median series; that expansion, like the Cornish-Fisher
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -50,6 +53,8 @@ class ExpFamilyModel:
     1 - cdf(t) = q, and ``sample_from_uniform(theta, u)`` maps iid uniforms to
     observations of that law.
     """
+
+    statistic: ClassVar[str] = "mean_ump"
 
     name: str
     theta_lo: float
@@ -98,11 +103,13 @@ class ExpFamilyModel:
 class LocationModel:
     """Location family f(x - theta), standard member of median 0; ppf inverts cdf."""
 
+    statistic: ClassVar[str] = "median"
+    natural_direction: ClassVar[int] = 1
+
     name: str
     f0: float
     f0p: float
     f0pp: float
-    pdf: Callable
     cdf: Callable
     ppf: Callable
 
@@ -138,7 +145,7 @@ class TestSetup:
     n: int
 
     def __post_init__(self):
-        if self.statistic not in ("mean_ump", "median"):
+        if self.statistic not in (ExpFamilyModel.statistic, LocationModel.statistic):
             raise ModelError(f"unknown statistic {self.statistic!r}")
         if not math.isfinite(self.theta0):
             raise ModelError(f"theta0 must be finite, got {self.theta0}")
@@ -235,9 +242,9 @@ def exponential_rate_model() -> ExpFamilyModel:
 
 def _location_model(name: str, member: Prior) -> LocationModel:
     """The location model whose standard member is the unit prior ``member``:
-    its density, CDF and quantile, with f0, f0p and f0pp its g, g1, g2 at 0."""
+    its CDF and quantile, with f0, f0p and f0pp its g, g1, g2 at 0."""
     f0, f0p, f0pp = (float(d(0.0)) for d in (member.g, member.g1, member.g2))
-    return LocationModel(name, f0, f0p, f0pp, member.g, member.cdf, member.ppf)
+    return LocationModel(name, f0, f0p, f0pp, member.cdf, member.ppf)
 
 
 def normal_location_model() -> LocationModel:
@@ -263,8 +270,6 @@ def ump_critical_value(model: ExpFamilyModel, setup: TestSetup) -> float:
     straddles the level (or passes +-1e6: :class:`ModelError`); halving then
     closes it to adjacent doubles.
     """
-    if setup.statistic != "mean_ump":
-        raise ModelError("ump_critical_value applies to the mean_ump statistic")
     target = 1.0 - setup.alpha
     cdf = model.mean_statistic_cdf
 
@@ -339,14 +344,14 @@ def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
 
 @dataclass(frozen=True)
 class ResolvedTest:
-    """A level-alpha one-sided test resolved once from (model, setup).
+    """A level-alpha one-sided test resolved once from (model, prior, setup).
 
     ``direction`` is +1 when the alternative is {theta > theta0} and -1 when
     the natural parameter is the negated user parameter. ``power(theta)`` is
     the exact power, vectorized; ``rejects(theta, u)`` applies the rejection
     rule to each experiment, given its parameter and the (experiments, n)
     uniforms its sample is drawn from; ``is_null(theta)`` marks parameters in
-    the null region.
+    the null region. ``lambda_alt`` is :func:`check_problem`'s alternative mass.
     """
 
     theta0: float
@@ -354,6 +359,7 @@ class ResolvedTest:
     power: Callable
     rejects: Callable
     is_null: Callable
+    lambda_alt: float
 
 
 def check_problem(model, prior: Prior, theta0: float, alpha: float) -> float:
@@ -368,7 +374,7 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> float:
     if isinstance(model, LocationModel):
         if theta0 != 0.0:
             raise ModelError("the median test uses the location convention theta0 = 0")
-        return lambda_alt(prior, theta0)
+        return lambda_alt(prior, theta0, model.natural_direction)
     if not isinstance(model, ExpFamilyModel):
         raise ModelError(f"unsupported model type {type(model).__name__}")
     lo, hi = prior.support
@@ -386,18 +392,21 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> float:
     return lam
 
 
-def resolve_test(model, setup: TestSetup) -> ResolvedTest:
-    """Critical value, power, rejection rule and null region of ``setup``.
+def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
+    """Alternative mass, critical value, power, rejection rule and null region
+    of ``setup`` under ``prior``.
 
-    Raises :class:`ModelError` when the statistic does not fit the model;
-    every other rule is :func:`check_problem`'s, which callers run first.
+    Runs :func:`check_problem` first and raises what it raises; then raises
+    :class:`ModelError` when ``setup.statistic`` is not the model's.
     """
+    lam = check_problem(model, prior, setup.theta0, setup.alpha)
+    if setup.statistic != model.statistic:
+        raise ModelError(f"model {model.name!r} takes {model.statistic}, not {setup.statistic}")
     n = setup.n
     rootn = math.sqrt(n)
     theta0 = float(setup.theta0)
-    if setup.statistic == "mean_ump":
-        if not isinstance(model, ExpFamilyModel):
-            raise ModelError("mean_ump requires an ExpFamilyModel")
+    direction = model.natural_direction
+    if isinstance(model, ExpFamilyModel):
         k = ump_critical_value(model, setup)
         mu0 = float(model.mu(np.asarray(theta0, dtype=float)))
         sigma0 = float(model.sigma(np.asarray(theta0, dtype=float)))
@@ -416,8 +425,7 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
         def rejects(theta, u):
             return model.sample_from_uniform(theta[:, None], u).mean(axis=1) > mean_threshold
 
-        direction = model.natural_direction
-    elif isinstance(model, LocationModel):
+    else:
         z = nk.upper_quantile_z(setup.alpha)
         scale = 2.0 * model.f0 * rootn
 
@@ -434,11 +442,7 @@ def resolve_test(model, setup: TestSetup) -> ResolvedTest:
         def rejects(theta, u):
             return theta + model.ppf(np.partition(u, k_idx, axis=1)[:, k_idx]) > median_threshold
 
-        direction = 1
-    else:
-        raise ModelError("median requires a LocationModel")
-
     def is_null(theta):
         return theta <= theta0 if direction == 1 else theta >= theta0
 
-    return ResolvedTest(theta0, direction, power, rejects, is_null)
+    return ResolvedTest(theta0, direction, power, rejects, is_null, lam)

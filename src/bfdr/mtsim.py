@@ -111,7 +111,6 @@ class SimResult:
     se_fdr: float
     delta_hat: float
     eps_hat: float
-    se_delta: float
 
     def per_replication_se(self) -> np.ndarray:
         """Binomial-approximation standard error of each replication's FDR."""
@@ -169,14 +168,7 @@ def _result(config: SimConfig, m: int, V: np.ndarray, R: np.ndarray, W: np.ndarr
     if reps > 1:
         se_fdr = float(fdr.std(ddof=1) / math.sqrt(reps))
     else:
-        se_fdr = float(
-            math.sqrt(max(fdr_hat * (1.0 - fdr_hat), 0.0) / max(total_R, 1))
-        )
-    se_delta = (
-        float(math.sqrt(max(delta_hat * (1.0 - delta_hat), 0.0) / total_R))
-        if total_R > 0
-        else 0.0
-    )
+        se_fdr = math.sqrt(max(fdr_hat * (1.0 - fdr_hat), 0.0) / max(total_R, 1))
     return SimResult(
         m=m,
         replications=reps,
@@ -189,7 +181,6 @@ def _result(config: SimConfig, m: int, V: np.ndarray, R: np.ndarray, W: np.ndarr
         se_fdr=se_fdr,
         delta_hat=delta_hat,
         eps_hat=eps_hat,
-        se_delta=se_delta,
     )
 
 
@@ -216,5 +207,5 @@ def convergence_sweep(config: SimConfig, m_grid: Sequence[int]) -> List[SimResul
         raise ModelError("m_grid must be non-empty")
     if min(ms) < 1:
         raise ModelError(f"m must be >= 1, got {min(ms)}")
-    tallies = _prefix_tallies(config, resolve_test(config.model, config.setup), ms)
+    tallies = _prefix_tallies(config, resolve_test(config.model, config.prior, config.setup), ms)
     return [_result(config, m, *tallies[m]) for m in ms]

@@ -1,4 +1,5 @@
-"""Result containers shared by the expansion, quadrature, and simulation routes."""
+"""Result containers shared by the expansion and quadrature routes (the
+simulator returns its own :class:`~bfdr.mtsim.SimResult`)."""
 
 from __future__ import annotations
 
@@ -10,11 +11,10 @@ from typing import Optional
 class RateResult:
     """A false-discovery or false-acceptance rate value tagged by method.
 
-    ``method`` identifies the route ("series1".."series3", "quadrature",
-    "simulation"); ``error_estimate`` is a propagated bound for quadrature, a
-    standard error for simulation, and the magnitude of the last retained
-    series term (a heuristic scale, not a bound) for expansions. ``clamped``
-    marks series values pulled back into [0, 1].
+    ``method`` identifies the route ("series1".."series3" or "quadrature");
+    ``error_estimate`` is a propagated bound for quadrature and the magnitude
+    of the last retained series term (a heuristic scale, not a bound) for
+    expansions. ``clamped`` marks series values pulled back into [0, 1].
     """
 
     value: float

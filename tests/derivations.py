@@ -128,8 +128,11 @@ def log_binomial(n: int, k: int) -> float:
     )
 
 
-def median_pdf_exact(model, n: int, t):
-    """Exact density of 2 f(0) sqrt(n) (T_n - theta) at t; vectorized in t."""
+def median_pdf_exact(model, pdf, n: int, t):
+    """Exact density of 2 f(0) sqrt(n) (T_n - theta) at t; vectorized in t.
+
+    ``pdf`` is the density f of the location model's standard member.
+    """
     n = int(n)
     k = median_order_index(n)
     t = np.asarray(t, dtype=float)
@@ -137,7 +140,7 @@ def median_pdf_exact(model, n: int, t):
     u = t / scale
     F = np.asarray(model.cdf(u), dtype=float)
     F = np.clip(F, 0.0, 1.0)
-    f = np.asarray(model.pdf(u), dtype=float)
+    f = np.asarray(pdf(u), dtype=float)
     log_comb = math.log(n) + log_binomial(n - 1, k - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logF = np.where(F > 0.0, np.log(np.where(F > 0.0, F, 1.0)), -np.inf)
@@ -186,7 +189,7 @@ def power_median_edgeworth(model, theta, setup):
     """Power of the median test from the two-term CDF expansion; vectorized.
 
     The test rejects when sqrt(n) T_n > z_alpha/(2 f(0)); the exact power is
-    ``bfdr.models.resolve_test(model, setup).power``.
+    ``bfdr.models.resolve_test(model, prior, setup).power``.
     """
     if setup.statistic != "median":
         raise ModelError("power_median_edgeworth applies to the median statistic")

@@ -14,6 +14,8 @@ import pytest
 from bfdr import cli, priors
 from bfdr.numkernel import IntegralValue, QuadratureNonConvergence
 
+from test_layout import perfbench_model_specs
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -239,11 +241,12 @@ class TestModelAndPriorSpecs:
 
     @pytest.mark.parametrize("spec", sorted(cli._MODELS))
     def test_each_model_spec_builds_its_table_entry(self, spec):
-        factory, statistic, theta0 = cli._MODELS[spec]
-        model, got_statistic, got_theta0 = cli._build_model(spec)
+        factory, theta0 = cli._MODELS[spec]
+        model, statistic, got_theta0 = cli._build_model(spec)
         assert model.name == factory().name
-        assert (got_statistic, got_theta0) == (statistic, theta0)
-        # the median rule follows the table's statistic
+        assert (statistic, got_theta0) == (model.statistic, theta0)
+        assert (factory.__name__, statistic, theta0) == perfbench_model_specs()[spec]
+        # the median rule follows the built model's statistic
         argv = ["coeffs", "--model", spec, "--prior", "normal:1", "--alpha", "0.05",
                 "--theta0", "1"]
         median_rules = ["the median test uses the location convention theta0 = 0",

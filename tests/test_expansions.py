@@ -49,6 +49,7 @@ C1_MEDIAN_NN = 0.020892959027797665
 G1_POLY_AT_0 = 1.8036956360636097
 
 _N01 = priors.normal_prior(1.0)
+_GAMMA2 = priors.gamma_mode1_prior(2.0)
 # N(0.5, 1): g'(0) != 0, so the g1 terms of a2, a3, at2 and at3 count
 SHIFTED_NORMAL = priors.make_prior(
     lambda x: _N01.g(x - 0.5),
@@ -222,7 +223,8 @@ class TestEdgeworthPowerCheck:
         errs = {}
         for n in (200, 400):
             theta = 1.0 - (xs + Z95) / math.sqrt(n)
-            exact_power = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, alpha, n)).power(theta)
+            setup = TestSetup("mean_ump", 1.0, alpha, n)
+            exact_power = models.resolve_test(EXP, _GAMMA2, setup).power(theta)
             approx = power_mean_edgeworth(2.0, 6.0, alpha, n, xs)
             errs[n] = float(np.max(np.abs(approx - exact_power)))
         assert errs[200] / errs[400] >= 2.3  # 2^{3/2} ~ 2.83 in the limit
@@ -259,7 +261,8 @@ class TestEdgeworthPowerCheck:
         alpha = 0.05
         xs = np.linspace(-3.0, -Z95, 25)
         theta = 1.0 - (xs + Z95) / math.sqrt(n)
-        exact_power = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, alpha, n)).power(theta)
+        setup = TestSetup("mean_ump", 1.0, alpha, n)
+        exact_power = models.resolve_test(EXP, _GAMMA2, setup).power(theta)
         phi = nk.std_normal_pdf(xs)
         base = _sp.ndtr(xs) + phi * g1_poly(xs, 2.0, Z95) / math.sqrt(n)
         err_derived = np.max(np.abs(base + phi * g2_poly(xs, 2.0, 6.0, Z95) / n - exact_power))

@@ -10,6 +10,10 @@ scipy's special functions come in through ``_special.py`` alone, and nothing
 imports ``scipy.stats`` or ``scipy.optimize``: each costs a CLI process a
 large share of its start-up.
 
+The statistics' names ``"mean_ump"`` and ``"median"`` are string constants
+only in ``models.py``, where each model class names its own; every other
+module reads ``model.statistic`` or the model's class.
+
 The benchmark keeps its own copy of the CLI's model table; the two must agree.
 """
 
@@ -84,6 +88,33 @@ def test_the_check_sees_names_not_strings():
     assert unreferenced(modules, ["b.other(Quoted)"]) == ["a.dead"]
 
 
+#: The statistics' names, spelled only where the model classes define them.
+STATISTIC_NAMES = {"mean_ump", "median"}
+
+
+def statistic_spellers(modules):
+    """Modules (name -> source), other than ``models``, holding a string
+    constant that is a statistic's name."""
+    return [name for name, src in modules.items() if name != "models" and any(
+        isinstance(node, ast.Constant) and node.value in STATISTIC_NAMES
+        for node in ast.walk(ast.parse(src)))]
+
+
+def test_only_the_models_module_spells_a_statistic():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert statistic_spellers(modules) == []
+
+
+def test_the_statistic_check_sees_constants_not_words():
+    modules = {
+        "models": 'class LocationModel:\n    statistic = "median"\n',
+        "a": '"""The median test."""\ntext = f"{n} median"\nmean = s == "mean_ump"\n',
+        "b": 'def f(model):\n    return model.statistic, "median statistic"\n',
+        "c": 'KIND = {"median": 1}\n',
+    }
+    assert statistic_spellers(modules) == ["a", "c"]
+
+
 def scipy_imports(source):
     """scipy modules that ``source`` imports; ``from scipy import x`` counts as scipy.x."""
     found = set()
@@ -145,7 +176,7 @@ def test_the_cli_model_table_agrees_with_the_benchmark():
     from bfdr import cli, models
 
     table = {}
-    for spec, (factory, statistic, theta0) in cli._MODELS.items():
+    for spec, (factory, theta0) in cli._MODELS.items():
         assert getattr(models, factory.__name__) is factory
-        table[spec] = (factory.__name__, statistic, theta0)
+        table[spec] = (factory.__name__, cli._build_model(spec)[0].statistic, theta0)
     assert table == perfbench_model_specs()

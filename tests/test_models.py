@@ -35,6 +35,11 @@ NORMAL = models.normal_mean_model()
 EXP = models.exponential_rate_model()
 NLOC = models.normal_location_model()
 CLOC = models.cauchy_location_model()
+# the priors the tests are resolved under: exp-rate's must lie on (0, inf)
+N01 = priors.normal_prior(1.0)
+GAMMA2 = priors.gamma_mode1_prior(2.0)
+#: The location models' densities (a model carries only f0, f0p and f0pp).
+PDF = {NLOC.name: priors._STANDARD_NORMAL.g, CLOC.name: priors._STANDARD_CAUCHY.g}
 
 
 class TestBuiltinModels:
@@ -65,10 +70,19 @@ class TestBuiltinModels:
                                                (CLOC, priors._STANDARD_CAUCHY)],
                              ids=["normal", "cauchy"])
     def test_location_models_are_the_unit_priors(self, model, member):
-        # one law per family: the model's density, CDF and quantile are the
-        # unit prior's, and f0, f0p, f0pp its g, g1, g2 at 0
-        assert (model.pdf, model.cdf, model.ppf) == (member.g, member.cdf, member.ppf)
+        # one law per family: the model's CDF and quantile are the unit
+        # prior's, and f0, f0p, f0pp its g, g1, g2 at 0
+        assert (model.cdf, model.ppf) == (member.cdf, member.ppf)
         assert (model.f0, model.f0p, model.f0pp) == (member.g(0.0), member.g1(0.0), member.g2(0.0))
+
+    def test_each_model_class_names_its_statistic(self):
+        # class constants, not constructor fields
+        assert NORMAL.statistic == EXP.statistic == models.ExpFamilyModel.statistic == "mean_ump"
+        assert NLOC.statistic == CLOC.statistic == models.LocationModel.statistic == "median"
+        assert models.LocationModel.natural_direction == 1
+        assert {"statistic", "natural_direction"}.isdisjoint(
+            f.name for f in dataclasses.fields(models.LocationModel))
+        assert "statistic" not in {f.name for f in dataclasses.fields(models.ExpFamilyModel)}
 
     def test_invalid_setup_rejected(self):
         with pytest.raises(models.ModelError):
@@ -120,7 +134,7 @@ class TestBuiltinModels:
 
     def test_location_quantile_must_invert_the_cdf(self):
         with pytest.raises(models.ModelError, match="cdf"):
-            models.LocationModel("bad", NLOC.f0, NLOC.f0p, NLOC.f0pp, NLOC.pdf, NLOC.cdf,
+            models.LocationModel("bad", NLOC.f0, NLOC.f0p, NLOC.f0pp, NLOC.cdf,
                                  ppf=lambda u: 2 * NLOC.ppf(u))
 
     def test_sampler_must_follow_the_mean_statistic_cdf(self):
@@ -281,38 +295,38 @@ class TestCornishFisher:
 
 class TestPowerMeanTest:
     def test_power_at_null_is_alpha(self):
-        for model, th0 in ((NORMAL, 0.0), (EXP, 1.0)):
+        for model, prior, th0 in ((NORMAL, N01, 0.0), (EXP, GAMMA2, 1.0)):
             for n in (1, 5, 30):
                 setup = TestSetup("mean_ump", th0, 0.05, n)
-                assert models.resolve_test(model, setup).power(th0) == pytest.approx(
+                assert models.resolve_test(model, prior, setup).power(th0) == pytest.approx(
                     0.05, abs=1e-8
                 )
 
     def test_normal_closed_form(self):
         # 1 - Phi(z_0.05 - 1); mpmath 40 digits
         setup = TestSetup("mean_ump", 0.0, 0.05, 4)
-        assert models.resolve_test(NORMAL, setup).power(0.5) == pytest.approx(
+        assert models.resolve_test(NORMAL, N01, setup).power(0.5) == pytest.approx(
             0.2595110228414441, rel=1e-12
         )
 
     def test_consistency_toward_alternative(self):
         setup = TestSetup("mean_ump", 0.0, 0.05, 10)
-        assert models.resolve_test(NORMAL, setup).power(5.0) > 1.0 - 1e-9
+        assert models.resolve_test(NORMAL, N01, setup).power(5.0) > 1.0 - 1e-9
         setup_exp = TestSetup("mean_ump", 1.0, 0.05, 10)
         # exp-rate alternative is small rates
-        assert models.resolve_test(EXP, setup_exp).power(1e-4) > 1.0 - 1e-12
-        assert models.resolve_test(EXP, setup_exp).power(50.0) < 1e-12
+        assert models.resolve_test(EXP, GAMMA2, setup_exp).power(1e-4) > 1.0 - 1e-12
+        assert models.resolve_test(EXP, GAMMA2, setup_exp).power(50.0) < 1e-12
 
     def test_monotone_in_natural_direction(self):
         setup = TestSetup("mean_ump", 1.0, 0.05, 8)
         rates = np.array([0.4, 0.8, 1.0, 1.5, 3.0])
-        power = models.resolve_test(EXP, setup).power(rates)
+        power = models.resolve_test(EXP, GAMMA2, setup).power(rates)
         assert np.all(np.diff(power) < 0)
 
     def test_vectorized(self):
         setup = TestSetup("mean_ump", 0.0, 0.05, 4)
         th = np.array([0.0, 0.5, 1.0])
-        out = models.resolve_test(NORMAL, setup).power(th)
+        out = models.resolve_test(NORMAL, N01, setup).power(th)
         assert out.shape == (3,)
         assert out[1] == pytest.approx(0.2595110228414441, rel=1e-10)
 
@@ -322,10 +336,10 @@ class TestMedianDistribution:
         assert [models.median_order_index(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 2, 3, 3]
 
     def test_pdf_single_observation(self):
-        assert median_pdf_exact(NLOC, 1, 0.0) == pytest.approx(0.5, rel=1e-14)
+        assert median_pdf_exact(NLOC, PDF[NLOC.name], 1, 0.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_pdf_three_observations_at_center(self):
-        assert median_pdf_exact(NLOC, 3, 0.0) == pytest.approx(
+        assert median_pdf_exact(NLOC, PDF[NLOC.name], 3, 0.0) == pytest.approx(
             0.75 / math.sqrt(3.0), rel=1e-13
         )
 
@@ -335,7 +349,8 @@ class TestMedianDistribution:
         # Cauchy medians at tiny n have polynomial tails, which the
         # double-exponential map reaches out to 1e13.
         tol = 1e-8
-        halves = [nk.integrate(lambda t: median_pdf_exact(model, n, t), 0.0, end, tol)
+        pdf = PDF[model.name]
+        halves = [nk.integrate(lambda t: median_pdf_exact(model, pdf, n, t), 0.0, end, tol)
                   for end in (-math.inf, math.inf)]
         assert sum(h.value for h in halves) == pytest.approx(1.0, abs=1e-6)
 
@@ -460,37 +475,37 @@ class TestMedianCdfEdgeworth:
 class TestPowerMedianTest:
     def test_alpha_half_at_origin(self):
         setup = TestSetup("median", 0.0, 0.5, 21)
-        assert models.resolve_test(NLOC, setup).power(0.0) == pytest.approx(0.5, abs=1e-12)
+        assert models.resolve_test(NLOC, N01, setup).power(0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_consistency(self):
         setup = TestSetup("median", 0.0, 0.05, 11)
-        assert models.resolve_test(NLOC, setup).power(50.0) == pytest.approx(1.0, abs=1e-12)
+        assert models.resolve_test(NLOC, N01, setup).power(50.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_against_monte_carlo_oracle(self):
         # frozen MC reference, see module docstring
         setup = TestSetup("median", 0.0, 0.05, 21)
         mc_value, mc_se = 0.289633, 0.000321
-        exact = models.resolve_test(NLOC, setup).power(0.3)
+        exact = models.resolve_test(NLOC, N01, setup).power(0.3)
         assert abs(exact - mc_value) <= 3.0 * mc_se
 
     def test_edgeworth_mode_close_to_exact(self):
         setup = TestSetup("median", 0.0, 0.05, 41)
         th = np.linspace(-0.5, 0.8, 14)
-        ex = models.resolve_test(NLOC, setup).power(th)
+        ex = models.resolve_test(NLOC, N01, setup).power(th)
         ed = power_median_edgeworth(NLOC, th, setup)
         assert np.max(np.abs(ex - ed)) < 5e-3
 
     def test_requires_location_convention(self):
         setup = TestSetup("median", 0.3, 0.05, 9)
         with pytest.raises(models.ModelError, match="location convention theta0 = 0"):
-            models.check_problem(NLOC, priors.normal_prior(1.0), setup.theta0, setup.alpha)
+            models.resolve_test(NLOC, N01, setup)
         with pytest.raises(models.ModelError):
             power_median_edgeworth(NLOC, 0.1, setup)
 
 
 class TestResolvedTest:
     def test_exp_rate_runs_against_the_user_parameter(self):
-        test = models.resolve_test(EXP, TestSetup("mean_ump", 1.0, 0.05, 8))
+        test = models.resolve_test(EXP, GAMMA2, TestSetup("mean_ump", 1.0, 0.05, 8))
         assert test.direction == -1 and test.theta0 == 1.0
         np.testing.assert_array_equal(
             test.is_null(np.array([0.5, 1.0, 2.0])), [False, True, True]
@@ -502,7 +517,7 @@ class TestResolvedTest:
     def test_median_rejection_threshold(self):
         # the median is theta + ppf at each row's middle uniform; ppf(1/2) = 0
         setup = TestSetup("median", 0.0, 0.05, 3)
-        test = models.resolve_test(NLOC, setup)
+        test = models.resolve_test(NLOC, N01, setup)
         cut = Z95 / (2.0 * NLOC.f0 * math.sqrt(3))
         theta = np.array([cut * 1.001, cut * 0.999])
         u = np.array([[0.99, 0.5, 0.01], [0.01, 0.99, 0.5]])
@@ -513,7 +528,7 @@ class TestResolvedTest:
         # the mean of theta + ndtri(u): a high draw lifts the third row over
         # the cut that its median stays under
         setup = TestSetup("mean_ump", 0.0, 0.05, 3)
-        test = models.resolve_test(NORMAL, setup)
+        test = models.resolve_test(NORMAL, N01, setup)
         cut = models.ump_critical_value(NORMAL, setup) / math.sqrt(3)
         theta = np.array([cut * 1.001, cut * 0.999, cut * 0.999])
         u = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.999, 0.5]])
@@ -522,9 +537,9 @@ class TestResolvedTest:
 
     def test_statistic_must_fit_model(self):
         with pytest.raises(models.ModelError):
-            models.resolve_test(NLOC, TestSetup("mean_ump", 0.0, 0.05, 5))
+            models.resolve_test(NLOC, N01, TestSetup("mean_ump", 0.0, 0.05, 5))
         with pytest.raises(models.ModelError):
-            models.resolve_test(NORMAL, TestSetup("median", 0.0, 0.05, 5))
+            models.resolve_test(NORMAL, N01, TestSetup("median", 0.0, 0.05, 5))
 
 
 def _counting(model):

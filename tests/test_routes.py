@@ -1,9 +1,12 @@
 """The three routes agree: on which problems they answer, and on the rates.
 
 The series, exact and simulator routes each run ``models.check_problem``
-first, so on every built-in model, prior and theta0 of the matrix below they
-all answer or all refuse with the same exception, and no RuntimeWarning
-(an error under the suite's warning filter) escapes before the refusal.
+first (the exact route and the simulator's tally through
+``models.resolve_test``, which builds a test only for a checked problem), so
+on every built-in model, prior and theta0 of the matrix below they and
+``resolve_test`` alone all answer or all refuse with the same exception, and
+no RuntimeWarning (an error under the suite's warning filter) escapes before
+the refusal.
 The simulator is then checked against the exact rates at inputs nobody
 picked: a derandomized hypothesis draw over the seven benchmark pairs.
 """
@@ -24,9 +27,11 @@ from bfdr.models import TestSetup
 
 PRIOR_SPECS = ("normal:1", "t:4:1", "cauchy:1", "gamma-mode1:2", "f-mode1:2:2")
 THETA0S = (-1.0, 0.0, 5e-324, 0.5, 1.0, 1e300)
+#: Model spec -> the statistic its built model names.
+STATISTICS = {spec: cli._build_model(spec)[0].statistic for spec in cli._MODELS}
 MATRIX = [
     pytest.param(spec, prior, theta0, id=f"{spec}-{prior}-{theta0!r}")
-    for spec, (_, statistic, _) in cli._MODELS.items()
+    for spec, statistic in STATISTICS.items()
     for prior in PRIOR_SPECS
     for theta0 in (THETA0S if statistic == "mean_ump" else (0.0,))
 ]
@@ -63,9 +68,26 @@ def test_every_route_answers_or_refuses_alike(spec, prior_spec, theta0):
     def simulator():
         mtsim.simulate(mtsim.SimConfig(model, prior, setup, m=200, seed=1))
 
-    outcomes = {_outcome(route) for route in (series, exact_route, simulator)}
+    def resolve_alone():
+        models.resolve_test(model, prior, setup)
+
+    outcomes = {_outcome(route) for route in (series, exact_route, simulator, resolve_alone)}
     assert len(outcomes) == 1, outcomes
     assert outcomes == {_outcome(lambda: models.check_problem(model, prior, theta0, alpha))}
+
+
+def test_exact_joint_and_the_sweep_check_once_through_resolve_test(monkeypatch):
+    model, prior = models.normal_mean_model(), priors.normal_prior(1.0)
+    setup = TestSetup("mean_ump", 0.0, 0.05, 10)
+    config = mtsim.SimConfig(model, prior, setup, m=100, seed=1)
+    check, calls = models.check_problem, []
+    # every module's binding, so a route calling its own import is counted too
+    for module in (models, exact, mtsim):
+        monkeypatch.setattr(module, "check_problem", lambda *a: calls.append(a) or check(*a),
+                            raising=False)
+    exact.exact_joint(model, prior, setup)
+    mtsim.convergence_sweep(config, [50, 100])
+    assert calls == [(model, prior, 0.0, 0.05)] * 2
 
 
 def test_an_overflow_at_theta0_is_refused_alike():
@@ -99,6 +121,16 @@ def _benchmark_inputs():
 #: The benchmark's seven (model, prior) pairs; tau scales the location-scale priors.
 PAIRS = _benchmark_inputs().PAIRS
 LOCATION_SCALE = ("normal", "t", "cauchy")
+
+
+@pytest.mark.parametrize("spec, prior_spec", PAIRS)
+def test_the_test_carries_the_checked_lambda(spec, prior_spec):
+    model, statistic, theta0 = cli._build_model(spec)
+    prior = priors.parse_prior_spec(prior_spec)
+    setup = TestSetup(statistic, theta0, 0.05, 10)
+    lam = models.check_problem(model, prior, theta0, 0.05)
+    assert models.resolve_test(model, prior, setup).lambda_alt.hex() == lam.hex()
+    assert exact.exact_joint(model, prior, setup).lambda_alt.hex() == lam.hex()
 
 
 def _log_uniform(lo, hi):
