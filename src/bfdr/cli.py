@@ -151,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prior", required=True, help="prior spec, e.g. normal:1")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--theta0", type=float, help="boundary point (model default when omitted)")
+        if need_model:
+            p.add_argument("--theta0", type=float, help="boundary point (model default when omitted)")
 
     def add_alpha(p):
         grp = p.add_mutually_exclusive_group(required=True)

@@ -8,11 +8,12 @@ Two sampling regimes are covered:
   against the asymptotic critical value ``z_alpha / (2 f(0))``.
 
 Each model class names its statistic as the class constant ``statistic``.
-Exponential-family models are expressed in a user-facing parameter; when the
-natural parameter is the negative of that (the exponential-rate family),
-``natural_direction = -1`` records the flip and the power function is
-decreasing rather than increasing in the user parameter (a location model's
-is the class constant +1).
+Exponential-family models are expressed in a user-facing parameter. The mean
+of an exponential family rises with its natural parameter, so
+``natural_direction`` is read from ``mu``: -1 when the mean falls in the user
+parameter (the exponential-rate family), where the alternative is the lower
+side and the power function decreases, else +1 (a location model's is the
+class constant +1).
 
 :func:`check_problem` is the one rule of which problems every route answers,
 and :func:`resolve_test` the one notion of a test, built only for a problem
@@ -27,7 +28,7 @@ critical value, is a test oracle (``tests/derivations.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -51,7 +52,8 @@ class ExpFamilyModel:
     ``mean_statistic_cdf(theta, n, t)`` is the exact CDF of sqrt(n)(Xbar -
     mu(theta))/sigma(theta), ``mean_statistic_isf(theta, n, q)`` the t with
     1 - cdf(t) = q, and ``sample_from_uniform(theta, u)`` maps iid uniforms to
-    observations of that law.
+    observations of that law. ``natural_direction`` is read, not passed: -1
+    when the monotone ``mu`` falls over the parameter interval, else +1.
     """
 
     statistic: ClassVar[str] = "mean_ump"
@@ -66,21 +68,20 @@ class ExpFamilyModel:
     mean_statistic_cdf: Callable
     mean_statistic_isf: Callable
     sample_from_uniform: Callable
-    natural_direction: int = 1
+    natural_direction: int = field(init=False)
 
     def __post_init__(self):
         if not self.theta_lo < self.theta_hi:
             raise ModelError(f"empty parameter interval ({self.theta_lo}, {self.theta_hi})")
-        if self.natural_direction not in (1, -1):
-            raise ModelError("natural_direction must be +1 or -1")
         grid = self._interior_grid()
         sig = np.asarray(self.sigma(grid), dtype=float)
         if np.any(sig <= 0.0):
             raise ModelError(f"model {self.name!r}: sigma must be positive")
         mu = np.asarray(self.mu(grid), dtype=float)
-        natural_order = mu if self.natural_direction == 1 else mu[::-1]
-        if np.any(np.diff(natural_order) < -1e-12):
-            raise ModelError(f"model {self.name!r}: mean not non-decreasing in the natural parameter")
+        direction = -1 if mu[-1] < mu[0] else 1
+        object.__setattr__(self, "natural_direction", direction)
+        if np.any(np.diff(direction * mu) < -1e-12):
+            raise ModelError(f"model {self.name!r}: mu must be monotone in theta")
         # n = 1 round trip of the sampler; a decreasing sampler returns 1 - u
         th, u = grid[[8, 16, 24], None], np.linspace(0.01, 0.99, 41)
         x = np.asarray(self.sample_from_uniform(th, u), dtype=float)
@@ -169,13 +170,6 @@ class ReissCoefficients:
     f23: float
     parity: str
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ModelError(f"parity must be 'even' or 'odd', got {self.parity}")
-        expected_f12 = -1.0 if self.parity == "even" else 0.0
-        if self.f12 != expected_f12:
-            raise ModelError(f"f12 must be {expected_f12} for {self.parity} n")
-
 
 # ---------------------------------------------------------------------------
 # Built-in models
@@ -202,7 +196,6 @@ def normal_mean_model() -> ExpFamilyModel:
         mean_statistic_cdf=_cdf,
         mean_statistic_isf=lambda theta, n, q: -_sp.ndtri(q),
         sample_from_uniform=_sample,
-        natural_direction=1,
     )
 
 
@@ -236,7 +229,6 @@ def exponential_rate_model() -> ExpFamilyModel:
         mean_statistic_cdf=_cdf,
         mean_statistic_isf=lambda theta, n, q: (_sp.gammainccinv(n, q) - n) / math.sqrt(n),
         sample_from_uniform=_sample,
-        natural_direction=-1,
     )
 
 
@@ -347,7 +339,7 @@ class ResolvedTest:
     """A level-alpha one-sided test resolved once from (model, prior, setup).
 
     ``direction`` is +1 when the alternative is {theta > theta0} and -1 when
-    the natural parameter is the negated user parameter. ``power(theta)`` is
+    it is {theta < theta0} (the model's mean falls in theta). ``power(theta)`` is
     the exact power, vectorized; ``rejects(theta, u)`` applies the rejection
     rule to each experiment, given its parameter and the (experiments, n)
     uniforms its sample is drawn from; ``is_null(theta)`` marks parameters in

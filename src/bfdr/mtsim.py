@@ -30,7 +30,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .models import ModelError, ResolvedTest, TestSetup, check_problem, resolve_test
+from .models import ModelError, ResolvedTest, TestSetup, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .priors import Prior
@@ -70,7 +70,8 @@ def uniform_block(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A multiple-testing simulation: m experiments per replication."""
+    """A multiple-testing simulation: m experiments per replication. Its
+    problem is checked where :func:`convergence_sweep` builds the test."""
 
     model: object
     prior: Prior
@@ -87,7 +88,6 @@ class SimConfig:
             raise ModelError(f"replications must be >= 1, got {self.replications}")
         if self.workers < 1:
             raise ModelError(f"workers must be >= 1, got {self.workers}")
-        check_problem(self.model, self.prior, self.setup.theta0, self.setup.alpha)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from bfdr import cli, priors
+from bfdr import cli, models, priors
 from bfdr.numkernel import IntegralValue, QuadratureNonConvergence
 
 from test_layout import perfbench_model_specs
@@ -21,6 +21,20 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _validates(argv):
+    """Whether ``cli._validate`` finds no violation in ``argv``."""
+    return cli._validate(cli._build_parser().parse_args(argv))[1] == []
+
+
+def _accepts(check, *args):
+    """Whether ``check(*args)`` returns rather than raising ``ModelError``."""
+    try:
+        check(*args)
+    except models.ModelError:
+        return False
+    return True
 
 
 def parse_csv(text):
@@ -198,6 +212,16 @@ class TestOtherCommands:
         assert code == 0
         header, rows = parse_csv(out)
         assert float(rows[0]["c1_gap"]) == pytest.approx(0.004222789590031064, abs=1e-9)
+
+    def test_compare_takes_no_theta0(self, capsys):
+        # the gaps are taken at theta0 = 0 and no model is named, so a
+        # --theta0 there would be ignored: argparse refuses it instead
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--prior", "normal:1", "--alpha", "0.05", "--theta0", "5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --theta0 5" in err
 
     def test_geometric_tau_grid(self, capsys):
         code, out, _ = run_cli(
@@ -453,6 +477,22 @@ class TestValidationAndErrors:
         assert "RuntimeWarning" not in proc.stderr
         assert json.loads(proc.stderr)["violations"] == [
             "theta0=0.0 outside the open support (0.0, inf)"]
+
+    @pytest.mark.parametrize("alpha", [
+        0.0, -0.0, 5e-324, 1e-17, 2.0**-54, math.nextafter(2.0**-54, 1.0), 0.5,
+        math.nextafter(1.0, 0.0), 1.0, math.nan, math.inf], ids=repr)
+    def test_the_cli_alpha_rule_is_the_models(self, alpha):
+        # _validate keeps its own copy of the rule to list every violation at once
+        argv = ["rates", "--model", "normal-mean", "--prior", "normal:1", f"--alpha={alpha!r}",
+                "--n", "10"]
+        assert _validates(argv) is _accepts(models._check_alpha, alpha)
+
+    @pytest.mark.parametrize("theta0", [0.0, -0.0, 5e-324, 0.5], ids=repr)
+    def test_the_cli_median_theta0_rule_is_check_problems(self, theta0):
+        argv = ["rates", "--model", "normal-median", "--prior", "normal:1", "--alpha", "0.05",
+                "--n", "10", f"--theta0={theta0!r}"]
+        assert _validates(argv) is _accepts(models.check_problem, models.normal_location_model(),
+                                            priors.normal_prior(1.0), theta0, 0.05)
 
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bfdr import models, priors
+from bfdr import exact, models, priors
 from bfdr import numkernel as nk
 from bfdr._special import _sp
 from bfdr.models import TestSetup
@@ -49,6 +49,7 @@ class TestBuiltinModels:
         np.testing.assert_array_equal(NORMAL.sigma(th), np.ones_like(th))
         np.testing.assert_array_equal(NORMAL.rho3(th), np.zeros_like(th))
         np.testing.assert_array_equal(NORMAL.rho4(th), np.zeros_like(th))
+        assert NORMAL.natural_direction == 1
 
     def test_exp_rate_constants(self):
         th = np.array([0.25, 1.0, 4.0])
@@ -153,6 +154,43 @@ class TestBuiltinModels:
         q = np.array([1e-6, 1e-3, 0.05, 0.5, 0.95, 1 - 1e-3])
         t = model.mean_statistic_isf(1.0, n, q)
         np.testing.assert_allclose(1.0 - model.mean_statistic_cdf(1.0, n, t), q, rtol=1e-9, atol=1e-15)
+
+
+def _mirrored_normal_mean():
+    """N(-theta, 1): its mean falls in theta, so its alternative is {theta < theta0}."""
+    return dataclasses.replace(
+        NORMAL, name="normal-mirrored", mu=lambda th: -np.asarray(th, dtype=float),
+        sample_from_uniform=lambda th, u: NORMAL.sample_from_uniform(-np.asarray(th), u))
+
+
+class TestNaturalDirection:
+    """The direction is read from mu, never passed."""
+
+    def test_the_constructor_takes_no_direction(self):
+        fields = {f.name: f for f in dataclasses.fields(models.ExpFamilyModel)}
+        assert not fields["natural_direction"].init
+        kwargs = {f: getattr(NORMAL, f) for f, spec in fields.items() if spec.init}
+        with pytest.raises(TypeError, match="natural_direction"):
+            models.ExpFamilyModel(**kwargs, natural_direction=1)
+
+    def test_a_falling_mean_flips_the_direction(self):
+        assert _mirrored_normal_mean().natural_direction == -1
+
+    @pytest.mark.parametrize("prior_spec", ["normal:1", "cauchy:0.5", "t:4:2"])
+    @pytest.mark.parametrize("alpha, n", [(0.05, 10), (1e-4, 4)])
+    def test_the_mirrored_normal_mean_has_normal_mean_rates(self, prior_spec, alpha, n):
+        # a symmetric prior seen through theta -> -theta is the same prior,
+        # so the mirrored test's rates at theta0 = 0 are normal-mean's
+        prior = priors.parse_prior_spec(prior_spec)
+        setup = TestSetup("mean_ump", 0.0, alpha, n)
+        mirrored, normal = (exact.exact_rates(exact.exact_joint(model, prior, setup))
+                            for model in (_mirrored_normal_mean(), NORMAL))
+        assert mirrored.fdr.value.hex() == normal.fdr.value.hex()
+        assert mirrored.far.value.hex() == normal.far.value.hex()
+
+    def test_a_mean_that_is_not_monotone_is_refused(self):
+        with pytest.raises(models.ModelError, match="monotone"):
+            dataclasses.replace(NORMAL, mu=lambda th: np.asarray(th, dtype=float) ** 2)
 
 
 #: The (alpha, n) grid on which k is checked against its contract.
@@ -411,10 +449,6 @@ class TestReissCoefficients:
         assert _example_variant(rc_even, 20).f23 == 0.0
         rc_odd = models.reiss_coefficients(NLOC, 21)
         assert _example_variant(rc_odd, 21).f23 == pytest.approx(rc_odd.f23, rel=1e-14)
-
-    def test_parity_constraint_enforced(self):
-        with pytest.raises(models.ModelError):
-            models.ReissCoefficients(0.0, -0.5, 0.0, 0.0, 0.0, "even")
 
 
 class TestMedianCdfEdgeworth:

@@ -148,8 +148,9 @@ class TestSimulate:
                              ids=["normal", "t"])
     def test_prior_mass_outside_the_parameter_interval_rejected(self, prior):
         # exp-rate lives on rates > 0; these priors draw negative rates half the time
+        cfg = _config(model=EXP, prior=prior, setup=TestSetup("mean_ump", 1.0, 0.05, 10), m=1000)
         with pytest.raises(models.ModelError, match="reaches outside"):
-            _config(model=EXP, prior=prior, setup=TestSetup("mean_ump", 1.0, 0.05, 10), m=1000)
+            simulate(cfg)
 
     def test_alpha_near_one_approaches_null_mass(self):
         setup = TestSetup("mean_ump", 0.0, 1.0 - 1e-9, 5)

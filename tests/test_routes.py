@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfdr import cli, exact, expansions, models, mtsim, priors
+from bfdr import analysis, cli, exact, expansions, models, mtsim, priors
 from bfdr.models import TestSetup
 
 PRIOR_SPECS = ("normal:1", "t:4:1", "cauchy:1", "gamma-mode1:2", "f-mode1:2:2")
@@ -78,16 +78,30 @@ def test_every_route_answers_or_refuses_alike(spec, prior_spec, theta0):
 
 def test_exact_joint_and_the_sweep_check_once_through_resolve_test(monkeypatch):
     model, prior = models.normal_mean_model(), priors.normal_prior(1.0)
+    location = models.normal_location_model()
     setup = TestSetup("mean_ump", 0.0, 0.05, 10)
-    config = mtsim.SimConfig(model, prior, setup, m=100, seed=1)
     check, calls = models.check_problem, []
     # every module's binding, so a route calling its own import is counted too
-    for module in (models, exact, mtsim):
+    for module in (models, exact, mtsim, expansions, analysis):
         monkeypatch.setattr(module, "check_problem", lambda *a: calls.append(a) or check(*a),
                             raising=False)
-    exact.exact_joint(model, prior, setup)
-    mtsim.convergence_sweep(config, [50, 100])
-    assert calls == [(model, prior, 0.0, 0.05)] * 2
+    # each route checks its problem once; simulate's SimConfig, built inside
+    # the count, adds no check of its own
+    routes = {
+        "exact_joint": (model, lambda: exact.exact_joint(model, prior, setup)),
+        "simulate": (model, lambda: mtsim.simulate(
+            mtsim.SimConfig(model, prior, setup, m=100, seed=1))),
+        "convergence_sweep": (model, lambda: mtsim.convergence_sweep(
+            mtsim.SimConfig(model, prior, setup, m=100, seed=1), [50, 100])),
+        "exp_family_coefficients": (model, lambda: expansions.exp_family_coefficients(
+            model, prior, 0.0, 0.05)),
+        "median_coefficients": (location, lambda: expansions.median_coefficients(
+            location, prior, 0.05, 10)),
+    }
+    for name, (checked, route) in routes.items():
+        calls.clear()
+        route()
+        assert calls == [(checked, prior, 0.0, 0.05)], name
 
 
 def test_an_overflow_at_theta0_is_refused_alike():
@@ -102,7 +116,7 @@ def test_an_overflow_at_theta0_is_refused_alike():
     routes = (
         lambda: expansions.exp_family_coefficients(model, prior, 1000.0, 0.05),
         lambda: exact.exact_joint(model, prior, setup),
-        lambda: mtsim.SimConfig(model, prior, setup, m=200, seed=1),
+        lambda: mtsim.simulate(mtsim.SimConfig(model, prior, setup, m=200, seed=1)),
     )
     for route in routes:
         with pytest.raises(models.ModelError, match="need finite mu, sigma > 0 at theta0=1000.0, got inf"):
