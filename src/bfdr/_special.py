@@ -1,38 +1,65 @@
-"""scipy's special-function ufuncs, loaded without the ``scipy.special`` package.
+"""Private extension modules of scipy and numpy, loaded without their packages.
 
-Every function bfdr calls is a ufunc of scipy's private extension module
-``scipy.special._ufuncs``. The package's ``__init__`` also imports its array-API
-layer (``scipy._lib._array_api``, which pulls in ``numpy.f2py``): about 0.2 s of
-every CLI process. So ``_ufuncs`` is loaded under a stub package that is removed
-afterwards; a later ``import scipy.special`` runs the real ``__init__`` and binds
-the same ufuncs. If ``scipy.special`` is already imported, or the stubbed load
-raises (say, a scipy release renames ``_ufuncs``), ``_sp`` is the package.
+- ``_sp`` is ``scipy.special._ufuncs``, loaded at import. The package's
+  ``__init__`` also imports its array-API layer (``scipy._lib._array_api``,
+  which pulls in ``numpy.f2py``): about 0.2 s of every CLI process.
+- :func:`philox` gives ``numpy.random._philox.Philox``, loaded on its first
+  call, which only the simulator makes. ``numpy.random``'s ``__init__`` also
+  loads ``mtrand``, ``_generator`` and four other generators (about 1.3 MB
+  more resident memory than Philox alone), so ``import bfdr`` leaves it
+  unloaded; numpy 1.x imports it with numpy, and there the package is used.
+
+Each is loaded under a stub package that is removed afterwards; a later real
+import of the package binds the same objects. If the package is already
+imported, or the stubbed load raises (say, a release renames the module), the
+package itself is used.
 """
 
+import importlib
 import os
 import sys
+import threading
 import types
 
+import numpy
 import scipy
 
 
-def _load_ufuncs():
-    stub = types.ModuleType("scipy.special")
-    stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
-    sys.modules["scipy.special"] = stub
+def _load(parent, package: str, module: str):
+    """``parent.package.module`` if a stub ``parent.package`` can load it, else
+    the package ``parent.package`` itself, which binds the same names."""
+    name = f"{parent.__name__}.{package}"
     try:
-        from scipy.special import _ufuncs
-    finally:
-        if sys.modules.get("scipy.special") is stub:
-            del sys.modules["scipy.special"]
-        if vars(scipy).get("special") is stub:
-            del scipy.special
-    return _ufuncs
+        if name in sys.modules:
+            raise ImportError(f"{name} is already imported")
+        stub = types.ModuleType(name)
+        stub.__path__ = [os.path.join(os.path.dirname(parent.__file__), package)]
+        sys.modules[name] = stub
+        try:
+            return importlib.import_module(f"{name}.{module}")
+        finally:
+            if sys.modules.get(name) is stub:
+                del sys.modules[name]
+            if vars(parent).get(package) is stub:
+                delattr(parent, package)
+    except Exception:
+        return importlib.import_module(name)
 
 
-try:
-    if "scipy.special" in sys.modules:
-        raise ImportError("scipy.special is already imported")
-    _sp = _load_ufuncs()
-except Exception:
-    from scipy import special as _sp
+_sp = _load(scipy, "special", "_ufuncs")
+
+_philox_lock = threading.Lock()
+_philox = None
+
+
+def philox():
+    """numpy's Philox bit generator class, loaded on the first call.
+
+    The lock makes concurrent first calls (a cold multi-worker simulation)
+    load it once.
+    """
+    global _philox
+    with _philox_lock:
+        if _philox is None:
+            _philox = _load(numpy, "random", "_philox").Philox
+        return _philox

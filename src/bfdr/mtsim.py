@@ -17,6 +17,11 @@ Randomness is counter-based: every uniform variate is a pure function of
 cipher (numpy's C implementation, addressed by key and counter), so
 partitioning experiments across workers can never change any value and
 equal seeds reproduce results bit for bit.
+
+Importing this module loads neither ``numpy.random`` nor
+``concurrent.futures``: the first :func:`uniform_block` call loads numpy's
+Philox alone (``_special.philox``), and a thread pool is imported only when
+a simulation runs on more than one worker.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ._special import philox
 from .models import ModelError, ResolvedTest, TestSetup, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
@@ -53,13 +58,14 @@ def uniform_block(
     depends only on (seed, replication, start + i, j, cols); for a fixed
     ``cols`` (the simulator always asks for 1 + n) callers may therefore
     split the experiment range arbitrarily. Each call builds its own
-    generator, so worker threads never share one.
+    generator, so worker threads never share one; its class is numpy's
+    ``Philox``, whether loaded alone or with ``numpy.random``.
     """
     rows = stop - start
     nblk = (cols + 3) // 4
     key = (seed & 0xFFFFFFFFFFFFFFFF) | (replication << 64)
     # numpy advances the counter before each block, so start one behind.
-    bitgen = np.random.Philox(counter=(start * nblk - 1) % 2**256, key=key)
+    bitgen = philox()(counter=(start * nblk - 1) % 2**256, key=key)
     x = bitgen.random_raw(rows * nblk * 4)
     x >>= np.uint64(11)
     u = x.astype(np.float64)
@@ -147,6 +153,15 @@ def _prefix_tallies(config: SimConfig, test: ResolvedTest, stops: Sequence[int])
     if workers == 1:
         partials = list(map(run_job, jobs))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # glibc gives each pool thread its own malloc arena and returns the
+        # arena's free top to the OS above its trim threshold: 128 KiB, until
+        # freeing a mapped block raises it to twice that block's size. A
+        # chunk's arrays take some 350 KB, so at the default every chunk is
+        # faulted in afresh (a two-worker `bfdr sim` made 4.5 times the page
+        # faults). Freeing one 1 MiB block first raises the threshold to 2 MiB.
+        np.empty(2**17)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_job, jobs))
     # Jobs are replication-major, so the (reps, chunks, 3) reshape is exact.

@@ -19,7 +19,9 @@ Gamma and F members seed log x from a table over normal scores and take one
 Newton step on their library CDF (survival function above u = 1/2), several
 times faster than ``gammaincinv``/``fdtri`` and about as accurate; levels
 outside [1e-10, 1 - 1e-10] keep the library inverse. A prior from
-:func:`make_prior` uses its ``ppf`` as given.
+:func:`make_prior` uses its ``ppf`` as given. Every prior that
+:func:`scale_prior` or :func:`validate_prior` returns has a finite,
+increasing quantile over the simulator's uniforms.
 """
 
 from __future__ import annotations
@@ -86,14 +88,44 @@ def _validation_grid(prior: Prior) -> np.ndarray:
     return np.linspace(L + pad, U - pad, 41)
 
 
-def validate_prior(prior: Prior):
-    """Construction-time checks: unit mass, derivatives and the cdf/ppf round trip.
+#: Levels at which every prior's quantile must be finite and strictly
+#: increasing: the simulator's extreme uniforms 2**-54 and 1 - 2**-53, levels
+#: a few steps in from each end (where a library inverse can clamp, overflow
+#: or turn back before the ends) and the median.
+_RANGE_LEVELS = (
+    ("2**-54", 2.0**-54), ("1e-16", 1e-16), ("1e-13", 1e-13), ("1e-10", 1e-10), ("0.5", 0.5),
+    ("1 - 1e-10", 1.0 - 1e-10), ("1 - 1e-13", 1.0 - 1e-13), ("1 - 2**-52", 1.0 - 2.0**-52),
+    ("1 - 2**-53", 1.0 - 2.0**-53),
+)
 
-    Raises :class:`PriorError` on failure. Derivatives are compared against
-    central finite differences of ``g`` on a support-spanning grid, and
-    cdf(ppf(u)) must return u on a grid of levels in [0.01, 0.99]. The round
-    trip is checked first, since the mass check takes its tail points and
-    anchor from ``ppf``.
+
+def _check_quantile_range(prior: Prior) -> None:
+    """Refuse a prior whose quantile leaves double range on the simulator's uniforms.
+
+    ppf must be finite and strictly increasing over ``_RANGE_LEVELS``, which
+    span the simulator's [2**-54, 1 - 2**-53]; where the true quantile lies
+    beyond double range the library gives inf, NaN or a clamped constant.
+    Raises :class:`PriorError` naming the first level that fails.
+    """
+    with np.errstate(all="ignore"):
+        q = np.asarray(prior.ppf(np.array([u for _, u in _RANGE_LEVELS])), dtype=float).tolist()
+    for i, (label, _) in enumerate(_RANGE_LEVELS):
+        if not math.isfinite(q[i]):
+            raise PriorError(f"prior {prior.name!r}: ppf({label}) = {q[i]!r} is not finite")
+        if i and not q[i] > q[i - 1]:
+            raise PriorError(f"prior {prior.name!r}: ppf({label}) = {q[i]!r} does not exceed "
+                             f"ppf({_RANGE_LEVELS[i - 1][0]}) = {q[i - 1]!r}")
+
+
+def validate_prior(prior: Prior):
+    """Construction-time checks: the cdf/ppf round trip, the quantile's range,
+    unit mass and derivatives.
+
+    Raises :class:`PriorError` on failure. cdf(ppf(u)) must return u on a
+    grid of levels in [0.01, 0.99], ppf must pass :func:`_check_quantile_range`,
+    and derivatives are compared against central finite differences of ``g``
+    on a support-spanning grid. The quantile is checked first, since the
+    mass check takes its tail points and anchor from ``ppf``.
     """
     lo, hi = prior.support
     if not lo < hi:
@@ -102,6 +134,7 @@ def validate_prior(prior: Prior):
     gap = np.max(np.abs(np.asarray(prior.cdf(prior.ppf(u)), dtype=float) - u))
     if not gap <= _ROUND_TRIP_TOL:
         raise PriorError(f"prior {prior.name!r}: cdf(ppf(u)) misses u by {gap:.3g}")
+    _check_quantile_range(prior)
     # Integrate g out from ppf(0.5) to ppf(cut) and to ppf(1 - cut), bounding
     # the mass between the outermost node and that point, and add the CDF's
     # mass outside: this checks both that g integrates to 1 and that it
@@ -165,14 +198,15 @@ def lambda_alt(prior: Prior, theta0: float, direction: int = 1) -> float:
 
 
 def scale_prior(base: Prior, tau: float) -> Prior:
-    """Scale family g_tau(theta) = g(theta/tau)/tau with chain-rule derivatives."""
+    """Scale family g_tau(theta) = g(theta/tau)/tau with chain-rule derivatives,
+    refused by :func:`_check_quantile_range` when its quantile leaves double range."""
     if not 0.0 < tau < math.inf:
         raise PriorError(f"tau must be positive and finite, got {tau}")
     tau = float(tau)
     lo, hi = base.support
     g, g1, g2 = base.g, base.g1, base.g2
     cdf, ppf = base.cdf, base.ppf
-    return Prior(
+    scaled = Prior(
         name=f"{base.name}*tau={tau:g}",
         g=lambda th: g(np.asarray(th, dtype=float) / tau) / tau,
         g1=lambda th: g1(np.asarray(th, dtype=float) / tau) / tau**2,
@@ -181,6 +215,8 @@ def scale_prior(base: Prior, tau: float) -> Prior:
         cdf=lambda th: cdf(np.asarray(th, dtype=float) / tau),
         ppf=lambda u: tau * np.asarray(ppf(u), dtype=float),
     )
+    _check_quantile_range(scaled)
+    return scaled
 
 
 # ---------------------------------------------------------------------------

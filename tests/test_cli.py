@@ -310,6 +310,17 @@ class TestValidationAndErrors:
         # the location convention itself stays accepted
         assert run_cli(argv + ["--theta0", "0"], capsys)[0] == 0
 
+    def test_a_prior_whose_quantile_leaves_double_range_is_a_config_error(self, capsys):
+        code, out, err = run_cli(
+            ["sim", "--model", "exp-rate", "--prior", "f-mode1:2:0.03", "--alpha", "0.05",
+             "--n", "10", "--m", "200", "--seed", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "config"
+        [violation] = record["violations"]
+        assert violation.startswith("prior: ") and "ppf(1 - 1e-13) = " in violation
+
     def test_oversized_alpha_grid_is_a_config_error(self, capsys):
         # 29,001 points: refused before the list is built
         code, out, err = run_cli(

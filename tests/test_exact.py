@@ -324,9 +324,10 @@ class TestExactJoint:
         wider = dataclasses.replace(prior, ppf=lambda u: 8.0 * counted(u))
         assert prior.quadrature_scale < 1.0
         assert wider.quadrature_scale == 1.0  # its own quartiles, capped
-        scaled = priors.scale_prior(prior, 0.25)
+        scaled = priors.scale_prior(prior, 0.25)  # checks its quantile's range
         assert scaled.quadrature_scale == 0.5 * (0.25 * q3 - 0.25 * q1)
-        assert levels == [[0.25, 0.75]] * 3
+        range_levels = [u for _, u in priors._RANGE_LEVELS]
+        assert levels == [[0.25, 0.75]] * 2 + [range_levels, [0.25, 0.75]]
 
     @pytest.mark.parametrize("prior", [priors.normal_prior(1.0), priors.student_t_prior(3.0, 1.0)],
                              ids=["normal", "t"])

@@ -50,15 +50,41 @@ G1_POLY_AT_0 = 1.8036956360636097
 
 _N01 = priors.normal_prior(1.0)
 _GAMMA2 = priors.gamma_mode1_prior(2.0)
-# N(0.5, 1): g'(0) != 0, so the g1 terms of a2, a3, at2 and at3 count
-SHIFTED_NORMAL = priors.make_prior(
-    lambda x: _N01.g(x - 0.5),
-    lambda x: _N01.g1(x - 0.5),
-    lambda x: _N01.g2(x - 0.5),
-    _N01.support,
-    lambda x: _N01.cdf(x - 0.5),
-    lambda u: _N01.ppf(u) + 0.5,
-    name="normal(0.5,1)",
+
+
+def _shifted_normal(shift):
+    return priors.make_prior(
+        lambda x: _N01.g(x - shift),
+        lambda x: _N01.g1(x - shift),
+        lambda x: _N01.g2(x - shift),
+        _N01.support,
+        lambda x: _N01.cdf(x - shift),
+        lambda u: _N01.ppf(u) + shift,
+        name=f"normal({shift:g},1)",
+    )
+
+
+# N(+-0.5, 1): g'(0) != 0, so the g1 terms of a2, a3, at2 and at3 count
+SHIFTED_NORMAL = _shifted_normal(0.5)
+LEFT_SHIFTED_NORMAL = _shifted_normal(-0.5)
+
+# A skewed location model, f0'(0) != 0, so the f'(0) terms of the median
+# series count (every built-in location model is symmetric): the standard
+# Gumbel law re-centred at its median, F(y) = exp(-e^(c - y)) = 2^(-e^(-y))
+# for c = log(log 2), and f = F e^(c - y), so f0 = log(2)/2,
+# f0' = f0 (log(2) - 1) and f0'' = f0 ((log(2) - 1)^2 - log(2)). The
+# exponent is capped where F is already 0, so that e^(c - y) cannot
+# overflow. Not a built-in.
+_LN2 = math.log(2.0)
+_GUMBEL_C = math.log(_LN2)
+_GUMBEL_F0 = _LN2 / 2.0
+GUMBEL_LOC = models.LocationModel(
+    "gumbel-location",
+    _GUMBEL_F0,
+    _GUMBEL_F0 * (_LN2 - 1.0),
+    _GUMBEL_F0 * ((_LN2 - 1.0) ** 2 - _LN2),
+    lambda y: np.exp(-np.exp(np.minimum(_GUMBEL_C - np.asarray(y, dtype=float), 700.0))),
+    lambda u: _GUMBEL_C - np.log(-np.log(np.asarray(u, dtype=float))),
 )
 
 # The coefficient set of each built-in model with its default prior and
@@ -343,6 +369,9 @@ class TestMedianCoefficients:
             # f12 = -1 at even n and the shifted prior has g1(0) != 0: only
             # this row weighs the g1 x (f11, f12) term of a3 and at3
             (NLOC, SHIFTED_NORMAL, even),
+            # f0' != 0: f11, f21 and, at even n only, f22's f0' part count
+            (GUMBEL_LOC, LEFT_SHIFTED_NORMAL, odd),
+            (GUMBEL_LOC, LEFT_SHIFTED_NORMAL, even),
         ):
             resid_a, resid_at = [], []
             for n in ns:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -262,16 +263,63 @@ class TestValidation:
     @pytest.mark.parametrize("tail", [np.nan, np.inf, "reversed"])
     def test_unusable_tail_quantiles_rejected(self, tail):
         # the ppf inverts the CDF on [0.01, 0.99] but not in the far tails,
-        # where the mass check takes its truncation points
+        # where the mass check takes its truncation points; it is sound at
+        # the quantile-range levels, 1e-10 and below and 1 - 1e-10 and above
         base = priors.normal_prior(1.0)
 
         def ppf(u):
             u = np.asarray(u, dtype=float)
             lo, hi = (5.0, -5.0) if tail == "reversed" else (tail, tail)
-            return np.where(u < 0.005, lo, np.where(u > 0.995, hi, base.ppf(u)))
+            far = (u <= 1e-10) | (u >= 1.0 - 1e-10)
+            return np.where(far, base.ppf(u),
+                            np.where(u < 0.005, lo, np.where(u > 0.995, hi, base.ppf(u))))
 
         with pytest.raises(priors.PriorError, match="tail points"):
             priors.make_prior(base.g, base.g1, base.g2, base.support, cdf=base.cdf, ppf=ppf)
+
+
+class TestQuantileRange:
+    """Every accepted prior has a finite, increasing quantile over the
+    simulator's uniforms [2**-54, 1 - 2**-53]; a prior whose quantile leaves
+    double range there is refused, naming the first level that fails."""
+
+    LEVELS = [2.0**-54, 1e-16, 1e-13, 1e-10, 0.5, 1.0 - 1e-10, 1.0 - 1e-13,
+              1.0 - 2.0**-52, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize("spec,level", [
+        ("f-mode1:2:0.03", "1 - 1e-13"),  # fdtri's clamp, 4.63e307, from 1 - 1e-10 up
+        ("f-mode1:1.01:0.03", "2**-54"),  # NaN there, inf above 1 - 1e-10
+        ("t:0.05:1", "1e-16"),  # stdtrit flat at -+1.5e153 on all eight tail levels
+        ("cauchy:1e300", "2**-54"),  # -inf
+    ])
+    def test_refused(self, spec, level):
+        with pytest.raises(priors.PriorError, match=re.escape(f"ppf({level}) = ")):
+            priors.parse_prior_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "normal:1", "normal:0.001", "t:4:1", "t:0.5:1", "cauchy:1", "gamma-mode1:2",
+        "gamma-mode1:1.001", "f-mode1:2:2", "f-mode1:1.2:0.5", "f-mode1:1.01:2",
+    ])
+    def test_accepted(self, spec):
+        q = priors.parse_prior_spec(spec).ppf(np.array(self.LEVELS))
+        assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0.0)
+
+    def test_custom_priors_are_checked_too(self):
+        base = priors.cauchy_prior(1.0)
+
+        def ppf(u):  # overflows above 1 - 1e-12
+            u = np.asarray(u, dtype=float)
+            return np.where(u > 1.0 - 1e-12, np.inf, base.ppf(u))
+
+        with pytest.raises(priors.PriorError, match=re.escape("ppf(1 - 1e-13) = inf is not finite")):
+            priors.make_prior(base.g, base.g1, base.g2, base.support, cdf=base.cdf, ppf=ppf)
+
+    def test_scaling_is_checked(self):
+        base = priors.make_prior(*(getattr(priors.cauchy_prior(1.0), f) for f in
+                                   ("g", "g1", "g2", "support", "cdf", "ppf")))
+        assert priors.scale_prior(base, 1e280).name == "custom*tau=1e+280"
+        with pytest.raises(priors.PriorError, match=re.escape("ppf(2**-54) = -inf")):
+            priors.scale_prior(base, 1e300)
 
 
 class TestLambdaAlt:
@@ -458,12 +506,13 @@ class TestTableQuantile:
         np.testing.assert_array_equal(got, tau * library(self.OUTSIDE))
 
     def test_tail_beyond_double_range_keeps_the_library(self):
-        # F(4, 0.1)'s quantile at 1 - ndtr(-8.5) is near 1e340: fdtri clamps
-        # near 1e306 there, the table's top nodes miss their round trip and
-        # fdtri serves every level
-        library, tau = _unit_library((2.0, 0.05))
+        # F(4, 0.106)'s quantile at 1 - ndtr(-8.5) is near 1e320: fdtri clamps
+        # near 1.2e306 there, the table's top nodes miss their round trip and
+        # fdtri serves every level; at the simulator's 1 - 2**-53 it is still
+        # 3.0e301, so the prior is accepted
+        library, tau = _unit_library((2.0, 0.053))
         u = np.concatenate([self.BAND, self.OUTSIDE])
-        np.testing.assert_array_equal(priors.f_mode1_prior(2.0, 0.05).ppf(u), tau * library(u))
+        np.testing.assert_array_equal(priors.f_mode1_prior(2.0, 0.053).ppf(u), tau * library(u))
 
     @pytest.mark.parametrize("params", TABLE_PRIORS, ids=_prior_id)
     def test_each_draw_depends_only_on_its_own_level(self, params):
