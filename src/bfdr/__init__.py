@@ -23,6 +23,7 @@ from .expansions import (
 from .models import (
     ExpFamilyModel,
     LocationModel,
+    Problem,
     ReissCoefficients,
     ResolvedTest,
     TestSetup,

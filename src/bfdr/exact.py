@@ -11,11 +11,14 @@ the end of the prior's support by the double-exponential rule of
 :func:`~bfdr.numkernel.integrate`, on an infinite side with the scale
 s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
 (monotone) weight at the outermost node times the prior mass beyond it.
+The prior's density on a batch of nodes is evaluated once per prior and
+theta0 and kept in the problem's :class:`~bfdr.models.Problem`, which every
+setup of the problem reuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,20 +74,39 @@ def exact_joint(
         # The null region runs from theta0 away against the power direction and
         # weighs rejection; the alternative runs with it and weighs acceptance.
         away = direction if alt else -direction
+        densities = test.problem.densities.setdefault(away, [])  # (nodes, g) per batch
+        powers = []  # (nodes, power) of this side's batches
 
         def weight(p):
             return 1.0 - p if alt else p
 
+        def density(th):
+            # nodes equal to a recorded batch's take its densities
+            for nodes, g in densities:
+                if nodes.shape == th.shape and (nodes == th).all():
+                    return g
+            g = np.asarray(prior.g(th), float)
+            densities.append((th, g))
+            return g
+
         def integrand(th):
-            return weight(np.asarray(power(th), dtype=float)) * np.asarray(prior.g(th), float)
+            p = np.asarray(power(th), dtype=float)
+            powers.append((th, p))
+            return weight(p) * density(th)
 
         def tail(edge: float) -> float:
-            # Power is monotone, so the weight at the edge bounds it beyond.
-            p = weight(min(max(float(power(edge)), 0.0), 1.0))
+            # The edge is the outermost node evaluated: its power is in the
+            # first batch holding it. Power is monotone, so the weight at the
+            # edge bounds it beyond.
+            for nodes, q in powers:
+                hit = q[nodes == edge]
+                if hit.size:
+                    break
+            p = weight(min(max(float(hit[0]), 0.0), 1.0))
             return p * float(prior.cdf(edge) if away == -1 else 1.0 - prior.cdf(edge))
 
         res = nk.integrate(integrand, theta0, lo if away == -1 else hi, abs_tol, scale, tail)
-        return replace(res, error_bound=res.error_bound + abs_tol / 10.0)
+        return IntegralValue(res.value, res.error_bound + abs_tol / 10.0, res.panels)
 
     A = side(alt=False)
     At = side(alt=True)

@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import numkernel as nk
 from .models import (
     ExpFamilyModel,
@@ -109,7 +107,7 @@ def compose_coefficient_set(
     parity: Optional[str] = None,
 ) -> CoefficientSet:
     """Build the b/c/d coefficients from the joint-probability coefficients
-    and lam in (0, 1), which :func:`~bfdr.models.check_problem` returns."""
+    and lam in (0, 1), the ``lambda_alt`` of :func:`~bfdr.models.check_problem`."""
     b = (at[0] - a[0], at[1] - a[1], at[2] - a[2])
     c = _quotient_series(a, b, lam)
     d = _quotient_series(at, (-b[0], -b[1], -b[2]), 1.0 - lam)
@@ -121,27 +119,14 @@ def compose_coefficient_set(
 # ---------------------------------------------------------------------------
 
 
-def _natural_prior_view(
-    prior: Prior, theta0: float, direction: int
-) -> Tuple[float, float, float]:
-    """Prior density and its first two derivatives at theta0 in natural
-    coordinates: for ``direction = -1`` the natural parameter is the negative
-    of the user parameter, so the odd derivative flips sign.
-    """
-    th = np.asarray(theta0, dtype=float)
-    return float(prior.g(th)), direction * float(prior.g1(th)), float(prior.g2(th))
-
-
 def exp_family_coefficients(
     model: ExpFamilyModel, prior: Prior, theta0: float, alpha: float
 ) -> CoefficientSet:
     """Series coefficients for the UMP mean test in an exponential family."""
-    lam = check_problem(model, prior, theta0, alpha)
-    th = np.asarray(theta0, dtype=float)
-    sigma0 = float(model.sigma(th))
-    rho30 = float(model.rho3(th))
-    rho40 = float(model.rho4(th))
-    g0, g1, g2 = _natural_prior_view(prior, theta0, model.natural_direction)
+    p = check_problem(model, prior, theta0, alpha)
+    sigma0, rho30, rho40 = p.sigma0, p.rho30, p.rho40
+    # natural coordinates: a falling mean negates the parameter and g1
+    g0, g1, g2 = p.g0, model.natural_direction * p.g1, p.g2
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)
@@ -168,7 +153,7 @@ def exp_family_coefficients(
             + (h31 * phi + s * h32) * g0 / sigma0,
         )
 
-    return compose_coefficient_set(joint(alpha), joint(alpha - 1.0), lam, model.statistic)
+    return compose_coefficient_set(joint(alpha), joint(alpha - 1.0), p.lambda_alt, model.statistic)
 
 
 def median_coefficients(
@@ -178,10 +163,10 @@ def median_coefficients(
     n: int,
 ) -> CoefficientSet:
     """Series coefficients for the median test; n enters only through parity."""
-    lam = check_problem(model, prior, 0.0, alpha)
+    p = check_problem(model, prior, 0.0, alpha)
     rc = reiss_coefficients(model, n)
     f0 = model.f0
-    g0, g1, g2 = _natural_prior_view(prior, 0.0, model.natural_direction)
+    g0, g1, g2 = p.g0, p.g1, p.g2
 
     z = nk.upper_quantile_z(alpha)
     phi = nk.std_normal_pdf(z)
@@ -201,7 +186,7 @@ def median_coefficients(
         )
 
     return compose_coefficient_set(
-        joint(alpha), joint(alpha - 1.0), lam, model.statistic, rc.parity
+        joint(alpha), joint(alpha - 1.0), p.lambda_alt, model.statistic, rc.parity
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -335,6 +335,32 @@ def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
 
 
 @dataclass(frozen=True)
+class Problem:
+    """A problem :func:`check_problem` accepted, with its terms at theta0.
+
+    ``lambda_alt`` is the prior's alternative mass in the test's natural
+    direction. ``mu0``, ``sigma0``, ``rho30`` and ``rho40`` are the model's
+    mu, sigma, rho3 and rho4 at theta0 (None for a location model); ``g0``,
+    ``g1`` and ``g2`` are the prior's density and its first two derivatives
+    at theta0, in the user parameter. ``densities`` maps each side of theta0
+    (-1 or +1) to the (nodes, prior density) pairs of the quadrature batches
+    :func:`~bfdr.exact.exact_joint` has evaluated there so far.
+    """
+
+    model: object
+    theta0: float
+    lambda_alt: float
+    mu0: Optional[float]
+    sigma0: Optional[float]
+    rho30: Optional[float]
+    rho40: Optional[float]
+    g0: float
+    g1: float
+    g2: float
+    densities: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class ResolvedTest:
     """A level-alpha one-sided test resolved once from (model, prior, setup).
 
@@ -343,7 +369,7 @@ class ResolvedTest:
     the exact power, vectorized; ``rejects(theta, u)`` applies the rejection
     rule to each experiment, given its parameter and the (experiments, n)
     uniforms its sample is drawn from; ``is_null(theta)`` marks parameters in
-    the null region. ``lambda_alt`` is :func:`check_problem`'s alternative mass.
+    the null region. ``problem`` is what :func:`check_problem` accepted.
     """
 
     theta0: float
@@ -351,37 +377,61 @@ class ResolvedTest:
     power: Callable
     rejects: Callable
     is_null: Callable
-    lambda_alt: float
+    problem: Problem
+
+    @property
+    def lambda_alt(self) -> float:
+        return self.problem.lambda_alt
 
 
-def check_problem(model, prior: Prior, theta0: float, alpha: float) -> float:
-    """Lambda, the prior's alternative mass in the test's natural direction,
-    once the rules of every route hold. In order, no model function running
-    before rule 5: (1) the level; (2) an :class:`ExpFamilyModel`, or a
+def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
+    """The :class:`Problem` of ``model`` and ``prior`` at theta0, once the
+    rules of every route hold. In order, no model function running before
+    rule 5: (1) the level; (2) an :class:`ExpFamilyModel`, or a
     :class:`LocationModel` at theta0 = 0; (3) the prior's support inside the
     model's parameter interval; (4) theta0 inside the prior's open support and
     an alternative mass in (0, 1), else :class:`~bfdr.priors.PriorError`;
-    (5) finite mu and finite, positive sigma at theta0. Else :class:`ModelError`."""
+    (5) finite mu and finite, positive sigma at theta0. Else :class:`ModelError`.
+
+    The prior keeps the last problem accepted as ``Prior.last_problem``; a
+    call with the same model object and the same bits of theta0 (-0.0 is not
+    0.0) runs rule 1 alone and returns it. Custom priors and custom models
+    must be pure functions of their arguments, because their values are
+    reused.
+    """
     _check_alpha(alpha)
+    theta0 = float(theta0)
+    last = prior.last_problem
+    same_theta0 = last is not None and last.theta0.hex() == theta0.hex()
+    if same_theta0 and last.model is model:
+        return last
+    th = np.asarray(theta0, dtype=float)
+    mu0 = sigma0 = rho30 = rho40 = None
     if isinstance(model, LocationModel):
         if theta0 != 0.0:
             raise ModelError("the median test uses the location convention theta0 = 0")
-        return lambda_alt(prior, theta0, model.natural_direction)
-    if not isinstance(model, ExpFamilyModel):
+        lam = lambda_alt(prior, theta0, model.natural_direction)
+    elif not isinstance(model, ExpFamilyModel):
         raise ModelError(f"unsupported model type {type(model).__name__}")
-    lo, hi = prior.support
-    if not (model.theta_lo <= lo and hi <= model.theta_hi):
-        raise ModelError(
-            f"prior support ({lo}, {hi}) reaches outside the parameter interval "
-            f"({model.theta_lo}, {model.theta_hi}) of model {model.name!r}"
-        )
-    lam = lambda_alt(prior, theta0, model.natural_direction)
-    th = np.asarray(theta0, dtype=float)
-    with np.errstate(all="ignore"):
-        mu0, sigma0 = float(model.mu(th)), float(model.sigma(th))
-    if not (math.isfinite(mu0) and 0.0 < sigma0 < math.inf):
-        raise ModelError(f"need finite mu, sigma > 0 at theta0={theta0}, got {mu0}, {sigma0}")
-    return lam
+    else:
+        lo, hi = prior.support
+        if not (model.theta_lo <= lo and hi <= model.theta_hi):
+            raise ModelError(
+                f"prior support ({lo}, {hi}) reaches outside the parameter interval "
+                f"({model.theta_lo}, {model.theta_hi}) of model {model.name!r}"
+            )
+        lam = lambda_alt(prior, theta0, model.natural_direction)
+        with np.errstate(all="ignore"):
+            mu0, sigma0 = float(model.mu(th)), float(model.sigma(th))
+        if not (math.isfinite(mu0) and 0.0 < sigma0 < math.inf):
+            raise ModelError(f"need finite mu, sigma > 0 at theta0={theta0}, got {mu0}, {sigma0}")
+        rho30, rho40 = float(model.rho3(th)), float(model.rho4(th))
+    g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
+    # a new model at the same theta0 keeps the densities: their nodes depend on theta0 alone
+    problem = Problem(model, theta0, lam, mu0, sigma0, rho30, rho40, g0, g1, g2,
+                      last.densities if same_theta0 else {})
+    object.__setattr__(prior, "last_problem", problem)
+    return problem
 
 
 def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
@@ -391,7 +441,7 @@ def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
     Runs :func:`check_problem` first and raises what it raises; then raises
     :class:`ModelError` when ``setup.statistic`` is not the model's.
     """
-    lam = check_problem(model, prior, setup.theta0, setup.alpha)
+    problem = check_problem(model, prior, setup.theta0, setup.alpha)
     if setup.statistic != model.statistic:
         raise ModelError(f"model {model.name!r} takes {model.statistic}, not {setup.statistic}")
     n = setup.n
@@ -400,8 +450,7 @@ def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
     direction = model.natural_direction
     if isinstance(model, ExpFamilyModel):
         k = ump_critical_value(model, setup)
-        mu0 = float(model.mu(np.asarray(theta0, dtype=float)))
-        sigma0 = float(model.sigma(np.asarray(theta0, dtype=float)))
+        mu0, sigma0 = problem.mu0, problem.sigma0
         cdf = model.mean_statistic_cdf
 
         def power(theta):
@@ -437,4 +486,4 @@ def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
     def is_null(theta):
         return theta <= theta0 if direction == 1 else theta >= theta0
 
-    return ResolvedTest(theta0, direction, power, rejects, is_null, lam)
+    return ResolvedTest(theta0, direction, power, rejects, is_null, problem)

@@ -11,8 +11,10 @@ exponential-rate problem. Each is written once as its standard member (the
 scale-1 density, its two derivatives, CDF and quantile) and scaled by
 :func:`scale_prior`, the transform g_tau(theta) = g(theta/tau)/tau that the
 spiky-prior studies use, so a scale enters no other formula. The
-rate-vs-natural-parameter sign flip for the latter is *not* performed here;
-the expansion layer owns it.
+rate-vs-natural-parameter sign flip for the Gamma/F priors is *not*
+performed here; the expansion layer owns it. Each family's factory names
+its prior ``name``, by default the spec of its parameters (``normal:TAU``);
+:func:`parse_prior_spec` passes the spec as typed, so a refusal names it.
 
 Quantiles: the normal, t and Cauchy members use the library inverse. The
 Gamma and F members seed log x from a table over normal scores and take one
@@ -27,9 +29,9 @@ increasing quantile over the simulator's uniforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +48,10 @@ class Prior:
     """Density g with derivatives g', g'', CDF and quantile function.
 
     All callables are vectorized over numpy arrays. ``support`` is an open
-    interval; the density is zero outside it.
+    interval; the density is zero outside it. ``last_problem`` is the
+    :class:`~bfdr.models.Problem` that :func:`~bfdr.models.check_problem`
+    last accepted on this prior, kept until another replaces it; a copy
+    (``replace``, ``scale_prior``) starts without one.
     """
 
     name: str
@@ -56,6 +61,7 @@ class Prior:
     support: Tuple[float, float]
     cdf: Callable
     ppf: Callable
+    last_problem: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def quadrature_scale(self) -> float:
@@ -170,7 +176,10 @@ def make_prior(
     ppf: Callable,
     name: str = "custom",
 ) -> Prior:
-    """Assemble a prior from callables and check it with :func:`validate_prior`."""
+    """Assemble a prior from callables and check it with :func:`validate_prior`.
+
+    Custom priors and custom models must be pure functions of their
+    arguments, because their values are reused (``Prior.last_problem``)."""
     prior = Prior(name, g, g1, g2, (float(support[0]), float(support[1])), cdf, ppf)
     validate_prior(prior)
     return prior
@@ -197,9 +206,11 @@ def lambda_alt(prior: Prior, theta0: float, direction: int = 1) -> float:
     return lam if direction == 1 else 1.0 - lam
 
 
-def scale_prior(base: Prior, tau: float) -> Prior:
+def scale_prior(base: Prior, tau: float, name: Optional[str] = None) -> Prior:
     """Scale family g_tau(theta) = g(theta/tau)/tau with chain-rule derivatives,
-    refused by :func:`_check_quantile_range` when its quantile leaves double range."""
+    named ``name`` (default ``base.name*tau=TAU``) and refused by
+    :func:`_check_quantile_range`, under that name, when its quantile leaves
+    double range."""
     if not 0.0 < tau < math.inf:
         raise PriorError(f"tau must be positive and finite, got {tau}")
     tau = float(tau)
@@ -207,7 +218,7 @@ def scale_prior(base: Prior, tau: float) -> Prior:
     g, g1, g2 = base.g, base.g1, base.g2
     cdf, ppf = base.cdf, base.ppf
     scaled = Prior(
-        name=f"{base.name}*tau={tau:g}",
+        name=name or f"{base.name}*tau={tau:g}",
         g=lambda th: g(np.asarray(th, dtype=float) / tau) / tau,
         g1=lambda th: g1(np.asarray(th, dtype=float) / tau) / tau**2,
         g2=lambda th: g2(np.asarray(th, dtype=float) / tau) / tau**3,
@@ -266,12 +277,12 @@ _STANDARD_CAUCHY = Prior(
 )
 
 
-def normal_prior(tau: float = 1.0) -> Prior:
+def normal_prior(tau: float = 1.0, name: Optional[str] = None) -> Prior:
     """theta ~ N(0, tau^2)."""
-    return replace(scale_prior(_STANDARD_NORMAL, tau), name=f"normal:{tau:g}")
+    return scale_prior(_STANDARD_NORMAL, tau, name or f"normal:{tau:g}")
 
 
-def student_t_prior(m: float, tau: float = 1.0) -> Prior:
+def student_t_prior(m: float, tau: float = 1.0, name: Optional[str] = None) -> Prior:
     """theta/tau ~ t_m; m = 1 recovers the Cauchy prior."""
     if not 0.0 < m < math.inf:
         raise PriorError(f"need a positive finite m, got m={m}")
@@ -304,12 +315,12 @@ def student_t_prior(m: float, tau: float = 1.0) -> Prior:
         cdf=lambda y: _sp.stdtr(m, y),
         ppf=lambda u: _sp.stdtrit(m, u),
     )
-    return replace(scale_prior(standard, tau), name=f"t:{m:g}:{tau:g}")
+    return scale_prior(standard, tau, name or f"t:{m:g}:{tau:g}")
 
 
-def cauchy_prior(tau: float = 1.0) -> Prior:
+def cauchy_prior(tau: float = 1.0, name: Optional[str] = None) -> Prior:
     """Cauchy scale-tau prior; closed forms rather than t_1 special-casing."""
-    return replace(scale_prior(_STANDARD_CAUCHY, tau), name=f"cauchy:{tau:g}")
+    return scale_prior(_STANDARD_CAUCHY, tau, name or f"cauchy:{tau:g}")
 
 
 #: The table-seeded quantile serves levels u with |ndtri(u)| <= _TABLE_Z, about
@@ -421,7 +432,7 @@ def _half_line(name, log_h, dlog_h, bracket, cdf, sf, ppf, isf) -> Prior:
     )
 
 
-def gamma_mode1_prior(r: float) -> Prior:
+def gamma_mode1_prior(r: float, name: Optional[str] = None) -> Prior:
     """Gamma prior with shape r and mode pinned at 1 (rate s = r - 1, r > 1).
 
     Expressed in the data model's rate parameterization on (0, inf): the
@@ -442,10 +453,10 @@ def gamma_mode1_prior(r: float) -> Prior:
         ppf=lambda u: _sp.gammaincinv(r, u),
         isf=lambda q: _sp.gammainccinv(r, q),
     )
-    return replace(scale_prior(standard, 1.0 / (r - 1.0)), name=f"gamma-mode1:{r:g}")
+    return scale_prior(standard, 1.0 / (r - 1.0), name or f"gamma-mode1:{r:g}")
 
 
-def f_mode1_prior(r: float, s: float) -> Prior:
+def f_mode1_prior(r: float, s: float, name: Optional[str] = None) -> Prior:
     """theta/tau ~ F(2r, 2s) with tau chosen so the prior mode sits at 1.
 
     Requires r > 1 (so the F density has an interior mode); tau is then
@@ -478,7 +489,7 @@ def f_mode1_prior(r: float, s: float) -> Prior:
         isf=lambda q: 1.0 / _sp.fdtri(2.0 * s, 2.0 * r, q),
     )
     tau = r * (s + 1.0) / (s * (r - 1.0))
-    return replace(scale_prior(standard, tau), name=f"f-mode1:{r:g}:{s:g}")
+    return scale_prior(standard, tau, name or f"f-mode1:{r:g}:{s:g}")
 
 
 _BUILTIN_FACTORIES = {
@@ -491,7 +502,8 @@ _BUILTIN_FACTORIES = {
 
 
 def parse_prior_spec(spec: str) -> Prior:
-    """Built-in prior from a compact spec like ``normal:1``, ``t:3:2``, ``gamma-mode1:2``."""
+    """Built-in prior from a compact spec like ``normal:1``, ``t:3:2``, ``gamma-mode1:2``,
+    named by the spec as given."""
     kind, *parts = spec.split(":")
     try:
         params = [float(p) for p in parts]
@@ -502,4 +514,4 @@ def parse_prior_spec(spec: str) -> Prior:
     factory, nargs = _BUILTIN_FACTORIES[kind]
     if len(params) != nargs:
         raise PriorError(f"prior kind {kind!r} takes {nargs} parameter(s), got {len(params)}")
-    return factory(*params)
+    return factory(*params, name=spec)

@@ -321,6 +321,15 @@ class TestValidationAndErrors:
         [violation] = record["violations"]
         assert violation.startswith("prior: ") and "ppf(1 - 1e-13) = " in violation
 
+    @pytest.mark.parametrize("spec", ["f-mode1:2:0.03", "cauchy:1e300"])
+    def test_a_refused_prior_is_named_by_the_spec_as_typed(self, spec, capsys):
+        code, _, err = run_cli(
+            ["sim", "--model", "exp-rate", "--prior", spec, "--alpha", "0.05",
+             "--n", "10", "--m", "200", "--seed", "3"], capsys)
+        assert code == 2
+        [violation] = json.loads(err)["violations"]
+        assert violation.startswith(f"prior: prior {spec!r}: ppf(")
+
     def test_oversized_alpha_grid_is_a_config_error(self, capsys):
         # 29,001 points: refused before the list is built
         code, out, err = run_cli(

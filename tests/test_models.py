@@ -105,9 +105,9 @@ class TestBuiltinModels:
 
     def test_prior_support_must_lie_in_the_parameter_interval(self):
         gamma = priors.gamma_mode1_prior(2.0)
-        # accepted problems return lambda in the test's natural direction
-        assert models.check_problem(EXP, gamma, 1.0, 0.05) == priors.lambda_alt(gamma, 1.0, -1)
-        assert models.check_problem(NLOC, priors.normal_prior(1.0), 0.0, 0.05) == 0.5
+        # accepted problems carry lambda in the test's natural direction
+        assert models.check_problem(EXP, gamma, 1.0, 0.05).lambda_alt == priors.lambda_alt(gamma, 1.0, -1)
+        assert models.check_problem(NLOC, priors.normal_prior(1.0), 0.0, 0.05).lambda_alt == 0.5
         with pytest.raises(models.ModelError, match="reaches outside"):
             models.check_problem(EXP, priors.normal_prior(1.0), 1.0, 0.05)
         with pytest.raises(models.ModelError, match="reaches outside"):

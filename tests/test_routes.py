@@ -142,7 +142,7 @@ def test_the_test_carries_the_checked_lambda(spec, prior_spec):
     model, statistic, theta0 = cli._build_model(spec)
     prior = priors.parse_prior_spec(prior_spec)
     setup = TestSetup(statistic, theta0, 0.05, 10)
-    lam = models.check_problem(model, prior, theta0, 0.05)
+    lam = models.check_problem(model, prior, theta0, 0.05).lambda_alt
     assert models.resolve_test(model, prior, setup).lambda_alt.hex() == lam.hex()
     assert exact.exact_joint(model, prior, setup).lambda_alt.hex() == lam.hex()
 
