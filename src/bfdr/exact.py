@@ -11,9 +11,11 @@ the end of the prior's support by the double-exponential rule of
 :func:`~bfdr.numkernel.integrate`, on an infinite side with the scale
 s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
 (monotone) weight at the outermost node times the prior mass beyond it.
-The prior's density on a batch of nodes is evaluated once per prior and
-theta0 and kept in the problem's :class:`~bfdr.models.Problem`, which every
-setup of the problem reuses.
+The prior's density on a batch of nodes, and its CDF at a tail edge, are
+evaluated once per prior and theta0: the problem's
+:class:`~bfdr.models.Problem` keeps them, the densities keyed by the batch's
+node bytes and the CDF by the edge, and every setup of the problem reuses
+them, whatever the model, until the prior accepts another theta0.
 """
 
 from __future__ import annotations
@@ -69,41 +71,37 @@ def exact_joint(
     power, direction, theta0, lam = test.power, test.direction, test.theta0, test.lambda_alt
     lo, hi = prior.support
     scale = prior.quadrature_scale
+    edge_cdf = test.problem.edge_cdf
 
     def side(alt: bool) -> IntegralValue:
         # The null region runs from theta0 away against the power direction and
         # weighs rejection; the alternative runs with it and weighs acceptance.
         away = direction if alt else -direction
-        densities = test.problem.densities.setdefault(away, [])  # (nodes, g) per batch
-        powers = []  # (nodes, power) of this side's batches
-
-        def weight(p):
-            return 1.0 - p if alt else p
-
-        def density(th):
-            # nodes equal to a recorded batch's take its densities
-            for nodes, g in densities:
-                if nodes.shape == th.shape and (nodes == th).all():
-                    return g
-            g = np.asarray(prior.g(th), float)
-            densities.append((th, g))
-            return g
+        densities = test.problem.densities.setdefault(away, {})  # node bytes -> g, per batch
+        weights = []  # (nodes, weight) of this side's batches
 
         def integrand(th):
             p = np.asarray(power(th), dtype=float)
-            powers.append((th, p))
-            return weight(p) * density(th)
+            w = 1.0 - p if alt else p
+            weights.append((th, w))
+            key = th.tobytes()
+            g = densities.get(key)
+            if g is None:
+                g = densities[key] = np.asarray(prior.g(th), float)
+            return w * g
 
         def tail(edge: float) -> float:
-            # The edge is the outermost node evaluated: its power is in the
+            # The edge is the outermost node evaluated: its weight is in the
             # first batch holding it. Power is monotone, so the weight at the
             # edge bounds it beyond.
-            for nodes, q in powers:
-                hit = q[nodes == edge]
+            for nodes, w in weights:
+                hit = w[nodes == edge]
                 if hit.size:
                     break
-            p = weight(min(max(float(hit[0]), 0.0), 1.0))
-            return p * float(prior.cdf(edge) if away == -1 else 1.0 - prior.cdf(edge))
+            cdf = edge_cdf.get(edge)
+            if cdf is None:
+                cdf = edge_cdf[edge] = float(prior.cdf(edge))
+            return min(max(float(hit[0]), 0.0), 1.0) * (cdf if away == -1 else 1.0 - cdf)
 
         res = nk.integrate(integrand, theta0, lo if away == -1 else hi, abs_tol, scale, tail)
         return IntegralValue(res.value, res.error_bound + abs_tol / 10.0, res.panels)

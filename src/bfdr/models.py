@@ -28,7 +28,7 @@ critical value, is a test oracle (``tests/derivations.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -339,17 +339,20 @@ class Problem:
     """A problem :func:`check_problem` accepted, with its terms at theta0.
 
     ``lambda_alt`` is the prior's alternative mass in the test's natural
-    direction. ``mu0``, ``sigma0``, ``rho30`` and ``rho40`` are the model's
-    mu, sigma, rho3 and rho4 at theta0 (None for a location model); ``g0``,
+    direction, read from ``upper``, the prior's mass 1 - cdf(theta0) above
+    theta0. ``mu0``, ``sigma0``, ``rho30`` and ``rho40`` are the model's mu,
+    sigma, rho3 and rho4 at theta0 (None for a location model); ``g0``,
     ``g1`` and ``g2`` are the prior's density and its first two derivatives
-    at theta0, in the user parameter. ``densities`` maps each side of theta0
-    (-1 or +1) to the (nodes, prior density) pairs of the quadrature batches
-    :func:`~bfdr.exact.exact_joint` has evaluated there so far.
+    at theta0, in the user parameter. As :func:`~bfdr.exact.exact_joint`
+    runs, ``densities`` maps each side of theta0 (-1 or +1) to the prior's
+    density on each batch evaluated there, keyed by its node bytes, and
+    ``edge_cdf`` maps each tail edge to the prior's CDF there.
     """
 
     model: object
     theta0: float
     lambda_alt: float
+    upper: float
     mu0: Optional[float]
     sigma0: Optional[float]
     rho30: Optional[float]
@@ -358,6 +361,7 @@ class Problem:
     g1: float
     g2: float
     densities: dict = field(default_factory=dict, repr=False, compare=False)
+    edge_cdf: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -395,9 +399,12 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
 
     The prior keeps the last problem accepted as ``Prior.last_problem``; a
     call with the same model object and the same bits of theta0 (-0.0 is not
-    0.0) runs rule 1 alone and returns it. Custom priors and custom models
-    must be pure functions of their arguments, because their values are
-    reused.
+    0.0) runs rule 1 alone and returns it. A call with another model at the
+    same bits of theta0 runs rules 1-3 and 5 and evaluates the model's terms,
+    but keeps the prior's: the upper mass (rule 4 depends on the prior
+    alone), g0, g1, g2, and the densities and edge CDFs kept so far. Custom
+    priors and custom models must be pure functions of their arguments,
+    because their values are reused.
     """
     _check_alpha(alpha)
     theta0 = float(theta0)
@@ -410,7 +417,6 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
     if isinstance(model, LocationModel):
         if theta0 != 0.0:
             raise ModelError("the median test uses the location convention theta0 = 0")
-        lam = lambda_alt(prior, theta0, model.natural_direction)
     elif not isinstance(model, ExpFamilyModel):
         raise ModelError(f"unsupported model type {type(model).__name__}")
     else:
@@ -420,16 +426,20 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
                 f"prior support ({lo}, {hi}) reaches outside the parameter interval "
                 f"({model.theta_lo}, {model.theta_hi}) of model {model.name!r}"
             )
-        lam = lambda_alt(prior, theta0, model.natural_direction)
+    upper = last.upper if same_theta0 else lambda_alt(prior, theta0)
+    if isinstance(model, ExpFamilyModel):
         with np.errstate(all="ignore"):
             mu0, sigma0 = float(model.mu(th)), float(model.sigma(th))
         if not (math.isfinite(mu0) and 0.0 < sigma0 < math.inf):
             raise ModelError(f"need finite mu, sigma > 0 at theta0={theta0}, got {mu0}, {sigma0}")
         rho30, rho40 = float(model.rho3(th)), float(model.rho4(th))
-    g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
-    # a new model at the same theta0 keeps the densities: their nodes depend on theta0 alone
-    problem = Problem(model, theta0, lam, mu0, sigma0, rho30, rho40, g0, g1, g2,
-                      last.densities if same_theta0 else {})
+    lam = upper if model.natural_direction == 1 else 1.0 - upper
+    if same_theta0:
+        problem = replace(last, model=model, lambda_alt=lam, mu0=mu0, sigma0=sigma0,
+                          rho30=rho30, rho40=rho40)
+    else:
+        g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
+        problem = Problem(model, theta0, lam, upper, mu0, sigma0, rho30, rho40, g0, g1, g2)
     object.__setattr__(prior, "last_problem", problem)
     return problem
 

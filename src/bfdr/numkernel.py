@@ -54,6 +54,8 @@ def _node_table():
 _TABLE, _ENDS = _node_table()
 #: By column, the farthest distance (infinite side) or fraction (finite side) on levels 0..k.
 _EDGES = {c: [float(_TABLE[c][:end].max()) for end in _ENDS] for c in (0, 2)}
+#: The step 2**-(k+1) in t of each level k.
+_STEPS = [2.0 ** -(k + 1) for k in range(_TOP_LEVEL + 1)]
 
 
 class NumKernelError(Exception):
@@ -150,24 +152,21 @@ def integrate(
         length, col = float(scale), 0
     else:
         length, col = abs(end - origin), 2
-    away = math.copysign(1.0, end - origin)
+    span = math.copysign(1.0, end - origin) * length  # signed: toward end
     u, w = _TABLE[col], _TABLE[col + 1]
-
-    def values(lo, hi):
-        return np.asarray(f(origin + away * length * u[lo:hi]), dtype=float)
-
     first = _ENDS[_FIRST_STOP]
-    batch = values(0, first)
+    # levels 0.._FIRST_STOP: one call of f and one product, summed a level at a time
+    batch = np.asarray(f(origin + span * u[:first]), dtype=float) * w[:first]
     total, estimate = 0.0, 0.0
     for level in range(_TOP_LEVEL + 1):
         lo, hi = (_ENDS[level - 1] if level else 0), _ENDS[level]
-        new = batch[lo:hi] if hi <= first else values(lo, hi)
-        total += float(np.add.reduce(new * w[lo:hi]))
-        prev, estimate = estimate, length * 2.0 ** -(level + 1) * total
+        part = batch[lo:hi] if hi <= first else np.asarray(f(origin + span * u[lo:hi]), dtype=float) * w[lo:hi]
+        total += float(np.add.reduce(part))
+        prev, estimate = estimate, length * _STEPS[level] * total
         err = abs(estimate - prev) + 64.0 * _EPS * abs(estimate)
         if level >= _FIRST_STOP and err <= abs_tol:
             break
-    bound = err if tail is None else err + float(tail(origin + away * length * _EDGES[col][level]))
+    bound = err if tail is None else err + float(tail(origin + span * _EDGES[col][level]))
     result = IntegralValue(estimate, bound, panels=hi)
     if not err <= abs_tol:  # true at a NaN gap too
         raise QuadratureNonConvergence(result)

@@ -50,8 +50,9 @@ class Prior:
     All callables are vectorized over numpy arrays. ``support`` is an open
     interval; the density is zero outside it. ``last_problem`` is the
     :class:`~bfdr.models.Problem` that :func:`~bfdr.models.check_problem`
-    last accepted on this prior, kept until another replaces it; a copy
-    (``replace``, ``scale_prior``) starts without one.
+    last accepted on this prior, kept until a problem at another theta0
+    replaces it (another model at the same theta0 keeps its prior terms); a
+    copy (``replace``, ``scale_prior``) starts without one.
     """
 
     name: str

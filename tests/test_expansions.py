@@ -241,6 +241,27 @@ class TestExpFamilyCoefficients:
         assert max(resid_a) / max(min(resid_a), 1e-12) < 4.0
         assert max(resid_at) / min(resid_at) < 4.0
 
+    def test_third_coefficients_against_quadrature(self):
+        # a3 and at3 themselves, where the skewness meets g'(theta0) != 0:
+        # D(n) = n^(3/2) (I - c1/sqrt(n) - c2/n) - c3 falls as 1/sqrt(n). A's
+        # D(1600) is read as it is; At's larger 1/sqrt(n) term is cancelled by
+        # 2 D(6400) - D(1600). Both are near 2e-5 and 2.5e-4, and each
+        # quadrature bound, scaled to D, is below 2e-7. Writing h21's (z^2 + 1)
+        # as (z^2 + 2) moves a3 and at3 by about 5e-3.
+        prior, th0 = priors.gamma_mode1_prior(2.0), 0.7
+        cs = exp_family_coefficients(EXP, prior, th0, 0.05)
+
+        def residual(n, alt):
+            joint = exact.exact_joint(EXP, prior, TestSetup("mean_ump", th0, 0.05, n), 1e-12)
+            side, (c1, c2, c3) = ((joint.A_tilde, (cs.at1, cs.at2, cs.at3)) if alt
+                                  else (joint.A, (cs.a1, cs.a2, cs.a3)))
+            scale = n * math.sqrt(n)
+            assert scale * side.error_bound < 2e-7
+            return scale * (side.value - c1 / math.sqrt(n) - c2 / n) - c3
+
+        assert abs(residual(1600, False)) < 1e-3
+        assert abs(2.0 * residual(6400, True) - residual(1600, True)) < 1e-3
+
 
 class TestEdgeworthPowerCheck:
     def test_matches_exact_power_at_three_halves_order(self):

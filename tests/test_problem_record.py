@@ -1,13 +1,16 @@
 """A prior keeps the last problem ``check_problem`` accepted; no result depends on it.
 
-The record (``Prior.last_problem``, a ``models.Problem``) holds lambda, the
-model's and the prior's terms at theta0, and the prior's density on the
-quadrature batches evaluated so far. Every number the exact and series
-routes give on a warm prior must equal, as ``float.hex``, the number on a
-fresh copy of the prior, whatever the prior was asked before; a refused
-problem leaves the record as it was. The tail term of each side's bound,
-whose power is read from the batch holding the outermost node, must equal
-the same sum taken from scalar calls.
+The record (``Prior.last_problem``, a ``models.Problem``) holds lambda and
+the prior's mass above theta0, the model's and the prior's terms at theta0,
+the prior's density on each quadrature batch evaluated so far (keyed by the
+batch's node bytes) and its CDF at each tail edge. A problem asks the prior
+for each of these once, and a new model at the same theta0 asks it for none
+of them again. Every number the exact and series routes give on a warm prior
+must equal, as ``float.hex``, the number on a fresh copy of the prior,
+whatever the prior was asked before; a refused problem leaves the record as
+it was. The tail term of each side's bound, whose power is read from the
+batch holding the outermost node, must equal the same sum taken from scalar
+calls.
 """
 
 import dataclasses
@@ -20,10 +23,13 @@ from bfdr import numkernel as nk
 from bfdr.models import TestSetup
 
 from oracles import scalar_de
-from test_routes import PAIRS
+from test_routes import PAIRS, _benchmark_inputs
 
 #: (alpha, n) asked in turn of each problem, then asked again.
 SETUPS = [(0.05, 10), (1e-4, 4), (0.3, 11), (1e-6, 20)]
+#: The 132 (alpha, n) setups the benchmark asks of each problem.
+_GRID = _benchmark_inputs()
+GRID_SETUPS = [(alpha, n) for n in _GRID.NS for alpha in _GRID.ALPHAS]
 
 
 def _numbers(model, prior, setup):
@@ -113,11 +119,78 @@ def test_a_prior_asked_many_theta0_holds_one_record():
         exact.exact_joint(model, prior, TestSetup("mean_ump", theta0, 0.05, 10))
     records = [v for v in vars(prior).values() if isinstance(v, models.Problem)]
     assert records == [prior.last_problem] and prior.last_problem.theta0 == 2.0
-    # its batches are theta0 = 2's alone: each side's nodes lie on that side of 2
-    for away, batches in prior.last_problem.densities.items():
+    # its batches and edges are theta0 = 2's alone: each side's nodes lie on
+    # that side of 2, and each edge is a node of a kept batch
+    kept = prior.last_problem
+    for away, batches in kept.densities.items():
         assert 1 <= len(batches) <= nk._TOP_LEVEL - nk._FIRST_STOP + 1
-        for nodes, _ in batches:
-            assert np.all(away * (nodes - 2.0) >= 0.0)
+        for key in batches:
+            assert np.all(away * (np.frombuffer(key) - 2.0) >= 0.0)
+    assert len(kept.edge_cdf) >= 2
+    for edge in kept.edge_cdf:
+        assert any(edge in np.frombuffer(key) for key in kept.densities[1 if edge > 2.0 else -1])
+
+
+def _counted(prior):
+    """A copy of ``prior`` whose g, g1, g2 and cdf log a copy of each argument."""
+    calls = {name: [] for name in ("g", "g1", "g2", "cdf")}
+
+    def logged(name):
+        fn = getattr(prior, name)
+
+        def call(x):
+            calls[name].append(np.array(x, dtype=float))
+            return fn(x)
+
+        return call
+
+    return dataclasses.replace(prior, **{name: logged(name) for name in calls}), calls
+
+
+def test_a_problem_asks_the_prior_once_per_batch_and_edge():
+    prior, calls = _counted(priors.normal_prior(1.0))
+    model = models.normal_mean_model()  # theta0 = 0, alternative above it
+    levels = {-1: set(), 1: set()}  # the levels each side stops at
+    for alpha, n in GRID_SETUPS:
+        joint = exact.exact_joint(model, prior, TestSetup("mean_ump", 0.0, alpha, n))
+        levels[-1].add(nk._ENDS.index(joint.A.panels))
+        levels[1].add(nk._ENDS.index(joint.A_tilde.panels))
+    # the CDF: once at theta0 for lambda, then once per distinct tail edge
+    scale = prior.quadrature_scale
+    edges = {0.0 + away * scale * nk._EDGES[0][k] for away, ks in levels.items() for k in ks}
+    assert calls["cdf"][0].ndim == 0 and float(calls["cdf"][0]) == 0.0
+    assert sorted(float(x) for x in calls["cdf"][1:]) == sorted(edges)
+    # the density: once at theta0, then once per distinct batch: the first
+    # (levels 0..2) and each later level a side reached
+    batches = sum(1 + max(ks) - nk._FIRST_STOP for ks in levels.values())
+    assert batches >= 3
+    assert len(calls["g"]) == 1 + batches and calls["g"][0].ndim == 0
+    assert len({x.tobytes() for x in calls["g"]}) == len(calls["g"])
+    assert [len(calls["g1"]), len(calls["g2"])] == [1, 1]
+    # another model at the same theta0 reuses every term the prior gave
+    asked = {name: len(c) for name, c in calls.items()}
+    median = models.normal_location_model()
+    for alpha, n in GRID_SETUPS:
+        exact.exact_joint(median, prior, TestSetup("median", 0.0, alpha, n))
+        expansions.median_coefficients(median, prior, alpha, n)
+    assert {name: len(c) for name, c in calls.items()} == asked
+    assert prior.last_problem.model is median
+
+
+def test_a_model_falling_in_theta_takes_its_lambda_from_the_kept_upper_mass():
+    gamma = priors.gamma_mode1_prior(2.0)
+    rising, falling = models.normal_mean_model(), models.exponential_rate_model()
+    for first, second in ((rising, falling), (falling, rising)):
+        prior = dataclasses.replace(gamma)
+        kept = models.check_problem(first, prior, 0.7, 0.05)
+        problem = models.check_problem(second, prior, 0.7, 0.05)
+        cold = models.check_problem(second, dataclasses.replace(gamma), 0.7, 0.05)
+        assert problem.upper.hex() == kept.upper.hex() == cold.upper.hex()
+        assert problem.lambda_alt.hex() == cold.lambda_alt.hex()
+        assert (problem.densities is kept.densities and problem.edge_cdf is kept.edge_cdf
+                and (problem.g0, problem.g1, problem.g2) == (kept.g0, kept.g1, kept.g2))
+    lam = priors.lambda_alt(gamma, 0.7, falling.natural_direction)
+    assert models.check_problem(falling, prior, 0.7, 0.05).lambda_alt.hex() == lam.hex()
 
 
 @pytest.mark.parametrize("spec, prior_spec, alpha, n, levels", [
