@@ -12,10 +12,10 @@ the end of the prior's support by the double-exponential rule of
 s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
 (monotone) weight at the outermost node times the prior mass beyond it.
 The prior's density on a batch of nodes, and its CDF at a tail edge, are
-evaluated once per prior and theta0: the problem's
-:class:`~bfdr.models.Problem` keeps them, the densities keyed by the batch's
-node bytes and the CDF by the edge, and every setup of the problem reuses
-them, whatever the model, until the prior accepts another theta0.
+evaluated once per problem: the :class:`~bfdr.models.Problem` that
+:func:`~bfdr.models.check_problem` keeps holds them, the densities keyed by
+the batch's node bytes and the CDF by the edge, and every setup of the
+problem reuses them.
 """
 
 from __future__ import annotations

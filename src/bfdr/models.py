@@ -27,8 +27,9 @@ critical value, is a test oracle (``tests/derivations.py``).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ class ModelError(ValueError):
     """Invalid model construction or test setup."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpFamilyModel:
     """One-parameter exponential family in a user-facing parameterization.
 
@@ -100,7 +101,7 @@ class ExpFamilyModel:
         return np.linspace(lo + pad, hi - pad, 33)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationModel:
     """Location family f(x - theta), standard member of median 0; ppf inverts cdf."""
 
@@ -339,9 +340,8 @@ class Problem:
     """A problem :func:`check_problem` accepted, with its terms at theta0.
 
     ``lambda_alt`` is the prior's alternative mass in the test's natural
-    direction, read from ``upper``, the prior's mass 1 - cdf(theta0) above
-    theta0. ``mu0``, ``sigma0``, ``rho30`` and ``rho40`` are the model's mu,
-    sigma, rho3 and rho4 at theta0 (None for a location model); ``g0``,
+    direction. ``mu0``, ``sigma0``, ``rho30`` and ``rho40`` are the model's
+    mu, sigma, rho3 and rho4 at theta0 (None for a location model); ``g0``,
     ``g1`` and ``g2`` are the prior's density and its first two derivatives
     at theta0, in the user parameter. As :func:`~bfdr.exact.exact_joint`
     runs, ``densities`` maps each side of theta0 (-1 or +1) to the prior's
@@ -349,10 +349,8 @@ class Problem:
     ``edge_cdf`` maps each tail edge to the prior's CDF there.
     """
 
-    model: object
     theta0: float
     lambda_alt: float
-    upper: float
     mu0: Optional[float]
     sigma0: Optional[float]
     rho30: Optional[float]
@@ -397,28 +395,28 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
     an alternative mass in (0, 1), else :class:`~bfdr.priors.PriorError`;
     (5) finite mu and finite, positive sigma at theta0. Else :class:`ModelError`.
 
-    The prior keeps the last problem accepted as ``Prior.last_problem``; a
-    call with the same model object and the same bits of theta0 (-0.0 is not
-    0.0) runs rule 1 alone and returns it. A call with another model at the
-    same bits of theta0 runs rules 1-3 and 5 and evaluates the model's terms,
-    but keeps the prior's: the upper mass (rule 4 depends on the prior
-    alone), g0, g1, g2, and the densities and edge CDFs kept so far. Custom
-    priors and custom models must be pure functions of their arguments,
-    because their values are reused.
+    Rule 1 and the model's class are checked on every call. The problems
+    accepted last are kept, up to 32, keyed by the model and prior objects
+    themselves (not their fields) and the bits of theta0 (-0.0 is not 0.0);
+    asked again, a kept problem is returned as it is. A refused problem is
+    not kept. Custom priors and custom models must be pure functions of
+    their arguments, because their values are reused.
     """
     _check_alpha(alpha)
-    theta0 = float(theta0)
-    last = prior.last_problem
-    same_theta0 = last is not None and last.theta0.hex() == theta0.hex()
-    if same_theta0 and last.model is model:
-        return last
+    if not isinstance(model, (ExpFamilyModel, LocationModel)):
+        raise ModelError(f"unsupported model type {type(model).__name__}")
+    return _problem(model, prior, float(theta0).hex())
+
+
+@functools.lru_cache(maxsize=32)
+def _problem(model, prior: Prior, theta0_hex: str) -> Problem:
+    """The rest of :func:`check_problem`: rules 2-5 and the terms at theta0."""
+    theta0 = float.fromhex(theta0_hex)
     th = np.asarray(theta0, dtype=float)
     mu0 = sigma0 = rho30 = rho40 = None
     if isinstance(model, LocationModel):
         if theta0 != 0.0:
             raise ModelError("the median test uses the location convention theta0 = 0")
-    elif not isinstance(model, ExpFamilyModel):
-        raise ModelError(f"unsupported model type {type(model).__name__}")
     else:
         lo, hi = prior.support
         if not (model.theta_lo <= lo and hi <= model.theta_hi):
@@ -426,22 +424,15 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
                 f"prior support ({lo}, {hi}) reaches outside the parameter interval "
                 f"({model.theta_lo}, {model.theta_hi}) of model {model.name!r}"
             )
-    upper = last.upper if same_theta0 else lambda_alt(prior, theta0)
+    lam = lambda_alt(prior, theta0, model.natural_direction)
     if isinstance(model, ExpFamilyModel):
         with np.errstate(all="ignore"):
             mu0, sigma0 = float(model.mu(th)), float(model.sigma(th))
         if not (math.isfinite(mu0) and 0.0 < sigma0 < math.inf):
             raise ModelError(f"need finite mu, sigma > 0 at theta0={theta0}, got {mu0}, {sigma0}")
         rho30, rho40 = float(model.rho3(th)), float(model.rho4(th))
-    lam = upper if model.natural_direction == 1 else 1.0 - upper
-    if same_theta0:
-        problem = replace(last, model=model, lambda_alt=lam, mu0=mu0, sigma0=sigma0,
-                          rho30=rho30, rho40=rho40)
-    else:
-        g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
-        problem = Problem(model, theta0, lam, upper, mu0, sigma0, rho30, rho40, g0, g1, g2)
-    object.__setattr__(prior, "last_problem", problem)
-    return problem
+    g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
+    return Problem(theta0, lam, mu0, sigma0, rho30, rho40, g0, g1, g2)
 
 
 def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:

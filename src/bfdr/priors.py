@@ -29,7 +29,7 @@ increasing quantile over the simulator's uniforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
@@ -43,16 +43,14 @@ class PriorError(ValueError):
     """Invalid prior specification or a failed construction-time check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prior:
     """Density g with derivatives g', g'', CDF and quantile function.
 
     All callables are vectorized over numpy arrays. ``support`` is an open
-    interval; the density is zero outside it. ``last_problem`` is the
-    :class:`~bfdr.models.Problem` that :func:`~bfdr.models.check_problem`
-    last accepted on this prior, kept until a problem at another theta0
-    replaces it (another model at the same theta0 keeps its prior terms); a
-    copy (``replace``, ``scale_prior``) starts without one.
+    interval; the density is zero outside it. A prior compares and hashes by
+    identity, so :func:`~bfdr.models.check_problem` keeps its problems per
+    object and a copy (``replace``, ``scale_prior``) starts without any.
     """
 
     name: str
@@ -62,7 +60,6 @@ class Prior:
     support: Tuple[float, float]
     cdf: Callable
     ppf: Callable
-    last_problem: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def quadrature_scale(self) -> float:
@@ -180,7 +177,7 @@ def make_prior(
     """Assemble a prior from callables and check it with :func:`validate_prior`.
 
     Custom priors and custom models must be pure functions of their
-    arguments, because their values are reused (``Prior.last_problem``)."""
+    arguments, because :func:`~bfdr.models.check_problem` reuses their values."""
     prior = Prior(name, g, g1, g2, (float(support[0]), float(support[1])), cdf, ppf)
     validate_prior(prior)
     return prior
