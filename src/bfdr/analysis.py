@@ -17,12 +17,8 @@ from typing import List, Optional, Sequence
 
 from . import numkernel as nk
 from .exact import exact_joint, exact_rates
-from .expansions import (
-    exp_family_coefficients,
-    median_coefficients,
-    rate_series,
-)
-from .models import ExpFamilyModel, TestSetup, _check_alpha, check_problem
+from .expansions import exp_family_coefficients, median_coefficients, rate_series
+from .models import ExpFamilyModel, TestSetup, _check_alpha, _check_count, check_problem
 from .priors import Prior, scale_prior
 
 
@@ -68,8 +64,7 @@ def n_alpha(
     selects exact quadrature (authoritative) or the third-order series
     (fast preview; parity-aware for the median statistic).
     """
-    if n_max < 1:
-        raise AnalysisError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_count("n_max", n_max)
     if method not in ("exact", "series3"):
         raise AnalysisError(f"unknown method {method!r}")
     prior = scale_prior(base_prior, tau)

@@ -18,18 +18,21 @@ All numbers are serialized with 10 significant digits; JSON rows carry the
 same values. Randomness requires an explicit ``--seed``. Output goes to
 stdout unless ``--out`` is given; a relative ``--out`` is resolved against
 ``$BFDR_OUT_DIR`` when that variable is set. Exit codes: 0 success, 2
-configuration error (all violations listed, out-of-range values as a count
-and the first five; an unwritable ``--out`` or a start:stop grid of over
-10,000 points is one), 3 numerical non-convergence.
+configuration error, 3 numerical non-convergence. An exit-2 record lists
+every violation. Each value meets the library's own rule (alpha, sample
+sizes, theta0, tau, m, replications, workers, n-max), and a grid's refused
+values are one violation: their count, the first five and the reason for the
+first. Flag rules, an unwritable ``--out`` and a start:stop grid of over
+10,000 points are the CLI's.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -126,16 +129,13 @@ def _parse_tau_grid(spec: str) -> List[float]:
         return [float(p) for p in spec.split(",")]
     start_s, stop_s, count_s = spec.split(":")
     start, stop, count = float(start_s), float(stop_s), int(count_s)
-    if start <= 0 or stop <= start or count < 2:
+    priors._check_tau(start)
+    if stop <= start or count < 2:
         raise ValueError(f"bad tau grid {spec!r}")
     if count > _MAX_GRID_POINTS:
         raise ValueError(f"tau grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     ratio = (stop / start) ** (1.0 / (count - 1))
     return [start * ratio**i for i in range(count)]
-
-
-def _parse_n_grid(spec: str) -> List[int]:
-    return [int(p) for p in spec.split(",")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,15 +205,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_all(violations: List[str], values: list, ok, what: str) -> None:
-    """Report the values failing ``ok`` as one violation: their count and first five."""
-    bad = [v for v in values if not ok(v)]
-    if bad:
-        violations.append(f"{len(bad)} {what}, first: {bad[:5]}")
+def _refusal(check, *args) -> List[str]:
+    """Why the library rule ``check`` refuses ``args``: [] when it accepts."""
+    try:
+        check(*args)
+    except (models.ModelError, priors.PriorError) as exc:
+        return [str(exc)]
+    return []
+
+
+def _check_all(violations: List[str], values: list, check, what: str) -> None:
+    """Report the values ``check`` refuses as one violation: their count, the
+    first five, and the reason for the first."""
+    refused = [(v, why) for v in values for why in _refusal(check, v)]
+    if refused:
+        first = [v for v, _ in refused[:5]]
+        violations.append(f"{len(refused)} {what} refused, first: {first}: {refused[0][1]}")
 
 
 def _validate(args: argparse.Namespace) -> tuple:
-    """Put the built ``model``, the parsed ``prior``, ``alphas``, ``ns``, ``tau_grid`` on ``args``.
+    """Put the built ``model``, the parsed ``prior``, ``alphas``, ``ns``, ``taus`` on ``args``.
 
     Returns ``(args, violations)``, every violation rather than the first.
     """
@@ -225,32 +236,28 @@ def _validate(args: argparse.Namespace) -> tuple:
         violations.append(f"prior: {exc}")
 
     args.alphas = [args.alpha] if get("alpha") is not None else []
-    if get("alpha_grid") is not None:
-        try:
-            args.alphas = _parse_alpha_grid(args.alpha_grid)
-        except Exception as exc:
-            violations.append(f"alpha-grid: {exc}")
-    _check_all(violations, args.alphas, lambda a: 0.0 < a < 1.0, "alpha values outside (0, 1)")
-    _check_all(violations, [a for a in args.alphas if 0.0 < a < 1.0], lambda a: 1.0 - a < 1.0,
-               "alpha values at or below 2**-54 (1 - alpha rounds to 1)")
-
     args.ns = [args.n] if get("n") is not None else []
-    if get("n_grid") is not None:
+    args.taus = []
+    for flag, parse, dest, check, what in (
+        ("alpha_grid", _parse_alpha_grid, "alphas", models._check_alpha, "alpha values"),
+        ("n_grid", lambda spec: [int(p) for p in spec.split(",")], "ns",
+         functools.partial(models._check_count, "n"), "sample sizes"),
+        ("tau_grid", _parse_tau_grid, "taus", priors._check_tau, "tau values"),
+    ):
         try:
-            args.ns = _parse_n_grid(args.n_grid)
+            if get(flag) is not None:
+                setattr(args, dest, parse(get(flag)))
         except Exception as exc:
-            violations.append(f"n-grid: {exc}")
-    _check_all(violations, args.ns, lambda n: n >= 1, "sample sizes below 1")
+            violations.append(f"{flag.replace('_', '-')}: {exc}")
+        _check_all(violations, getattr(args, dest), check, what)
 
-    if get("theta0") is not None and not math.isfinite(args.theta0):
-        violations.append(f"theta0 must be finite, got {args.theta0}")
     if get("model") is not None:
         args.model = _build_model(args.model)
-    median = get("model") is not None and isinstance(args.model[0], models.LocationModel)
-    if median and args.theta0 not in (None, 0.0):
-        violations.append("the median test uses the location convention theta0 = 0")
-    if median and args.command == "coeffs" and not args.ns:
-        violations.append("coeffs with a median statistic needs --n (sets parity)")
+        if args.theta0 is not None:
+            violations += _refusal(models._check_theta0, args.model[0], args.theta0)
+        if (args.command == "coeffs" and isinstance(args.model[0], models.LocationModel)
+                and not args.ns):
+            violations.append("coeffs with a median statistic needs --n (sets parity)")
 
     if args.command == "sweep":
         if not args.rates:
@@ -258,17 +265,9 @@ def _validate(args: argparse.Namespace) -> tuple:
         if args.alpha_grid is None and args.n_grid is None:
             violations.append("sweep requires --alpha-grid or --n-grid")
 
-    if get("tau_grid") is not None:
-        try:
-            args.tau_grid = _parse_tau_grid(args.tau_grid)
-            _check_all(violations, args.tau_grid, lambda t: t > 0, "tau values not positive")
-            _check_all(violations, args.tau_grid, lambda t: t != math.inf, "tau values infinite")
-        except Exception as exc:
-            violations.append(f"tau-grid: {exc}")
-
     for name in ("m", "replications", "workers", "n_max"):
-        if get(name) is not None and get(name) < 1:
-            violations.append(f"{name.replace('_', '-')} must be >= 1, got {get(name)}")
+        if get(name) is not None:
+            violations += _refusal(models._check_count, name.replace("_", "-"), get(name))
     return args, violations
 
 
@@ -334,14 +333,14 @@ def run(args: argparse.Namespace) -> int:
                          "delta_hat": res.delta_hat, "se": float(per_se[r])})
 
     elif args.command == "nalpha":
-        for tau in args.tau_grid:
+        for tau in args.taus:
             found = analysis.n_alpha(model, prior, tau, alpha, method=args.method,
                                      n_max=args.n_max, theta0=theta0)
             rows.append({"tau": tau, "n_alpha": found if found is not None else ""})
 
     elif args.command == "spiky":
         setup = TestSetup(statistic, theta0, alpha, n)
-        for row in analysis.empirical_spiky_check(model, prior, setup, args.tau_grid):
+        for row in analysis.empirical_spiky_check(model, prior, setup, args.taus):
             rows.append({"tau": row.tau, "fdr": row.fdr, "far": row.far})
 
     elif args.command == "compare":

@@ -44,13 +44,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import numkernel as nk
-from .models import (
-    ExpFamilyModel,
-    LocationModel,
-    ModelError,
-    check_problem,
-    reiss_coefficients,
-)
+from .models import (ExpFamilyModel, LocationModel, ModelError, _check_count, check_problem,
+                     reiss_coefficients)
 from .priors import Prior
 from .results import RatePair, RateResult
 
@@ -199,8 +194,7 @@ def rate_series(coeffs: CoefficientSet, n: int, order: int = 3) -> RatePair:
     """
     if order not in (1, 2, 3):
         raise ModelError(f"order must be 1, 2 or 3, got {order}")
-    if n < 1:
-        raise ModelError(f"n must be >= 1, got {n}")
+    n = _check_count("n", n)
     if coeffs.parity not in (None, ("even", "odd")[n % 2]):
         raise ModelError(f"coefficients for {coeffs.parity} n do not apply at n={n}")
     rn = math.sqrt(n)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
@@ -135,6 +136,24 @@ def _check_alpha(alpha: float) -> None:
         )
 
 
+def _check_count(name: str, value) -> int:
+    """The count rule of every route: an integer >= 1 (numpy's too; no float), as an int."""
+    try:
+        if operator.index(value) >= 1:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ModelError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_theta0(model, theta0: float) -> None:
+    """The theta0 rule of every route: finite, and 0 for a :class:`LocationModel`."""
+    if not math.isfinite(theta0):
+        raise ModelError(f"theta0 must be finite, got {theta0}")
+    if isinstance(model, LocationModel) and theta0 != 0.0:
+        raise ModelError("the median test uses the location convention theta0 = 0")
+
+
 @dataclass(frozen=True)
 class TestSetup:
     """One-sided testing configuration: statistic, boundary point, level, n."""
@@ -147,13 +166,8 @@ class TestSetup:
     n: int
 
     def __post_init__(self):
-        if self.statistic not in (ExpFamilyModel.statistic, LocationModel.statistic):
-            raise ModelError(f"unknown statistic {self.statistic!r}")
-        if not math.isfinite(self.theta0):
-            raise ModelError(f"theta0 must be finite, got {self.theta0}")
         _check_alpha(self.alpha)
-        if int(self.n) != self.n or self.n < 1:
-            raise ModelError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _check_count("n", self.n))
 
 
 @dataclass(frozen=True)
@@ -303,7 +317,7 @@ def median_cdf_exact(model: LocationModel, n: int, t):
     Regularized incomplete-beta form of the order-statistic CDF of
     ``X_(floor(n/2)+1)``; free of theta by location invariance.
     """
-    n = int(n)
+    n = _check_count("n", n)
     k = median_order_index(n)
     t = np.asarray(t, dtype=float)
     u = np.asarray(model.cdf(t / (2.0 * model.f0 * math.sqrt(n))), dtype=float)
@@ -318,7 +332,7 @@ def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
     variant 1/4 - (1/2 - {n/2})^2 differs from it for even n and tracks the
     exact CDF less closely.
     """
-    n = int(n)
+    n = _check_count("n", n)
     frac = 0.0 if n % 2 == 0 else 0.5  # fractional part of n/2
     parity = "even" if n % 2 == 0 else "odd"
     f0, f0p, f0pp = model.f0, model.f0p, model.f0pp
@@ -389,8 +403,8 @@ class ResolvedTest:
 def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
     """The :class:`Problem` of ``model`` and ``prior`` at theta0, once the
     rules of every route hold. In order, no model function running before
-    rule 5: (1) the level; (2) an :class:`ExpFamilyModel`, or a
-    :class:`LocationModel` at theta0 = 0; (3) the prior's support inside the
+    rule 5: (1) the level; (2) a supported model class and theta0 (finite;
+    0 for a :class:`LocationModel`); (3) the prior's support inside the
     model's parameter interval; (4) theta0 inside the prior's open support and
     an alternative mass in (0, 1), else :class:`~bfdr.priors.PriorError`;
     (5) finite mu and finite, positive sigma at theta0. Else :class:`ModelError`.
@@ -412,12 +426,10 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
 def _problem(model, prior: Prior, theta0_hex: str) -> Problem:
     """The rest of :func:`check_problem`: rules 2-5 and the terms at theta0."""
     theta0 = float.fromhex(theta0_hex)
+    _check_theta0(model, theta0)
     th = np.asarray(theta0, dtype=float)
     mu0 = sigma0 = rho30 = rho40 = None
-    if isinstance(model, LocationModel):
-        if theta0 != 0.0:
-            raise ModelError("the median test uses the location convention theta0 = 0")
-    else:
+    if isinstance(model, ExpFamilyModel):
         lo, hi = prior.support
         if not (model.theta_lo <= lo and hi <= model.theta_hi):
             raise ModelError(

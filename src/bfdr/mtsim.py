@@ -35,7 +35,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ._special import philox
-from .models import ModelError, ResolvedTest, TestSetup, resolve_test
+from .models import ModelError, ResolvedTest, TestSetup, _check_count, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .priors import Prior
@@ -88,12 +88,8 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ModelError(f"m must be >= 1, got {self.m}")
-        if self.replications < 1:
-            raise ModelError(f"replications must be >= 1, got {self.replications}")
-        if self.workers < 1:
-            raise ModelError(f"workers must be >= 1, got {self.workers}")
+        for name in ("m", "replications", "workers"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -217,10 +213,8 @@ def convergence_sweep(config: SimConfig, m_grid: Sequence[int]) -> List[SimResul
     experiment set rather than reshuffling it. One pass to max(m) tallies
     every prefix; ``config.m`` is not used. Results keep the grid's order.
     """
-    ms = [int(m) for m in m_grid]
+    ms = [_check_count("m", m) for m in m_grid]
     if not ms:
         raise ModelError("m_grid must be non-empty")
-    if min(ms) < 1:
-        raise ModelError(f"m must be >= 1, got {min(ms)}")
     tallies = _prefix_tallies(config, resolve_test(config.model, config.prior, config.setup), ms)
     return [_result(config, m, *tallies[m]) for m in ms]

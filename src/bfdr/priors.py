@@ -204,13 +204,18 @@ def lambda_alt(prior: Prior, theta0: float, direction: int = 1) -> float:
     return lam if direction == 1 else 1.0 - lam
 
 
+def _check_tau(tau: float) -> None:
+    """The scale rule of :func:`scale_prior`: 0 < tau < inf."""
+    if not 0.0 < tau < math.inf:
+        raise PriorError(f"tau must be positive and finite, got {tau}")
+
+
 def scale_prior(base: Prior, tau: float, name: Optional[str] = None) -> Prior:
     """Scale family g_tau(theta) = g(theta/tau)/tau with chain-rule derivatives,
     named ``name`` (default ``base.name*tau=TAU``) and refused by
     :func:`_check_quantile_range`, under that name, when its quantile leaves
     double range."""
-    if not 0.0 < tau < math.inf:
-        raise PriorError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     tau = float(tau)
     lo, hi = base.support
     g, g1, g2 = base.g, base.g1, base.g2

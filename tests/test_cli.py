@@ -1,6 +1,7 @@
 """Command-line interface: schemas, round-trips, determinism, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -35,6 +36,50 @@ def _accepts(check, *args):
     except models.ModelError:
         return False
     return True
+
+
+_NORMAL_MEAN = ["--model", "normal-mean", "--prior", "normal:1"]
+_SIM = ["sim", *_NORMAL_MEAN, "--alpha", "0.05", "--n", "10", "--seed", "1"]
+
+#: Every rule the CLI applies to a value: an invocation that breaks no other
+#: rule and takes the value's repr in place of ``{}``, the library's rule, and
+#: values on both sides of it.
+CLI_RULES = {
+    "alpha": (["rates", *_NORMAL_MEAN, "--alpha={}", "--n", "10"], models._check_alpha,
+              [0.0, -0.0, 5e-324, 1e-17, 2.0**-54, math.nextafter(2.0**-54, 1.0), 0.5,
+               math.nextafter(1.0, 0.0), 1.0, math.nan, math.inf]),
+    "n": (["rates", *_NORMAL_MEAN, "--alpha", "0.05", "--n={}"],
+          functools.partial(models._check_count, "n"), [1, 10, 0, -1]),
+    "theta0": (["rates", *_NORMAL_MEAN, "--alpha", "0.05", "--n", "10", "--theta0={}"],
+               functools.partial(models._check_theta0, models.normal_mean_model()),
+               [0.5, -1e308, math.nan, math.inf, -math.inf]),
+    "median theta0": (["rates", "--model", "normal-median", "--prior", "normal:1", "--alpha",
+                       "0.05", "--n", "10", "--theta0={}"],
+                      functools.partial(models._check_theta0, models.normal_location_model()),
+                      [0.0, -0.0, 5e-324, 0.5, math.nan]),
+    "tau": (["nalpha", *_NORMAL_MEAN, "--alpha", "0.05", "--tau-grid={}"], priors._check_tau,
+            [1.0, 1e-300, 0.0, -2.0, math.inf, math.nan]),
+    "m": ([*_SIM, "--m={}"], functools.partial(models._check_count, "m"), [1, 0, -3]),
+    "replications": ([*_SIM, "--m", "100", "--replications={}"],
+                     functools.partial(models._check_count, "replications"), [1, 2, 0, -1]),
+    "workers": ([*_SIM, "--m", "100", "--workers={}"],
+                functools.partial(models._check_count, "workers"), [1, 2, 0, -1]),
+    "n-max": (["nalpha", *_NORMAL_MEAN, "--alpha", "0.05", "--tau-grid", "1", "--n-max={}"],
+              functools.partial(models._check_count, "n-max"), [1, 0, -1]),
+}
+
+
+def _cli_refuses_as_the_library(rule, value):
+    """Whether the CLI refuses ``value`` under ``rule`` exactly when the library
+    rule does, and then in the library's words."""
+    argv, check, _ = CLI_RULES[rule]
+    violations = cli._validate(cli._build_parser().parse_args(
+        [a.format(repr(value)) for a in argv]))[1]
+    try:
+        check(value)
+    except (models.ModelError, priors.PriorError) as exc:
+        return len(violations) == 1 and violations[0].endswith(str(exc))
+    return violations == []
 
 
 def parse_csv(text):
@@ -362,7 +407,8 @@ class TestValidationAndErrors:
         assert out == ""
         assert len(err.encode()) < 1024
         assert json.loads(err)["violations"] == [
-            "9901 alpha values outside (0, 1), first: [1.0, 1.01, 1.02, 1.03, 1.04]"]
+            "9901 alpha values refused, first: [1.0, 1.01, 1.02, 1.03, 1.04]: "
+            "alpha must lie in (0, 1), got 1.0"]
 
     def test_bad_sizes_and_taus_are_counted(self):
         def violations(argv):
@@ -370,19 +416,20 @@ class TestValidationAndErrors:
 
         common = ["--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05"]
         assert violations(["rates", *common, "--n-grid", "3,0,-1,-2,-3,-4,-5"]) == [
-            "6 sample sizes below 1, first: [0, -1, -2, -3, -4]"]
+            "6 sample sizes refused, first: [0, -1, -2, -3, -4]: "
+            "n must be a positive integer, got 0"]
         assert violations(["nalpha", *common, "--tau-grid=1,-2,0"]) == [
-            "2 tau values not positive, first: [-2.0, 0.0]"]
+            "2 tau values refused, first: [-2.0, 0.0]: tau must be positive and finite, got -2.0"]
         assert violations(["spiky", *common, "--n", "10", "--tau-grid=inf,1,-inf"]) == [
-            "1 tau values not positive, first: [-inf]", "1 tau values infinite, first: [inf]"]
+            "2 tau values refused, first: [inf, -inf]: tau must be positive and finite, got inf"]
 
     def test_sim_counts_are_checked_in_order(self):
         argv = ["sim", "--model", "normal-mean", "--prior", "normal:1", "--alpha", "0.05",
                 "--n", "10", "--m", "0", "--seed", "1", "--replications", "0", "--workers", "0"]
         assert cli._validate(cli._build_parser().parse_args(argv))[1] == [
-            "m must be >= 1, got 0",
-            "replications must be >= 1, got 0",
-            "workers must be >= 1, got 0",
+            "m must be a positive integer, got 0",
+            "replications must be a positive integer, got 0",
+            "workers must be a positive integer, got 0",
         ]
 
     @pytest.mark.parametrize(
@@ -451,7 +498,8 @@ class TestValidationAndErrors:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "config", "violations": [
-            f"1 alpha values at or below 2**-54 (1 - alpha rounds to 1), first: [{float(alpha)!r}]"]}
+            f"1 alpha values refused, first: [{float(alpha)!r}]: alpha must exceed 2**-54; "
+            f"at or below it 1 - alpha rounds to 1, got {float(alpha)!r}"]}
 
     @pytest.mark.parametrize(
         "argv",
@@ -498,21 +546,25 @@ class TestValidationAndErrors:
         assert json.loads(proc.stderr)["violations"] == [
             "theta0=0.0 outside the open support (0.0, inf)"]
 
-    @pytest.mark.parametrize("alpha", [
-        0.0, -0.0, 5e-324, 1e-17, 2.0**-54, math.nextafter(2.0**-54, 1.0), 0.5,
-        math.nextafter(1.0, 0.0), 1.0, math.nan, math.inf], ids=repr)
+    @pytest.mark.parametrize("alpha", CLI_RULES["alpha"][2], ids=repr)
     def test_the_cli_alpha_rule_is_the_models(self, alpha):
-        # _validate keeps its own copy of the rule to list every violation at once
-        argv = ["rates", "--model", "normal-mean", "--prior", "normal:1", f"--alpha={alpha!r}",
-                "--n", "10"]
-        assert _validates(argv) is _accepts(models._check_alpha, alpha)
+        assert _cli_refuses_as_the_library("alpha", alpha)
 
-    @pytest.mark.parametrize("theta0", [0.0, -0.0, 5e-324, 0.5], ids=repr)
+    @pytest.mark.parametrize("theta0", CLI_RULES["median theta0"][2], ids=repr)
     def test_the_cli_median_theta0_rule_is_check_problems(self, theta0):
-        argv = ["rates", "--model", "normal-median", "--prior", "normal:1", "--alpha", "0.05",
-                "--n", "10", f"--theta0={theta0!r}"]
-        assert _validates(argv) is _accepts(models.check_problem, models.normal_location_model(),
-                                            priors.normal_prior(1.0), theta0, 0.05)
+        assert _cli_refuses_as_the_library("median theta0", theta0)
+        argv = CLI_RULES["median theta0"][0]
+        assert _validates([a.format(repr(theta0)) for a in argv]) is _accepts(
+            models.check_problem, models.normal_location_model(), priors.normal_prior(1.0),
+            theta0, 0.05)
+
+    @pytest.mark.parametrize("rule, value", [
+        pytest.param(rule, value, id=f"{rule}={value!r}")
+        for rule, (_, _, values) in CLI_RULES.items() if rule not in ("alpha", "median theta0")
+        for value in values])
+    def test_every_cli_value_rule_is_the_librarys(self, rule, value):
+        # the alpha and median-theta0 rows run in the two tests above
+        assert _cli_refuses_as_the_library(rule, value)
 
     def test_alpha_grid_limit_is_10000_points(self):
         assert len(cli._parse_alpha_grid("0.0001:1:0.0001")) == 10000

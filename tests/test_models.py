@@ -90,8 +90,9 @@ class TestBuiltinModels:
             TestSetup("mean_ump", 0.0, 1.5, 10)
         with pytest.raises(models.ModelError):
             TestSetup("mean_ump", 0.0, 0.05, 0)
-        with pytest.raises(models.ModelError):
-            TestSetup("wilcoxon", 0.0, 0.05, 10)
+        # the statistic is checked against the model, where the test is resolved
+        with pytest.raises(models.ModelError, match="takes mean_ump, not wilcoxon"):
+            models.resolve_test(NORMAL, N01, TestSetup("wilcoxon", 0.0, 0.05, 10))
 
     @pytest.mark.parametrize("alpha", [1e-17, 2.0**-54])
     def test_alpha_where_one_minus_alpha_rounds_to_one_rejected(self, alpha):
@@ -115,8 +116,10 @@ class TestBuiltinModels:
 
     @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta0_rejected(self, theta0):
+        # check_problem's rule 2, which every route runs; the setup holds theta0 as given
+        setup = TestSetup("mean_ump", theta0, 0.05, 10)
         with pytest.raises(models.ModelError, match="theta0 must be finite"):
-            TestSetup("mean_ump", theta0, 0.05, 10)
+            models.resolve_test(NORMAL, N01, setup)
 
     def test_sigma_positivity_enforced(self):
         with pytest.raises(models.ModelError, match="sigma must be positive"):

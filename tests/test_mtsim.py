@@ -383,7 +383,7 @@ class TestConvergenceSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(models.ModelError, match="non-empty"):
             convergence_sweep(_config(m=1), [])
-        with pytest.raises(models.ModelError, match="m must be >= 1, got 0"):
+        with pytest.raises(models.ModelError, match="m must be a positive integer, got 0"):
             convergence_sweep(_config(m=1), [5, 0])
 
 
