@@ -30,7 +30,6 @@ from .models import (
     cauchy_location_model,
     check_problem,
     exponential_rate_model,
-    median_cdf_exact,
     normal_location_model,
     normal_mean_model,
     reiss_coefficients,

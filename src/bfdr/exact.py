@@ -11,21 +11,26 @@ the end of the prior's support by the double-exponential rule of
 :func:`~bfdr.numkernel.integrate`, on an infinite side with the scale
 s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
 (monotone) weight at the outermost node times the prior mass beyond it.
-The prior's density on a batch of nodes, and its CDF at a tail edge, are
-evaluated once per problem: the :class:`~bfdr.models.Problem` that
-:func:`~bfdr.models.check_problem` keeps holds them, the densities keyed by
-the batch's node bytes and the CDF by the edge, and every setup of the
-problem reuses them.
+Each side's nodes, batch by batch, are fixed by the problem, so the
+:class:`~bfdr.models.Problem` that :func:`~bfdr.models.check_problem` keeps
+holds one quadrature plan per side: for each batch, its nodes, the prior's
+density on them and the model's terms there (for the mean test, mu0 - mu
+and sigma), filled by the first setup that reaches the batch and read by
+every later one by the integrand's call count. The prior's CDF at a tail
+edge is kept by the edge. The tail term reads the outermost node's weight
+at the (batch, offset) that :mod:`~bfdr.numkernel` tabulates for the level
+reached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkernel as nk
-from .models import TestSetup, resolve_test
+from .models import QuadratureBatch, TestSetup, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .numkernel import ABS_TOL, IntegralValue
@@ -68,7 +73,8 @@ def exact_joint(
     result.
     """
     test = resolve_test(model, prior, setup)
-    power, direction, theta0, lam = test.power, test.direction, test.theta0, test.lambda_alt
+    terms, power_at, direction, theta0 = test.terms, test.power_at, test.direction, test.theta0
+    lam = test.lambda_alt
     lo, hi = prior.support
     scale = prior.quadrature_scale
     edge_cdf = test.problem.edge_cdf
@@ -77,33 +83,32 @@ def exact_joint(
         # The null region runs from theta0 away against the power direction and
         # weighs rejection; the alternative runs with it and weighs acceptance.
         away = direction if alt else -direction
-        densities = test.problem.densities.setdefault(away, {})  # node bytes -> g, per batch
-        weights = []  # (nodes, weight) of this side's batches
+        end = lo if away == -1 else hi
+        plan = test.problem.plans[away]
+        edge_at = nk._EDGE_AT[0 if math.isinf(end) else 2]  # by the last batch summed
+        weights = []  # the weight on each batch so far, in batch order
 
         def integrand(th):
-            p = np.asarray(power(th), dtype=float)
+            b = len(weights)  # integrate calls f once per batch, in order
+            if plan[b] is None:
+                plan[b] = QuadratureBatch(th, np.asarray(prior.g(th), float), terms(th))
+            nodes, g, model_terms = plan[b]
+            p = power_at(nodes, model_terms)
             w = 1.0 - p if alt else p
-            weights.append((th, w))
-            key = th.tobytes()
-            g = densities.get(key)
-            if g is None:
-                g = densities[key] = np.asarray(prior.g(th), float)
+            weights.append(w)
             return w * g
 
         def tail(edge: float) -> float:
-            # The edge is the outermost node evaluated: its weight is in the
-            # first batch holding it. Power is monotone, so the weight at the
-            # edge bounds it beyond.
-            for nodes, w in weights:
-                hit = w[nodes == edge]
-                if hit.size:
-                    break
+            # The edge is the outermost node of the batches summed, at the
+            # (batch, offset) numkernel tabulates. Power is monotone, so the
+            # weight at the edge bounds it beyond.
+            b, offset = edge_at[len(weights) - 1]
             cdf = edge_cdf.get(edge)
             if cdf is None:
                 cdf = edge_cdf[edge] = float(prior.cdf(edge))
-            return min(max(float(hit[0]), 0.0), 1.0) * (cdf if away == -1 else 1.0 - cdf)
+            return min(max(float(weights[b][offset]), 0.0), 1.0) * (cdf if away == -1 else 1.0 - cdf)
 
-        res = nk.integrate(integrand, theta0, lo if away == -1 else hi, abs_tol, scale, tail)
+        res = nk.integrate(integrand, theta0, end, abs_tol, scale, tail)
         return IntegralValue(res.value, res.error_bound + abs_tol / 10.0, res.panels)
 
     A = side(alt=False)

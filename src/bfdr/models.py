@@ -31,7 +31,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,14 +136,23 @@ def _check_alpha(alpha: float) -> None:
         )
 
 
-def _check_count(name: str, value) -> int:
-    """The count rule of every route: an integer >= 1 (numpy's too; no float), as an int."""
+def _as_int(value) -> Optional[int]:
+    """``value`` as an int when it is an integer, numpy's too (a bool or a float
+    is not, not even an integral one), else None."""
+    if isinstance(value, bool):
+        return None
     try:
-        if operator.index(value) >= 1:
-            return operator.index(value)
+        return operator.index(value)
     except TypeError:
-        pass
-    raise ModelError(f"{name} must be a positive integer, got {value!r}")
+        return None
+
+
+def _check_count(name: str, value) -> int:
+    """The count rule of every route: an integer (see :func:`_as_int`) >= 1, as an int."""
+    count = _as_int(value)
+    if count is None or count < 1:
+        raise ModelError(f"{name} must be a positive integer, got {value!r}")
+    return count
 
 
 def _check_theta0(model, theta0: float) -> None:
@@ -222,7 +231,6 @@ def exponential_rate_model() -> ExpFamilyModel:
     """
 
     def _cdf(theta, n, t):
-        t = np.asarray(t, dtype=float)
         x = n + math.sqrt(n) * t
         return _sp.gammainc(n, np.maximum(x, 0.0))
 
@@ -311,18 +319,16 @@ def median_order_index(n: int) -> int:
     return n // 2 + 1
 
 
-def median_cdf_exact(model: LocationModel, n: int, t):
-    """Exact CDF of 2 f(0) sqrt(n) (T_n - theta) at t; vectorized in t.
+def _median_cdf(model: LocationModel, n: int, scale: float, t):
+    """Exact CDF of 2 f(0) sqrt(n) (T_n - theta) at the array t, given n and
+    scale = 2 f(0) sqrt(n); free of theta by location invariance.
 
     Regularized incomplete-beta form of the order-statistic CDF of
-    ``X_(floor(n/2)+1)``; free of theta by location invariance.
+    ``X_(floor(n/2)+1)``. The caller has checked n.
     """
-    n = _check_count("n", n)
     k = median_order_index(n)
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(model.cdf(t / (2.0 * model.f0 * math.sqrt(n))), dtype=float)
-    out = _sp.betainc(k, n - k + 1, np.minimum(np.maximum(u, 0.0), 1.0))
-    return float(out) if out.ndim == 0 else out
+    u = model.cdf(t / scale)
+    return _sp.betainc(k, n - k + 1, np.minimum(np.maximum(u, 0.0), 1.0))
 
 
 def reiss_coefficients(model: LocationModel, n: int) -> ReissCoefficients:
@@ -357,10 +363,14 @@ class Problem:
     direction. ``mu0``, ``sigma0``, ``rho30`` and ``rho40`` are the model's
     mu, sigma, rho3 and rho4 at theta0 (None for a location model); ``g0``,
     ``g1`` and ``g2`` are the prior's density and its first two derivatives
-    at theta0, in the user parameter. As :func:`~bfdr.exact.exact_joint`
-    runs, ``densities`` maps each side of theta0 (-1 or +1) to the prior's
-    density on each batch evaluated there, keyed by its node bytes, and
-    ``edge_cdf`` maps each tail edge to the prior's CDF there.
+    at theta0, in the user parameter.
+
+    ``plans`` maps each side of theta0 (-1 or +1) to its quadrature plan: one
+    slot per batch of :func:`~bfdr.numkernel.integrate` (batch 0 holds DE
+    levels 0-2, batch j level 2 + j). As :func:`~bfdr.exact.exact_joint`
+    runs, it sets slot b, once, to the :class:`QuadratureBatch` of the b-th
+    batch of nodes toward that side's end; ``edge_cdf`` maps each tail edge
+    to the prior's CDF there. Two threads filling one slot assign equal values.
     """
 
     theta0: float
@@ -372,8 +382,19 @@ class Problem:
     g0: float
     g1: float
     g2: float
-    densities: dict = field(default_factory=dict, repr=False, compare=False)
+    plans: dict = field(default_factory=lambda: {side: [None] * nk._BATCHES for side in (-1, 1)},
+                        repr=False, compare=False)
     edge_cdf: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+class QuadratureBatch(NamedTuple):
+    """One slot of a :class:`Problem`'s quadrature plan: a batch's nodes, the
+    prior's density on them, and the model's terms there (those of
+    :attr:`ResolvedTest.terms`)."""
+
+    nodes: np.ndarray
+    g: np.ndarray
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -381,16 +402,20 @@ class ResolvedTest:
     """A level-alpha one-sided test resolved once from (model, prior, setup).
 
     ``direction`` is +1 when the alternative is {theta > theta0} and -1 when
-    it is {theta < theta0} (the model's mean falls in theta). ``power(theta)`` is
-    the exact power, vectorized; ``rejects(theta, u)`` applies the rejection
-    rule to each experiment, given its parameter and the (experiments, n)
-    uniforms its sample is drawn from; ``is_null(theta)`` marks parameters in
-    the null region. ``problem`` is what :func:`check_problem` accepted.
+    it is {theta < theta0} (the model's mean falls in theta). ``terms(theta)``
+    are the model's terms the power reads, free of alpha and n (the mean
+    test's mu0 - mu(theta) and sigma(theta); none for the median test), and
+    ``power_at(theta, terms)`` the exact power from them, on arrays.
+    ``rejects(theta, u)`` applies the rejection rule to each experiment,
+    given its parameter and the (experiments, n) uniforms its sample is
+    drawn from; ``is_null(theta)`` marks parameters in the null region.
+    ``problem`` is what :func:`check_problem` accepted.
     """
 
     theta0: float
     direction: int
-    power: Callable
+    terms: Callable
+    power_at: Callable
     rejects: Callable
     is_null: Callable
     problem: Problem
@@ -398,6 +423,12 @@ class ResolvedTest:
     @property
     def lambda_alt(self) -> float:
         return self.problem.lambda_alt
+
+    def power(self, theta):
+        """The exact power at theta, vectorized."""
+        theta = np.asarray(theta, dtype=float)
+        out = np.asarray(self.power_at(theta, self.terms(theta)), dtype=float)
+        return float(out) if out.ndim == 0 else out
 
 
 def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
@@ -466,13 +497,13 @@ def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
         mu0, sigma0 = problem.mu0, problem.sigma0
         cdf = model.mean_statistic_cdf
 
-        def power(theta):
-            theta = np.asarray(theta, dtype=float)
+        def terms(theta):
             mu = np.asarray(model.mu(theta), dtype=float)
-            sigma = np.asarray(model.sigma(theta), dtype=float)
-            threshold = (rootn * (mu0 - mu) + k * sigma0) / sigma
-            out = 1.0 - np.asarray(cdf(theta, n, threshold), dtype=float)
-            return float(out) if out.ndim == 0 else out
+            return mu0 - mu, np.asarray(model.sigma(theta), dtype=float)
+
+        def power_at(theta, terms):
+            drop, sigma = terms
+            return 1.0 - cdf(theta, n, (rootn * drop + k * sigma0) / sigma)
 
         mean_threshold = mu0 + k * sigma0 / rootn
 
@@ -483,10 +514,11 @@ def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
         z = nk.upper_quantile_z(setup.alpha)
         scale = 2.0 * model.f0 * rootn
 
-        def power(theta):
-            theta = np.asarray(theta, dtype=float)
-            out = 1.0 - np.asarray(median_cdf_exact(model, n, z - scale * theta), dtype=float)
-            return float(out) if out.ndim == 0 else out
+        def terms(theta):
+            return ()
+
+        def power_at(theta, terms):
+            return 1.0 - _median_cdf(model, n, scale, z - scale * theta)
 
         median_threshold = z / scale
         k_idx = median_order_index(n) - 1  # 0-based
@@ -499,4 +531,4 @@ def resolve_test(model, prior: Prior, setup: TestSetup) -> ResolvedTest:
     def is_null(theta):
         return theta <= theta0 if direction == 1 else theta >= theta0
 
-    return ResolvedTest(theta0, direction, power, rejects, is_null, problem)
+    return ResolvedTest(theta0, direction, terms, power_at, rejects, is_null, problem)

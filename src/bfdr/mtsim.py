@@ -35,7 +35,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ._special import philox
-from .models import ModelError, ResolvedTest, TestSetup, _check_count, resolve_test
+from .models import ModelError, ResolvedTest, TestSetup, _as_int, _check_count, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``mtsim.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .priors import Prior
@@ -76,7 +76,9 @@ def uniform_block(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A multiple-testing simulation: m experiments per replication. Its
+    """A multiple-testing simulation: m experiments per replication. m,
+    replications and workers are counts and seed any integer (numpy's too;
+    no bool or float), each kept as an int, else :class:`ModelError`. Its
     problem is checked where :func:`convergence_sweep` builds the test."""
 
     model: object
@@ -90,6 +92,10 @@ class SimConfig:
     def __post_init__(self):
         for name in ("m", "replications", "workers"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
+        seed = _as_int(self.seed)
+        if seed is None:
+            raise ModelError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)

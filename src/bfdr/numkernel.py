@@ -11,6 +11,7 @@ levels agree. Its nodes and weights are a module-level table built once.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -20,7 +21,8 @@ import numpy as np
 from ._special import _sp
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-_EPS = float(np.finfo(float).eps)
+#: The rounding floor of a level's gap, per unit |I_k|: 64 eps.
+_ROUNDING = 64.0 * float(np.finfo(float).eps)
 
 #: E(t) = exp((pi/2) sinh t) spans [_E_MIN, _E_MAX] over the node table.
 _E_MIN, _E_MAX = 1e-300, 1e13
@@ -52,10 +54,30 @@ def _node_table():
 
 
 _TABLE, _ENDS = _node_table()
-#: By column, the farthest distance (infinite side) or fraction (finite side) on levels 0..k.
-_EDGES = {c: [float(_TABLE[c][:end].max()) for end in _ENDS] for c in (0, 2)}
-#: The step 2**-(k+1) in t of each level k.
-_STEPS = [2.0 ** -(k + 1) for k in range(_TOP_LEVEL + 1)]
+#: The calls of the integrand: batch 0 holds levels 0.._FIRST_STOP, batch j level _FIRST_STOP + j.
+_BATCHES = _TOP_LEVEL - _FIRST_STOP + 1
+_BATCH_STARTS = [0] + _ENDS[_FIRST_STOP:-1]
+#: By column, each batch's slice of the column and of its weight column.
+_BATCH_TABLES = {
+    c: [(_TABLE[c][lo:hi], _TABLE[c + 1][lo:hi]) for lo, hi in zip(_BATCH_STARTS, _ENDS[_FIRST_STOP:])]
+    for c in (0, 2)
+}
+#: By column, the table index of the farthest distance (infinite side) or
+#: fraction (finite side) on levels 0..k, and that node's value.
+_FARTHEST = {c: [int(np.argmax(_TABLE[c][:end])) for end in _ENDS] for c in (0, 2)}
+_EDGES = {c: [float(_TABLE[c][i]) for i in at] for c, at in _FARTHEST.items()}
+
+
+def _batch_offset(i: int):
+    """The batch holding table index ``i``, and its offset there."""
+    b = bisect.bisect_right(_BATCH_STARTS, i) - 1
+    return b, i - _BATCH_STARTS[b]
+
+
+#: By column, where the farthest node of batches 0..j lies: its batch and its offset there.
+_EDGE_AT = {c: [_batch_offset(i) for i in at[_FIRST_STOP:]] for c, at in _FARTHEST.items()}
+#: Each level k: where its nodes start and end in the table, and its step 2**-(k+1) in t.
+_LEVELS = [(_ENDS[k - 1] if k else 0, _ENDS[k], 2.0 ** -(k + 1)) for k in range(_TOP_LEVEL + 1)]
 
 
 class NumKernelError(Exception):
@@ -129,9 +151,15 @@ def integrate(
     infinite ``end`` and L * E/(1 + E) toward a finite one at distance L,
     with E(t) = exp((pi/2) sinh t) in [1e-300, 1e13], so the nodes crowd
     toward ``origin`` and, on a finite side, toward ``end``. Level k is the
-    trapezoid sum in t with step 2**-(k+1) over all nodes so far; one call of
-    ``f`` covers levels 0..2, then one call per level, each level summed on
-    its own, in order. It stops at level k >= 2 once
+    trapezoid sum in t with step 2**-(k+1) over all nodes so far, each level
+    summed on its own, in order. ``f`` is called once per batch, in batch
+    order: batch 0 holds the nodes of levels 0..2 and batch j those of level
+    2 + j, the same nodes for the same origin, end and scale on every call,
+    so the call for batch j may read what a caller kept for batch j. Along
+    the table column ``col`` (0 toward an infinite end, 2 toward a finite
+    one), the outermost node of levels 0..k is ``_EDGES[col][k]``, and that
+    of batches 0..j lies in the batch and at the offset ``_EDGE_AT[col][j]``.
+    It stops at level k >= 2 once
     |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol`` (> 0); that sum is the
     bound, plus ``tail(edge)`` when given: a bound on the integral beyond the
     outermost node ``edge``. Without ``tail`` the bound leaves that sliver
@@ -153,17 +181,20 @@ def integrate(
     else:
         length, col = abs(end - origin), 2
     span = math.copysign(1.0, end - origin) * length  # signed: toward end
-    u, w = _TABLE[col], _TABLE[col + 1]
-    first = _ENDS[_FIRST_STOP]
+    batches = _BATCH_TABLES[col]
+    u, w = batches[0]
     # levels 0.._FIRST_STOP: one call of f and one product, summed a level at a time
-    batch = np.asarray(f(origin + span * u[:first]), dtype=float) * w[:first]
-    total, estimate = 0.0, 0.0
-    for level in range(_TOP_LEVEL + 1):
-        lo, hi = (_ENDS[level - 1] if level else 0), _ENDS[level]
-        part = batch[lo:hi] if hi <= first else np.asarray(f(origin + span * u[lo:hi]), dtype=float) * w[lo:hi]
-        total += float(np.add.reduce(part))
-        prev, estimate = estimate, length * _STEPS[level] * total
-        err = abs(estimate - prev) + 64.0 * _EPS * abs(estimate)
+    batch = np.asarray(f(origin + span * u), dtype=float) * w
+    reduce, total, estimate = np.add.reduce, 0.0, 0.0
+    for level, (lo, hi, step) in enumerate(_LEVELS):
+        if level <= _FIRST_STOP:
+            part = batch[lo:hi]
+        else:
+            u, w = batches[level - _FIRST_STOP]
+            part = np.asarray(f(origin + span * u), dtype=float) * w
+        total += float(reduce(part))
+        prev, estimate = estimate, length * step * total
+        err = abs(estimate - prev) + _ROUNDING * abs(estimate)
         if level >= _FIRST_STOP and err <= abs_tol:
             break
     bound = err if tail is None else err + float(tail(origin + span * _EDGES[col][level]))

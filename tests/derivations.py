@@ -11,7 +11,7 @@ power functions:
 * the local power and critical-value polynomials g1/g2 and f1/f2 of the
   exponential-family mean test, and the two-term local power expansion;
 * the Cornish-Fisher critical value;
-* the exact density of the standardized sample median and the two-term
+* the exact CDF and density of the standardized sample median and the two-term
   expansion of its CDF (the R1/R2 correction polynomials), with the
   matching approximate power of the median test;
 * the spiky-prior limits of the rates.
@@ -25,7 +25,13 @@ import numpy as np
 from bfdr import numkernel as nk
 from bfdr._special import _sp
 from bfdr.analysis import AnalysisError
-from bfdr.models import ModelError, median_order_index, reiss_coefficients
+from bfdr.models import (
+    ModelError,
+    _check_count,
+    _median_cdf,
+    median_order_index,
+    reiss_coefficients,
+)
 
 # ---------------------------------------------------------------------------
 # Exponential family: local power and critical-value polynomials
@@ -126,6 +132,14 @@ def log_binomial(n: int, k: int) -> float:
     return (
         math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
     )
+
+
+def median_cdf_exact(model, n: int, t):
+    """Exact CDF of 2 f(0) sqrt(n) (T_n - theta) at t, vectorized in t: the
+    median test's power formula (``bfdr.models._median_cdf``) at a checked n."""
+    n = _check_count("n", n)
+    out = _median_cdf(model, n, 2.0 * model.f0 * math.sqrt(n), np.asarray(t, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def median_pdf_exact(model, pdf, n: int, t):

@@ -417,19 +417,29 @@ def _march(f, origin, end, abs_tol, scale=1.0, tail=None, integrate=nk.integrate
     """``integrate`` on one side, beside the scalar level march
     (``oracles.scalar_de``) on the same side. Returns the result, the march's
     (value, level gap, nodes, converged), the march's node farthest from
-    ``origin``, and the edges at which ``integrate`` asked for the tail."""
-    edges, points = [], []
+    ``origin``, and the edges at which ``integrate`` asked for the tail.
+
+    ``f`` is called by ``integrate`` alone, once per batch as its contract
+    says (exact's integrand reads its plan by that call count); the march
+    reads the values those calls gave, by node, and fails on a node they
+    did not cover."""
+    edges, points, values = [], [], {}
 
     def recorded(edge):
         edges.append(edge)
         return 0.0 if tail is None else tail(edge)
 
+    def kept(x):
+        y = np.asarray(f(x), dtype=float)
+        values.update(zip(x.tolist(), y.tolist()))
+        return y
+
     def marched(x):
         points.extend(x.tolist())
-        return f(x)
+        return np.array([values[v] for v in x.tolist()])
 
     try:
-        res, raised = integrate(f, origin, end, abs_tol, scale, recorded), False
+        res, raised = integrate(kept, origin, end, abs_tol, scale, recorded), False
     except QuadratureNonConvergence as exc:
         res, raised = exc.result, True
     ref = scalar_de(marched, origin, end, abs_tol, scale)

@@ -2,7 +2,9 @@
 
 Every count (a sample size n, the simulator's m, replications and workers,
 ``n_alpha``'s n_max) goes through ``models._check_count``: an integer of at
-least 1, a numpy integer included, a float never, not even an integral one.
+least 1, a numpy integer included, a float or a bool never, not even an
+integral one. The simulator's seed is any integer by the same reading
+(``models._as_int``), 0 and negative ones included.
 Every theta0 goes through ``models._check_theta0`` inside ``check_problem``,
 so a non-finite one is the same ``ModelError`` on the exact, series,
 honesty-threshold and simulation routes.
@@ -29,26 +31,35 @@ def _sim(**counts):
     return mtsim.SimConfig(NORMAL, N01, SETUP, **{"m": 200, "seed": 3, **counts})
 
 
-#: Every count entry point: (the argument's name in the error, a call taking the count).
-COUNT_ENTRY_POINTS = {
-    "TestSetup n": ("n", lambda v: TestSetup(NORMAL.statistic, 0.0, 0.05, v)),
-    "rate_series n": ("n", lambda v: expansions.rate_series(COEFFS, v)),
-    "median_coefficients n": ("n", lambda v: expansions.median_coefficients(NLOC, N01, 0.05, v)),
-    "SimConfig m": ("m", lambda v: _sim(m=v)),
-    "SimConfig replications": ("replications", lambda v: _sim(replications=v)),
-    "SimConfig workers": ("workers", lambda v: _sim(workers=v)),
-    "convergence_sweep first m": ("m", lambda v: mtsim.convergence_sweep(_sim(), [v, 100])),
-    "convergence_sweep last m": ("m", lambda v: mtsim.convergence_sweep(_sim(), [100, v])),
-    "n_alpha n_max": ("n_max", lambda v: n_alpha(NORMAL, N01, 1.0, 0.05, n_max=v)),
+#: What each integer rule refuses, and how its error words the rule.
+RULES = {
+    "count": ([0, -1, 2.5, 3.0, math.nan, True, False], "a positive integer"),
+    "seed": ([1.5, 3.0, math.nan, True, False], "an integer"),  # 0 and -1 are seeds
 }
 
+#: Every integer entry point: (its rule, the argument's name in the error, a call taking it).
+COUNT_ENTRY_POINTS = {
+    "TestSetup n": ("count", "n", lambda v: TestSetup(NORMAL.statistic, 0.0, 0.05, v)),
+    "rate_series n": ("count", "n", lambda v: expansions.rate_series(COEFFS, v)),
+    "median_coefficients n": ("count", "n", lambda v: expansions.median_coefficients(NLOC, N01, 0.05, v)),
+    "SimConfig m": ("count", "m", lambda v: _sim(m=v)),
+    "SimConfig replications": ("count", "replications", lambda v: _sim(replications=v)),
+    "SimConfig workers": ("count", "workers", lambda v: _sim(workers=v)),
+    "SimConfig seed": ("seed", "seed", lambda v: _sim(seed=v)),
+    "convergence_sweep first m": ("count", "m", lambda v: mtsim.convergence_sweep(_sim(), [v, 100])),
+    "convergence_sweep last m": ("count", "m", lambda v: mtsim.convergence_sweep(_sim(), [100, v])),
+    "n_alpha n_max": ("count", "n_max", lambda v: n_alpha(NORMAL, N01, 1.0, 0.05, n_max=v)),
+}
+ROWS = [(entry, value) for entry, (rule, _, _) in sorted(COUNT_ENTRY_POINTS.items())
+        for value in RULES[rule][0]]
 
-@pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, math.nan], ids=repr)
-@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+
+@pytest.mark.parametrize("entry, value", ROWS, ids=[f"{e}-{v!r}" for e, v in ROWS])
 def test_a_bad_count_is_a_model_error_naming_the_argument(entry, value):
-    # not a TypeError from range() or a comparison, and not truncated to an int
-    name, call = COUNT_ENTRY_POINTS[entry]
-    message = f"{name} must be a positive integer, got {value!r}"
+    # not a TypeError from range(), a comparison or the RNG's key, and not
+    # truncated to an int
+    rule, name, call = COUNT_ENTRY_POINTS[entry]
+    message = f"{name} must be {RULES[rule][1]}, got {value!r}"
     with pytest.raises(models.ModelError, match=f"^{re.escape(message)}$"):
         call(value)
 
@@ -82,11 +93,13 @@ def test_numpy_simulator_counts_give_the_int_results():
         return [result.m, result.replications, result.V.tolist(), result.R.tolist(),
                 result.fdr_hat.hex(), result.delta_hat.hex(), result.eps_hat.hex()]
 
-    config = _sim(m=np.int64(300), replications=np.int64(2), workers=np.int64(2))
-    assert (config.m, config.replications, config.workers) == (300, 2, 2)
-    assert all(type(c) is int for c in (config.m, config.replications, config.workers))
-    plain = _sim(m=300, replications=2, workers=2)
+    config = _sim(m=np.int64(300), replications=np.int64(2), workers=np.int64(2),
+                  seed=np.int64(11))
+    assert (config.m, config.replications, config.workers, config.seed) == (300, 2, 2, 11)
+    assert all(type(c) is int for c in (config.m, config.replications, config.workers, config.seed))
+    plain = _sim(m=300, replications=2, workers=2, seed=11)
     assert tallies(mtsim.simulate(config)) == tallies(mtsim.simulate(plain))
+    assert tallies(mtsim.simulate(_sim(seed=np.int64(-11)))) == tallies(mtsim.simulate(_sim(seed=-11)))
     swept = mtsim.convergence_sweep(plain, [np.int64(100), np.int64(300)])
     assert [tallies(r) for r in swept] == [
         tallies(r) for r in mtsim.convergence_sweep(plain, [100, 300])]

@@ -21,6 +21,7 @@ from bfdr.models import TestSetup
 from derivations import (
     cornish_fisher_critical,
     median_cdf_edgeworth,
+    median_cdf_exact,
     median_pdf_exact,
     power_median_edgeworth,
     reiss_r1,
@@ -396,22 +397,22 @@ class TestMedianDistribution:
         assert sum(h.value for h in halves) == pytest.approx(1.0, abs=1e-6)
 
     def test_cdf_limits(self):
-        assert models.median_cdf_exact(NLOC, 7, 100.0) == pytest.approx(1.0, abs=1e-12)
-        assert models.median_cdf_exact(NLOC, 7, -100.0) == pytest.approx(0.0, abs=1e-12)
+        assert median_cdf_exact(NLOC, 7, 100.0) == pytest.approx(1.0, abs=1e-12)
+        assert median_cdf_exact(NLOC, 7, -100.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_cdf_single_observation(self):
         ts = np.linspace(-3.0, 3.0, 13)
         expected = NLOC.cdf(ts / (2.0 * NLOC.f0))
-        np.testing.assert_allclose(models.median_cdf_exact(NLOC, 1, ts), expected, rtol=1e-12)
+        np.testing.assert_allclose(median_cdf_exact(NLOC, 1, ts), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("model", [NLOC, CLOC], ids=lambda m: m.name)
     @pytest.mark.parametrize("n", [1, 3, 9, 21])
     def test_cdf_median_unbiased_odd_n(self, model, n):
-        assert models.median_cdf_exact(model, n, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert median_cdf_exact(model, n, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_cdf_monotone(self):
         ts = np.linspace(-4.0, 4.0, 41)
-        vals = models.median_cdf_exact(CLOC, 10, ts)
+        vals = median_cdf_exact(CLOC, 10, ts)
         assert np.all(np.diff(vals) > 0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
@@ -419,7 +420,7 @@ class TestMedianDistribution:
         k = models.median_order_index(n)
         for t in (-1.5, -0.3, 0.0, 0.4, 2.2):
             u = float(NLOC.cdf(t / (2.0 * NLOC.f0 * math.sqrt(n))))
-            assert models.median_cdf_exact(NLOC, n, t) == pytest.approx(
+            assert median_cdf_exact(NLOC, n, t) == pytest.approx(
                 order_stat_cdf(u, k, n), rel=1e-12, abs=1e-14
             )
 
@@ -471,7 +472,7 @@ class TestMedianCdfEdgeworth:
     def test_close_to_exact_at_n100(self):
         gap = abs(
             median_cdf_edgeworth(NLOC, 100, 1.0)
-            - models.median_cdf_exact(NLOC, 100, 1.0)
+            - median_cdf_exact(NLOC, 100, 1.0)
         )
         assert gap <= 0.005
 
@@ -483,13 +484,13 @@ class TestMedianCdfEdgeworth:
         gap_small = np.max(
             np.abs(
                 median_cdf_edgeworth(model, n_small, ts)
-                - models.median_cdf_exact(model, n_small, ts)
+                - median_cdf_exact(model, n_small, ts)
             )
         )
         gap_large = np.max(
             np.abs(
                 median_cdf_edgeworth(model, n_large, ts)
-                - models.median_cdf_exact(model, n_large, ts)
+                - median_cdf_exact(model, n_large, ts)
             )
         )
         assert gap_small / gap_large >= 2.5
@@ -497,7 +498,7 @@ class TestMedianCdfEdgeworth:
     def test_general_f23_beats_example_variant_even_n(self):
         # adjudication of the even-n f23 ambiguity against the exact CDF
         ts = np.linspace(-3.0, 3.0, 61)
-        exact = models.median_cdf_exact(NLOC, 104, ts)
+        exact = median_cdf_exact(NLOC, 104, ts)
         gap_general = np.max(np.abs(median_cdf_edgeworth(NLOC, 104, ts) - exact))
         rc = _example_variant(models.reiss_coefficients(NLOC, 104), 104)
         example = (

@@ -316,6 +316,17 @@ class TestNodeTable:
             assert edges == [float(nk._TABLE[col][: nk._ENDS[k]].max()) for k in range(len(nk._ENDS))]
         assert nk._EDGES[0][2] == pytest.approx(math.exp(0.5 * math.pi * math.sinh(3.625)))
 
+    def test_batches_tile_the_table_and_hold_each_edge(self):
+        # batch 0 is levels 0-2 and batch j level 2 + j; the farthest node of
+        # batches 0..j is the one _EDGE_AT places, whatever batch holds it
+        for col, batches in nk._BATCH_TABLES.items():
+            assert len(batches) == nk._BATCHES
+            assert [u.size for u, _ in batches] == np.diff([0] + nk._ENDS[nk._FIRST_STOP:]).tolist()
+            for i in (0, 1):
+                np.testing.assert_array_equal(np.concatenate([b[i] for b in batches]), nk._TABLE[col + i])
+            for j, (b, offset) in enumerate(nk._EDGE_AT[col]):
+                assert b <= j and batches[b][0][offset] == nk._EDGES[col][nk._FIRST_STOP + j]
+
 
 class TestConfigValidation:
     def test_bad_tolerance(self):

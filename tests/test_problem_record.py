@@ -3,17 +3,20 @@
 The memo (``models._problem``, an ``lru_cache`` of 32 entries) is keyed by
 the model and prior objects themselves, which compare and hash by identity,
 and by the bits of theta0. Each kept ``models.Problem`` holds lambda, the
-model's and the prior's terms at theta0, the prior's density on each
-quadrature batch evaluated so far (keyed by the batch's node bytes) and its
-CDF at each tail edge. A problem asks the prior for each of these once.
-Every number the exact and series routes give on a warm prior must equal, as
-``float.hex``, the number on a fresh copy of the prior or after the memo is
-cleared, whatever was asked before; a refused problem is not kept. The tail
-term of each side's bound, whose power is read from the batch holding the
-outermost node, must equal the same sum taken from scalar calls.
+model's and the prior's terms at theta0, one quadrature plan per side (for
+each batch reached so far: its nodes, the prior's density there and the
+model's terms there) and the prior's CDF at each tail edge. A problem asks
+the prior and the model for each of these once. Every number the exact and
+series routes give on a warm prior must equal, as ``float.hex``, the number
+on a fresh copy of the prior or after the memo is cleared, whatever was
+asked before and in whichever order; a refused problem is not kept. The tail
+term of each side's bound, whose power is read at the outermost node's
+(batch, offset), must equal the same sum taken from scalar calls.
 """
 
 import dataclasses
+import random
+import threading
 from typing import Callable
 
 import numpy as np
@@ -57,21 +60,51 @@ def _cold(model, prior, setup):
     return _numbers(model, fresh, setup)
 
 
+#: The benchmark's setups in ascending (n, alpha), and in one fixed shuffled order.
+ORDERS = {"ascending": sorted(GRID_SETUPS),
+          "shuffled": random.Random(35).sample(GRID_SETUPS, len(GRID_SETUPS))}
+
+
 @pytest.mark.parametrize("spec, prior_spec", PAIRS)
 def test_a_warm_prior_gives_the_cold_values(spec, prior_spec):
     model, statistic, theta0 = cli._build_model(spec)
+    for order, setups in ORDERS.items():
+        prior = priors.parse_prior_spec(prior_spec)  # each order starts cold
+        warm = {}
+        for alpha, n in setups:
+            setup = TestSetup(statistic, theta0, alpha, n)
+            warm[alpha, n] = _numbers(model, prior, setup)
+            assert warm[alpha, n] == _cold(model, prior, setup), (order, alpha, n)
+        kept = models.check_problem(model, prior, theta0, 0.05)
+        assert models.check_problem(model, prior, theta0, 0.3) is kept
+        for alpha, n in SETUPS:  # asked again, warm
+            assert _numbers(model, prior, TestSetup(statistic, theta0, alpha, n)) == warm[alpha, n]
+        models._problem.cache_clear()
+        for alpha, n in SETUPS:
+            assert _numbers(model, prior, TestSetup(statistic, theta0, alpha, n)) == warm[alpha, n]
+        assert models.check_problem(model, prior, theta0, 0.05) is not kept
+
+
+@pytest.mark.parametrize("spec, prior_spec", PAIRS)
+def test_two_threads_on_one_cold_problem_get_the_cold_values(spec, prior_spec):
+    model, statistic, theta0 = cli._build_model(spec)
     prior = priors.parse_prior_spec(prior_spec)
-    warm = {}
-    for alpha, n in SETUPS * 2:
-        setup = TestSetup(statistic, theta0, alpha, n)
-        warm[alpha, n] = _numbers(model, prior, setup)
-        assert warm[alpha, n] == _cold(model, prior, setup), (alpha, n)
-    kept = models.check_problem(model, prior, theta0, 0.05)
-    assert models.check_problem(model, prior, theta0, 0.3) is kept
-    models._problem.cache_clear()
-    for alpha, n in SETUPS:
-        assert _numbers(model, prior, TestSetup(statistic, theta0, alpha, n)) == warm[alpha, n]
-    assert models.check_problem(model, prior, theta0, 0.05) is not kept
+    setups = [TestSetup(statistic, theta0, alpha, n) for alpha, n in ORDERS["shuffled"][:24]]
+    cold = [_cold(model, prior, setup) for setup in setups]
+    start, got = threading.Barrier(2), {}
+
+    def run(name, order):
+        start.wait()
+        got[name] = {i: _numbers(model, prior, setups[i]) for i in order}
+
+    orders = {"forward": range(len(setups)), "backward": range(len(setups) - 1, -1, -1)}
+    threads = [threading.Thread(target=run, args=item) for item in orders.items()]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for name in orders:
+        assert [got[name][i] for i in range(len(setups))] == cold, name
 
 
 def test_alternating_theta0_gives_the_cold_values():
@@ -150,33 +183,51 @@ def test_the_memo_keeps_the_last_32_problems():
     assert again == first[:8] and all(numbers == first[0] for numbers in first)
 
 
+def _filled(problem):
+    """The number of slots set in each side's plan, as {side: count}."""
+    return {side: sum(batch is not None for batch in plan) for side, plan in problem.plans.items()}
+
+
 def test_each_theta0_keeps_its_own_batches_and_edges():
     model, prior = models.normal_mean_model(), priors.normal_prior(1.0)
     theta0s = np.linspace(-2.0, 2.0, 21).tolist()
     for theta0 in theta0s:
         exact.exact_joint(model, prior, TestSetup("mean_ump", theta0, 0.05, 10))
     assert not [v for v in vars(prior).values() if isinstance(v, models.Problem)]
-    # each problem's batches and edges are its own theta0's: each side's
-    # nodes lie on that side of it, and each edge is a node of a kept batch
+    sizes = np.diff(nk._BATCH_STARTS + [nk._ENDS[-1]]).tolist()
+    # each problem's plans and edges are its own theta0's: one plan a side,
+    # a slot a batch, set from the first batch on; each slot's nodes lie on
+    # that side of theta0, with the prior's density and the model's terms
+    # there; and each edge is the node of a kept slot at its (batch, offset)
     for theta0 in theta0s:
         kept = models.check_problem(model, prior, theta0, 0.05)
-        assert sorted(kept.densities) == [-1, 1]
-        for away, batches in kept.densities.items():
-            assert 1 <= len(batches) <= nk._TOP_LEVEL - nk._FIRST_STOP + 1
-            for key in batches:
-                assert np.all(away * (np.frombuffer(key) - theta0) >= 0.0)
+        assert sorted(kept.plans) == [-1, 1]
+        for away, plan in kept.plans.items():
+            reached = _filled(kept)[away]
+            assert len(plan) == nk._BATCHES and reached >= 1
+            assert all(batch is None for batch in plan[reached:])
+            for size, batch in zip(sizes, plan[:reached]):
+                assert isinstance(batch, models.QuadratureBatch) and batch.nodes.size == size
+                assert np.all(away * (batch.nodes - theta0) >= 0.0)
+                assert batch.g.tobytes() == prior.g(batch.nodes).tobytes()
+                drop, sigma = batch.terms
+                assert drop.tobytes() == (theta0 - batch.nodes).tobytes()
+                assert sigma.tobytes() == np.ones(size).tobytes()
         assert len(kept.edge_cdf) >= 2
         for edge in kept.edge_cdf:
             side = 1 if edge > theta0 else -1
-            assert any(edge in np.frombuffer(key) for key in kept.densities[side])
+            plan = kept.plans[side]
+            assert any(plan[b] is not None and plan[b].nodes[offset] == edge
+                       for b, offset in nk._EDGE_AT[0])
 
 
-def _counted(prior):
-    """A copy of ``prior`` whose g, g1, g2 and cdf log a copy of each argument."""
-    calls = {name: [] for name in ("g", "g1", "g2", "cdf")}
+def _counted(obj, names=("g", "g1", "g2", "cdf")):
+    """A copy of ``obj`` (a prior, or a model) whose callables ``names`` log a
+    copy of each argument from the moment the copy is built."""
+    calls = {name: [] for name in names}
 
     def logged(name):
-        fn = getattr(prior, name)
+        fn = getattr(obj, name)
 
         def call(x):
             calls[name].append(np.array(x, dtype=float))
@@ -184,7 +235,10 @@ def _counted(prior):
 
         return call
 
-    return dataclasses.replace(prior, **{name: logged(name) for name in calls}), calls
+    copy = dataclasses.replace(obj, **{name: logged(name) for name in calls})
+    for logged_calls in calls.values():  # a model checks its functions as it is built
+        logged_calls.clear()
+    return copy, calls
 
 
 def _asked(calls):
@@ -193,8 +247,10 @@ def _asked(calls):
 
 def test_a_problem_asks_the_prior_once_per_batch_and_edge():
     prior, calls = _counted(priors.normal_prior(1.0))
+    mean, model_calls = _counted(models.normal_mean_model(), ("mu", "sigma"))
+    calls.update(model_calls)
     scale = prior.quadrature_scale
-    mean, median = models.normal_mean_model(), models.normal_location_model()  # theta0 = 0
+    median = models.normal_location_model()  # theta0 = 0
     asked = {name: 0 for name in calls}
     for model in (mean, median):
         levels = {-1: set(), 1: set()}  # the levels each side stops at
@@ -215,8 +271,16 @@ def test_a_problem_asks_the_prior_once_per_batch_and_edge():
         assert len(g) == 1 + batches and g[0].ndim == 0
         assert len({x.tobytes() for x in g}) == len(g)
         assert [len(calls["g1"]) - asked["g1"], len(calls["g2"]) - asked["g2"]] == [1, 1]
+        # the mean test's mu and sigma: at theta0, then once per batch; the
+        # median test asks neither
+        for name in ("mu", "sigma"):
+            terms = calls[name][asked[name]:]
+            if model is median:
+                assert terms == []
+            else:
+                assert [x.tobytes() for x in terms] == [x.tobytes() for x in g]
         asked = _asked(calls)
-    # asked again, neither model's problem asks the prior anything
+    # asked again, neither model's problem asks the prior or the model anything
     for model in (mean, median, mean):
         for alpha, n in GRID_SETUPS:
             exact.exact_joint(model, prior, TestSetup(model.statistic, 0.0, alpha, n))
@@ -238,7 +302,7 @@ def test_a_second_model_at_the_same_theta0_gets_the_cold_values():
         problem = models.check_problem(second, prior, 0.7, 0.05)
         cold = models.check_problem(second, dataclasses.replace(gamma), 0.7, 0.05)
         assert problem is not kept and problem is not cold
-        assert problem.densities == {} and kept.densities != {}
+        assert _filled(problem) == {-1: 0, 1: 0} and min(_filled(kept).values()) >= 1
         terms = [[float(v).hex() for v in dataclasses.astuple(p) if isinstance(v, float)]
                  for p in (problem, cold)]
         assert terms[0] == terms[1]
@@ -336,3 +400,33 @@ def test_the_tail_term_equals_its_scalar_sum(spec, prior_spec, alpha, n, levels)
     mass = float(prior.cdf(edge)) if away == -1 else 1.0 - float(prior.cdf(edge))
     assert side.value.hex() == value.hex()
     assert side.error_bound.hex() == (err + p * mass + nk.ABS_TOL / 10.0).hex()
+
+
+@pytest.mark.parametrize("spec, prior_spec", PAIRS)
+def test_each_point_integrates_each_side_once_a_batch_at_a_time(monkeypatch, spec, prior_spec):
+    model, statistic, theta0 = cli._build_model(spec)
+    prior = priors.parse_prior_spec(prior_spec)
+    integrate, sides = nk.integrate, []
+
+    def counted(f, *args):
+        batches = []
+
+        def logged(x):
+            batches.append(x.size)
+            return f(x)
+
+        res = integrate(logged, *args)
+        sides.append((res.panels, batches))
+        return res
+
+    monkeypatch.setattr(nk, "integrate", counted)
+    for alpha, n in GRID_SETUPS:
+        sides.clear()
+        exact.exact_joint(model, prior, TestSetup(statistic, theta0, alpha, n))
+        # two calls of integrate a point; each calls the integrand once per
+        # batch, in order, up to the level it stops at
+        assert len(sides) == 2
+        for panels, batches in sides:
+            reached = nk._ENDS.index(panels) - nk._FIRST_STOP + 1
+            starts = nk._BATCH_STARTS[:reached] + [panels]
+            assert batches == np.diff(starts).tolist()
