@@ -17,8 +17,9 @@ from typing import List, Optional, Sequence
 
 from . import numkernel as nk
 from .exact import exact_joint, exact_rates
-from .expansions import exp_family_coefficients, median_coefficients, rate_series
-from .models import ExpFamilyModel, TestSetup, _check_alpha, _check_count, check_problem
+# Bound here because perfbench/tracing.py rebinds these three in ``analysis``.
+from .expansions import exp_family_coefficients, median_coefficients, rate_series  # noqa: F401
+from .models import TestSetup, _check_alpha, _check_count, check_problem
 from .priors import Prior, scale_prior
 
 
@@ -54,36 +55,20 @@ def n_alpha(
     base_prior: Prior,
     tau: float,
     alpha: float,
-    method: str = "exact",
     n_max: int = 100,
     theta0: float = 0.0,
 ) -> Optional[int]:
-    """Smallest n in [1, n_max] with delta_n <= alpha under g_tau, else None.
+    """Smallest n in [1, n_max] with the exact delta_n <= alpha under g_tau, else None.
 
-    The scan is linear in n since delta_n need not be monotone. ``method``
-    selects exact quadrature (authoritative) or the third-order series
-    (fast preview; parity-aware for the median statistic).
+    The scan is linear in n since delta_n need not be monotone.
     """
     n_max = _check_count("n_max", n_max)
-    if method not in ("exact", "series3"):
-        raise AnalysisError(f"unknown method {method!r}")
     prior = scale_prior(base_prior, tau)
     check_problem(model, prior, theta0, alpha)
 
-    if method == "series3":
-        if isinstance(model, ExpFamilyModel):
-            coeffs = exp_family_coefficients(model, prior, theta0, alpha)
-            by_parity = (coeffs, coeffs)
-        else:
-            by_parity = (median_coefficients(model, prior, alpha, 2),
-                         median_coefficients(model, prior, alpha, 1))
-
-        def fdr(n):
-            return rate_series(by_parity[n % 2], n, 3).fdr.value
-    else:
-        def fdr(n):
-            setup = TestSetup(model.statistic, theta0, alpha, n)
-            return exact_rates(exact_joint(model, prior, setup)).fdr.value
+    def fdr(n):
+        setup = TestSetup(model.statistic, theta0, alpha, n)
+        return exact_rates(exact_joint(model, prior, setup)).fdr.value
     return next((n for n in range(1, n_max + 1) if fdr(n) <= alpha), None)
 
 

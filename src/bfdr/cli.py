@@ -189,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tau-grid", required=True, help="comma list or start:stop:count (geometric)")
-    p.add_argument("--method", choices=("exact", "series3"), default="exact")
     p.add_argument("--n-max", type=int, default=100)
 
     p = sub.add_parser("spiky", help="rates under scaled priors")
@@ -334,8 +333,7 @@ def run(args: argparse.Namespace) -> int:
 
     elif args.command == "nalpha":
         for tau in args.taus:
-            found = analysis.n_alpha(model, prior, tau, alpha, method=args.method,
-                                     n_max=args.n_max, theta0=theta0)
+            found = analysis.n_alpha(model, prior, tau, alpha, n_max=args.n_max, theta0=theta0)
             rows.append({"tau": tau, "n_alpha": found if found is not None else ""})
 
     elif args.command == "spiky":

@@ -188,9 +188,10 @@ def median_coefficients(
 def rate_series(coeffs: CoefficientSet, n: int, order: int = 3) -> RatePair:
     """Evaluate the truncated rate series at sample size n.
 
-    Values are clamped to [0, 1] with an explicit flag; the reported
-    error_estimate is the magnitude of the last retained term. Median
-    coefficients apply only at sample sizes of their own parity.
+    Values are clamped to [0, 1] with an explicit flag. A series value carries
+    no error bound (``error_estimate`` is None); ``sweep --method both``'s gap
+    columns compare it with quadrature. Median coefficients apply only at
+    sample sizes of their own parity.
     """
     if order not in (1, 2, 3):
         raise ModelError(f"order must be 1, 2 or 3, got {order}")
@@ -198,21 +199,9 @@ def rate_series(coeffs: CoefficientSet, n: int, order: int = 3) -> RatePair:
     if coeffs.parity not in (None, ("even", "odd")[n % 2]):
         raise ModelError(f"coefficients for {coeffs.parity} n do not apply at n={n}")
     rn = math.sqrt(n)
-    c_terms = [coeffs.c1 / rn, coeffs.c2 / n, coeffs.c3 / (n * rn)]
-    d_terms = [coeffs.d1 / rn, coeffs.d2 / n, coeffs.d3 / (n * rn)]
-    delta = sum(c_terms[:order])
-    eps = sum(d_terms[:order])
-    method = f"series{order}"
-
-    def pack(value: float, last_term: float) -> RateResult:
-        clamped = not (0.0 <= value <= 1.0)
-        return RateResult(
-            value=min(1.0, max(0.0, value)),
-            method=method,
-            error_estimate=abs(last_term),
-            clamped=clamped,
-        )
-
-    return RatePair(
-        fdr=pack(delta, c_terms[order - 1]), far=pack(eps, d_terms[order - 1])
-    )
+    delta = sum((coeffs.c1 / rn, coeffs.c2 / n, coeffs.c3 / (n * rn))[:order])
+    eps = sum((coeffs.d1 / rn, coeffs.d2 / n, coeffs.d3 / (n * rn))[:order])
+    return RatePair(*(
+        RateResult(min(1.0, max(0.0, v)), f"series{order}", clamped=not 0.0 <= v <= 1.0)
+        for v in (delta, eps)
+    ))

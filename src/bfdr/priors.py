@@ -205,9 +205,16 @@ def lambda_alt(prior: Prior, theta0: float, direction: int = 1) -> float:
 
 
 def _check_tau(tau: float) -> None:
-    """The scale rule of :func:`scale_prior`: 0 < tau < inf."""
+    """The scale rule of :func:`scale_prior`: 0 < tau < inf, and tau**3 (g2's
+    divisor) a positive finite double, so about 1.35e-108 <= tau <= 5.64e102."""
     if not 0.0 < tau < math.inf:
         raise PriorError(f"tau must be positive and finite, got {tau}")
+    try:
+        cube = float(tau) ** 3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise PriorError(f"tau**3 must be a positive finite double, got tau={tau}")
 
 
 def scale_prior(base: Prior, tau: float, name: Optional[str] = None) -> Prior:
@@ -217,14 +224,15 @@ def scale_prior(base: Prior, tau: float, name: Optional[str] = None) -> Prior:
     double range."""
     _check_tau(tau)
     tau = float(tau)
+    tau2, tau3 = tau**2, tau**3
     lo, hi = base.support
     g, g1, g2 = base.g, base.g1, base.g2
     cdf, ppf = base.cdf, base.ppf
     scaled = Prior(
         name=name or f"{base.name}*tau={tau:g}",
         g=lambda th: g(np.asarray(th, dtype=float) / tau) / tau,
-        g1=lambda th: g1(np.asarray(th, dtype=float) / tau) / tau**2,
-        g2=lambda th: g2(np.asarray(th, dtype=float) / tau) / tau**3,
+        g1=lambda th: g1(np.asarray(th, dtype=float) / tau) / tau2,
+        g2=lambda th: g2(np.asarray(th, dtype=float) / tau) / tau3,
         support=(lo * tau if math.isfinite(lo) else lo, hi * tau if math.isfinite(hi) else hi),
         cdf=lambda th: cdf(np.asarray(th, dtype=float) / tau),
         ppf=lambda u: tau * np.asarray(ppf(u), dtype=float),

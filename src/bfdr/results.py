@@ -12,9 +12,9 @@ class RateResult:
     """A false-discovery or false-acceptance rate value tagged by method.
 
     ``method`` identifies the route ("series1".."series3" or "quadrature");
-    ``error_estimate`` is a propagated bound for quadrature and the magnitude
-    of the last retained series term (a heuristic scale, not a bound) for
-    expansions. ``clamped`` marks series values pulled back into [0, 1].
+    ``error_estimate`` is quadrature's propagated bound, and None for a
+    series value, which carries no bound. ``clamped`` marks series values
+    pulled back into [0, 1].
     """
 
     value: float

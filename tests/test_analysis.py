@@ -88,28 +88,10 @@ class TestNAlpha:
         assert n_alpha(CLOC, priors.cauchy_prior(1.0), 1.0, 0.05) <= 15
         assert n_alpha(CLOC, priors.cauchy_prior(1.0), 0.5, 0.05) < 30
 
-    def test_series3_preview_agrees_here(self):
-        exact_n = n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05, method="exact")
-        series_n = n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05, method="series3")
-        assert exact_n == series_n
-
-    def test_series3_median_scan_is_parity_aware(self):
-        # the preview scans the parity-matched coefficient sets; verify
-        # against a manual loop (it can disagree with exact at tiny n,
-        # where the asymptotic series is not yet trustworthy)
-        prior = priors.normal_prior(1.0)
-        got = n_alpha(NLOC, prior, 1.0, 0.05, method="series3")
-        expected = None
-        for n in range(1, 101):
-            cs = expansions.median_coefficients(NLOC, prior, 0.05, n)
-            if expansions.rate_series(cs, n, 3).fdr.value <= 0.05:
-                expected = n
-                break
-        assert got == expected
-
-    @pytest.mark.parametrize("method", ["exact", "series3"])
-    def test_not_found_returns_none(self, method):
-        assert n_alpha(NORMAL, priors.normal_prior(1.0), 0.01, 0.05, method, n_max=2) is None
+    # the id "exact" names the one scan n_alpha has
+    @pytest.mark.parametrize("scan", ["exact"])
+    def test_not_found_returns_none(self, scan):
+        assert n_alpha(NORMAL, priors.normal_prior(1.0), 0.01, 0.05, n_max=2) is None
 
     def test_scan_is_smallest_qualifying_n(self):
         found = n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05)
@@ -135,14 +117,17 @@ class TestNAlpha:
         assert all(t is not None for t in thresholds)
         assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
 
-    def test_bad_method_rejected(self):
-        with pytest.raises(AnalysisError):
-            n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05, method="guess")
-
     @pytest.mark.parametrize("method", ["exact", "series3"])
-    def test_median_rejects_nonzero_theta0(self, method):
+    def test_takes_no_method(self, method):
+        # the series scan is gone: no method picks a route, not even the exact one
+        with pytest.raises(TypeError, match="method"):
+            n_alpha(NORMAL, priors.normal_prior(1.0), 1.0, 0.05, method=method)
+
+    # the id "exact" names the one scan n_alpha has
+    @pytest.mark.parametrize("scan", ["exact"])
+    def test_median_rejects_nonzero_theta0(self, scan):
         with pytest.raises(models.ModelError, match="theta0 = 0"):
-            n_alpha(CLOC, priors.cauchy_prior(1.0), 1.0, 0.05, method=method, theta0=0.5)
+            n_alpha(CLOC, priors.cauchy_prior(1.0), 1.0, 0.05, theta0=0.5)
 
 
 class TestStatisticGap:

@@ -58,7 +58,10 @@ CLI_RULES = {
                       functools.partial(models._check_theta0, models.normal_location_model()),
                       [0.0, -0.0, 5e-324, 0.5, math.nan]),
     "tau": (["nalpha", *_NORMAL_MEAN, "--alpha", "0.05", "--tau-grid={}"], priors._check_tau,
-            [1.0, 1e-300, 0.0, -2.0, math.inf, math.nan]),
+            [1.0, 1e-100, 0.0, -2.0, math.inf, math.nan, 1e-300, 1e103,
+             # the ends of tau**3's double range, and the doubles beyond them
+             5.643803094122361e102, 5.643803094122362e102,
+             1.351817985853457e-108, 1.3518179858534569e-108]),
     "m": ([*_SIM, "--m={}"], functools.partial(models._check_count, "m"), [1, 0, -3]),
     "replications": ([*_SIM, "--m", "100", "--replications={}"],
                      functools.partial(models._check_count, "replications"), [1, 2, 0, -1]),
@@ -239,6 +242,15 @@ class TestOtherCommands:
         values = [int(r["n_alpha"]) for r in rows]
         assert values[0] >= values[1] >= values[2]
 
+    def test_nalpha_takes_no_method(self, capsys):
+        # the series scan is gone, and so is the flag that picked it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nalpha", "--model", "normal-mean", "--prior", "normal:1",
+                      "--alpha", "0.05", "--tau-grid", "1", "--method", "series3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--method" in err
+
     def test_spiky_table(self, capsys):
         code, out, _ = run_cli(
             ["spiky", "--model", "normal-mean", "--prior", "normal:1",
@@ -366,7 +378,24 @@ class TestValidationAndErrors:
         [violation] = record["violations"]
         assert violation.startswith("prior: ") and "ppf(1 - 1e-13) = " in violation
 
-    @pytest.mark.parametrize("spec", ["f-mode1:2:0.03", "cauchy:1e300"])
+    @pytest.mark.parametrize("argv, violation", [
+        (["rates", "--model", "normal-mean", "--prior", "normal:1e103", "--alpha", "0.05",
+          "--n", "10"], "prior: tau**3 must be a positive finite double, got tau=1e+103"),
+        (["nalpha", *_NORMAL_MEAN, "--alpha", "0.05", "--tau-grid", "1e103"],
+         "1 tau values refused, first: [1e+103]: "
+         "tau**3 must be a positive finite double, got tau=1e+103"),
+        (["spiky", *_NORMAL_MEAN, "--alpha", "0.05", "--n", "10", "--tau-grid", "1,1e-109"],
+         "1 tau values refused, first: [1e-109]: "
+         "tau**3 must be a positive finite double, got tau=1e-109"),
+    ], ids=["rates-prior", "nalpha", "spiky"])
+    def test_a_scale_whose_cube_leaves_double_range_is_a_config_error(self, argv, violation,
+                                                                     capsys):
+        # not an OverflowError traceback (exit 1) nor g2 = -inf after a warning
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["violations"] == [violation]
+
+    @pytest.mark.parametrize("spec", ["f-mode1:2:0.03", "t:0.05:1"])
     def test_a_refused_prior_is_named_by_the_spec_as_typed(self, spec, capsys):
         code, _, err = run_cli(
             ["sim", "--model", "exp-rate", "--prior", spec, "--alpha", "0.05",

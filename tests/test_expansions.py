@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from bfdr import exact, expansions, models, priors
+from bfdr import cli, exact, expansions, models, priors
 from bfdr import numkernel as nk
 from bfdr._special import _sp
 from bfdr.expansions import (
@@ -29,6 +29,7 @@ from derivations import (
     g2_poly,
     power_mean_edgeworth,
 )
+from test_routes import PAIRS, _benchmark_inputs
 
 Z95 = 1.6448536269514722
 PHI_Z95 = 0.10313564037537128
@@ -47,6 +48,10 @@ SERIES3_NN_N10 = 0.008299767500186277
 A1_MEDIAN_NN = 0.010446479513898833
 C1_MEDIAN_NN = 0.020892959027797665
 G1_POLY_AT_0 = 1.8036956360636097
+
+_GRID = _benchmark_inputs()
+#: The 132 (alpha, n) setups the benchmark asks of each of its seven pairs.
+GRID_SETUPS = [(alpha, n) for n in _GRID.NS for alpha in _GRID.ALPHAS]
 
 _N01 = priors.normal_prior(1.0)
 _GAMMA2 = priors.gamma_mode1_prior(2.0)
@@ -455,6 +460,28 @@ class TestRateSeries:
         pair_neg = rate_series(cs_neg, 1, order=2)
         assert pair_neg.fdr.value == 0.0
         assert pair_neg.fdr.clamped
+
+    @pytest.mark.parametrize("spec, prior_spec", PAIRS)
+    def test_a_series_value_carries_no_error_bound(self, spec, prior_spec):
+        # over the benchmark's setups, each order's value is its terms summed
+        # left to right from 0, clamped to [0, 1] and flagged when pulled back
+        model, statistic, theta0 = cli._build_model(spec)
+        prior = priors.parse_prior_spec(prior_spec)
+        for alpha, n in GRID_SETUPS:
+            if statistic == "mean_ump":
+                cs = exp_family_coefficients(model, prior, theta0, alpha)
+            else:
+                cs = median_coefficients(model, prior, alpha, n)
+            for order in (1, 2, 3):
+                pair = rate_series(cs, n, order)
+                for rate, k in ((pair.fdr, (cs.c1, cs.c2, cs.c3)), (pair.far, (cs.d1, cs.d2, cs.d3))):
+                    total = 0.0
+                    for term in (k[0] / math.sqrt(n), k[1] / n, k[2] / (n * math.sqrt(n)))[:order]:
+                        total += term
+                    assert rate.error_estimate is None
+                    assert rate.method == f"series{order}"
+                    assert rate.value.hex() == min(1.0, max(0.0, total)).hex()
+                    assert rate.clamped is not (0.0 <= total <= 1.0)
 
     def test_median_coefficients_of_the_other_parity_rejected(self):
         # the n = 11 set at n = 10 would give fdr 0.01106 against 0.01963

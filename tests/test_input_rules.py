@@ -7,7 +7,9 @@ integral one. The simulator's seed is any integer by the same reading
 (``models._as_int``), 0 and negative ones included.
 Every theta0 goes through ``models._check_theta0`` inside ``check_problem``,
 so a non-finite one is the same ``ModelError`` on the exact, series,
-honesty-threshold and simulation routes.
+honesty-threshold and simulation routes. Every prior scale tau goes through
+``priors._check_tau`` inside ``scale_prior``: positive and finite, with tau**3
+(the divisor of g2) a positive finite double.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from bfdr import exact, expansions, models, mtsim, priors
-from bfdr.analysis import n_alpha
+from bfdr.analysis import empirical_spiky_check, n_alpha
 from bfdr.models import TestSetup
 
 NORMAL = models.normal_mean_model()
@@ -65,10 +67,12 @@ def test_a_bad_count_is_a_model_error_naming_the_argument(entry, value):
 
 
 def _hex(rates):
-    """float.hex of a RatePair's values and error estimates, each a Python float."""
+    """float.hex of a RatePair's values and error estimates, each a Python float
+    (a series value's estimate is None)."""
     values = [rates.fdr.value, rates.fdr.error_estimate, rates.far.value, rates.far.error_estimate]
-    assert all(type(v) is float for v in values)
-    return [v.hex() for v in values]
+    assert all(type(v) is float or v is None for v in values)
+    assert (rates.fdr.error_estimate is None) is rates.fdr.method.startswith("series")
+    return [v if v is None else v.hex() for v in values]
 
 
 @pytest.mark.parametrize("model", [NORMAL, NLOC], ids=lambda m: m.name)
@@ -107,9 +111,7 @@ def test_numpy_simulator_counts_give_the_int_results():
 
 
 def test_a_numpy_n_max_gives_the_int_threshold():
-    for method in ("exact", "series3"):
-        found = n_alpha(NORMAL, N01, 1.0, 0.05, method=method, n_max=np.int64(30))
-        assert found == n_alpha(NORMAL, N01, 1.0, 0.05, method=method, n_max=30)
+    assert n_alpha(NORMAL, N01, 1.0, 0.05, n_max=np.int64(30)) == n_alpha(NORMAL, N01, 1.0, 0.05, n_max=30)
 
 
 #: Every route that takes a theta0, as a call of it.
@@ -117,7 +119,6 @@ THETA0_ROUTES = {
     "exact_joint": lambda t: exact.exact_joint(NORMAL, N01, TestSetup(NORMAL.statistic, t, 0.05, 10)),
     "exp_family_coefficients": lambda t: expansions.exp_family_coefficients(NORMAL, N01, t, 0.05),
     "n_alpha exact": lambda t: n_alpha(NORMAL, N01, 1.0, 0.05, theta0=t),
-    "n_alpha series3": lambda t: n_alpha(NORMAL, N01, 1.0, 0.05, method="series3", theta0=t),
     "simulate": lambda t: mtsim.simulate(
         mtsim.SimConfig(NORMAL, N01, TestSetup(NORMAL.statistic, t, 0.05, 10), m=200, seed=3)),
 }
@@ -129,3 +130,59 @@ def test_a_non_finite_theta0_is_the_same_model_error_on_every_route(route, theta
     message = f"theta0 must be finite, got {theta0}"
     with pytest.raises(models.ModelError, match=f"^{re.escape(message)}$"):
         THETA0_ROUTES[route](theta0)
+
+
+#: The ends of the tau rule: the largest tau whose cube is finite, the smallest
+#: whose cube is not 0, and the doubles just beyond them.
+TAU_MAX, TAU_MIN = 5.643803094122361e102, 1.351817985853457e-108
+TAU_ROWS = {
+    "accepted": [TAU_MAX, TAU_MIN, 1e-100, 1.0, 1e100],
+    "refused by the cube": [math.nextafter(TAU_MAX, math.inf), 1e103, 1e300,
+                            math.nextafter(TAU_MIN, 0.0), 1e-109, 5e-324],
+    "refused as not positive and finite": [0.0, -0.0, -2.0, math.inf, math.nan],
+}
+#: Every route that takes a tau, as a call of it.
+TAU_ROUTES = {
+    "scale_prior": lambda t: priors.scale_prior(N01, t),
+    "normal_prior": lambda t: priors.normal_prior(t),
+    "n_alpha": lambda t: n_alpha(NORMAL, N01, t, 0.05, n_max=1),
+    "empirical_spiky_check": lambda t: empirical_spiky_check(NORMAL, N01, SETUP, [t]),
+}
+
+
+@pytest.mark.parametrize("tau", [v for vs in TAU_ROWS.values() for v in vs], ids=repr)
+def test_the_tau_rule_refuses_a_scale_whose_cube_leaves_double_range(tau):
+    try:
+        cube = tau**3
+    except OverflowError:
+        cube = math.inf
+    assert (0.0 < cube < math.inf) is (tau in TAU_ROWS["accepted"])
+    if tau in TAU_ROWS["accepted"]:
+        priors._check_tau(tau)
+        return
+    if tau in TAU_ROWS["refused by the cube"]:
+        message = f"tau**3 must be a positive finite double, got tau={tau}"
+    else:
+        message = f"tau must be positive and finite, got {tau}"
+    with pytest.raises(priors.PriorError, match=f"^{re.escape(message)}$"):
+        priors._check_tau(tau)
+
+
+@pytest.mark.parametrize("tau", TAU_ROWS["refused by the cube"], ids=repr)
+@pytest.mark.parametrize("route", sorted(TAU_ROUTES))
+def test_a_tau_out_of_double_range_is_the_same_prior_error_on_every_route(route, tau):
+    # not an OverflowError from tau**3, nor g2 = +-inf after a divide-by-zero warning
+    message = f"tau**3 must be a positive finite double, got tau={tau}"
+    with pytest.raises(priors.PriorError, match=f"^{re.escape(message)}$"):
+        TAU_ROUTES[route](tau)
+
+
+@pytest.mark.parametrize("tau", [TAU_MAX, 1e100, 0.3, 1e-100, TAU_MIN], ids=repr)
+def test_a_scaled_prior_divides_by_the_same_powers_of_tau(tau):
+    scaled = priors.scale_prior(N01, tau)
+    th = tau * np.array([-3.0, -0.5, 0.25, 2.0, 40.0])
+    x = th / tau
+    assert scaled.g(th).tobytes() == (N01.g(x) / tau).tobytes()
+    assert scaled.g1(th).tobytes() == (N01.g1(x) / tau**2).tobytes()
+    if tau >= 1e-100:  # near TAU_MIN, the normal's g2 / tau**3 overflows
+        assert scaled.g2(th).tobytes() == (N01.g2(x) / tau**3).tobytes()

@@ -346,6 +346,17 @@ class TestConvergenceSweep:
         ratio = r1.se_fdr / r2.se_fdr
         assert math.sqrt(2.0) * 0.8 <= ratio <= math.sqrt(2.0) * 1.2
 
+    @pytest.mark.parametrize("model, statistic", [(NORMAL, "mean_ump"), (CLOC, "median")],
+                             ids=["mean", "median"])
+    def test_two_replications_give_half_their_fdr_gap_as_the_se(self, model, statistic):
+        # the sample standard deviation (ddof=1) of two values is |f1 - f2| / sqrt(2),
+        # and the standard error divides it by sqrt(2) once more
+        res = simulate(_config(model=model, prior=priors.cauchy_prior(1.0), m=3000, seed=7,
+                               replications=2, setup=TestSetup(statistic, 0.0, 0.05, 11)))
+        f1, f2 = res.fdr.tolist()
+        assert f1 != f2
+        assert res.se_fdr == pytest.approx(abs(f1 - f2) / 2.0, rel=1e-14)
+
     def test_gap_shrinks_with_m_for_most_seeds(self):
         # fixed-seed experiment (deterministic): 8/10 seeds improve
         setup = TestSetup("mean_ump", 0.0, 0.05, 10)

@@ -290,7 +290,6 @@ class TestQuantileRange:
         ("f-mode1:2:0.03", "1 - 1e-13"),  # fdtri's clamp, 4.63e307, from 1 - 1e-10 up
         ("f-mode1:1.01:0.03", "2**-54"),  # NaN there, inf above 1 - 1e-10
         ("t:0.05:1", "1e-16"),  # stdtrit flat at -+1.5e153 on all eight tail levels
-        ("cauchy:1e300", "2**-54"),  # -inf
     ])
     def test_refused(self, spec, level):
         with pytest.raises(priors.PriorError, match=re.escape(f"ppf({level}) = ")):
@@ -317,9 +316,11 @@ class TestQuantileRange:
     def test_scaling_is_checked(self):
         base = priors.make_prior(*(getattr(priors.cauchy_prior(1.0), f) for f in
                                    ("g", "g1", "g2", "support", "cdf", "ppf")))
-        assert priors.scale_prior(base, 1e280).name == "custom*tau=1e+280"
+        # each step's tau keeps tau**3 in double range; in all they scale by 1e280, then 1e300
+        wide = priors.scale_prior(priors.scale_prior(base, 1e100), 1e100)
+        assert priors.scale_prior(wide, 1e80).name == "custom*tau=1e+100*tau=1e+100*tau=1e+80"
         with pytest.raises(priors.PriorError, match=re.escape("ppf(2**-54) = -inf")):
-            priors.scale_prior(base, 1e300)
+            priors.scale_prior(wide, 1e100)
 
 
 class TestLambdaAlt:
@@ -427,6 +428,18 @@ class TestScalePrior:
             priors.scale_prior(priors.normal_prior(1.0), 0.0)
         with pytest.raises(priors.PriorError, match="tau must be positive and finite, got inf"):
             priors.scale_prior(priors.normal_prior(1.0), math.inf)
+
+    @pytest.mark.parametrize("spec, tau", [
+        ("cauchy:1e300", "1e+300"),  # was refused by its quantile, -inf at 2**-54
+        ("normal:1e103", "1e+103"),  # tau**3 raised OverflowError
+        ("t:3:1e-109", "1e-109"),  # tau**3 was 0.0, g2 -inf
+        ("f-mode1:2:1e-110", "2e+110"),  # was refused by its quantile, flat at 4.49e307
+        ("gamma-mode1:1e109", "1e-109"),  # was refused by its quantile, flat at 1.0
+    ])
+    def test_a_built_in_scale_out_of_double_range_is_refused_by_the_tau_rule(self, spec, tau):
+        message = f"tau**3 must be a positive finite double, got tau={tau}"
+        with pytest.raises(priors.PriorError, match=f"^{re.escape(message)}$"):
+            priors.parse_prior_spec(spec)
 
 
 class TestSpecParsing:
