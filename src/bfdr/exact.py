@@ -11,26 +11,26 @@ the end of the prior's support by the double-exponential rule of
 :func:`~bfdr.numkernel.integrate`, on an infinite side with the scale
 s = min(prior half-IQR, 1), which the prior solves once. Its bound adds the
 (monotone) weight at the outermost node times the prior mass beyond it.
-Each side's nodes, batch by batch, are fixed by the problem, so the
-:class:`~bfdr.models.Problem` that :func:`~bfdr.models.check_problem` keeps
-holds one quadrature plan per side: for each batch, its nodes, the prior's
+Each side's nodes, batch by batch, are fixed by the problem, so this
+module keeps one quadrature plan per side in the ``plan`` dict of the
+:class:`~bfdr.models.Problem` that :func:`~bfdr.models.check_problem`
+keeps, and no other module reads it: for each batch, its nodes, the prior's
 density on them and the model's terms there (for the mean test, mu0 - mu
 and sigma), filled by the first setup that reaches the batch and read by
-every later one by the integrand's call count. The prior's CDF at a tail
-edge is kept by the edge. The tail term reads the outermost node's weight
-at the (batch, offset) that :mod:`~bfdr.numkernel` tabulates for the level
-reached.
+every later one by the integrand's call count; and, for each batch that
+holds a tail edge (:data:`~bfdr.numkernel._EDGE_BATCH`), the prior mass
+beyond it. Two threads filling one slot assign equal values. The tail term
+reads the weight at that batch's last node.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkernel as nk
-from .models import QuadratureBatch, TestSetup, resolve_test
+from .models import TestSetup, resolve_test
 # Bound here because perfbench/tracing.py rebinds ``exact.ump_critical_value``.
 from .models import ump_critical_value  # noqa: F401
 from .numkernel import ABS_TOL, IntegralValue
@@ -77,36 +77,37 @@ def exact_joint(
     lam = test.lambda_alt
     lo, hi = prior.support
     scale = prior.quadrature_scale
-    edge_cdf = test.problem.edge_cdf
+    plan = test.problem.plan
 
     def side(alt: bool) -> IntegralValue:
         # The null region runs from theta0 away against the power direction and
         # weighs rejection; the alternative runs with it and weighs acceptance.
         away = direction if alt else -direction
         end = lo if away == -1 else hi
-        plan = test.problem.plans[away]
-        edge_at = nk._EDGE_AT[0 if math.isinf(end) else 2]  # by the last batch summed
+        # per batch: (nodes, the prior's density, the model's terms), and the
+        # prior mass beyond its last node once that is a tail edge
+        batches, masses = plan.setdefault(away, ([None] * nk._BATCHES, [None] * nk._BATCHES))
         weights = []  # the weight on each batch so far, in batch order
 
         def integrand(th):
             b = len(weights)  # integrate calls f once per batch, in order
-            if plan[b] is None:
-                plan[b] = QuadratureBatch(th, np.asarray(prior.g(th), float), terms(th))
-            nodes, g, model_terms = plan[b]
+            if batches[b] is None:
+                batches[b] = (th, np.asarray(prior.g(th), float), terms(th))
+            nodes, g, model_terms = batches[b]
             p = power_at(nodes, model_terms)
             w = 1.0 - p if alt else p
             weights.append(w)
             return w * g
 
         def tail(edge: float) -> float:
-            # The edge is the outermost node of the batches summed, at the
-            # (batch, offset) numkernel tabulates. Power is monotone, so the
-            # weight at the edge bounds it beyond.
-            b, offset = edge_at[len(weights) - 1]
-            cdf = edge_cdf.get(edge)
-            if cdf is None:
-                cdf = edge_cdf[edge] = float(prior.cdf(edge))
-            return min(max(float(weights[b][offset]), 0.0), 1.0) * (cdf if away == -1 else 1.0 - cdf)
+            # The edge is the last node of the batch numkernel names for the
+            # batches summed. Power is monotone, so the weight at the edge
+            # bounds it beyond.
+            b = nk._EDGE_BATCH[len(weights) - 1]
+            if masses[b] is None:
+                cdf = float(prior.cdf(edge))
+                masses[b] = cdf if away == -1 else 1.0 - cdf
+            return min(max(float(weights[b][-1]), 0.0), 1.0) * masses[b]
 
         res = nk.integrate(integrand, theta0, end, abs_tol, scale, tail)
         return IntegralValue(res.value, res.error_bound + abs_tol / 10.0, res.panels)

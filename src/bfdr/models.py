@@ -31,13 +31,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from . import numkernel as nk
 from ._special import _sp
-from .priors import _STANDARD_CAUCHY, _STANDARD_NORMAL, Prior, lambda_alt
+from .priors import _STANDARD_CAUCHY, _STANDARD_NORMAL, Prior, PriorError, lambda_alt
 
 
 class ModelError(ValueError):
@@ -365,12 +365,9 @@ class Problem:
     ``g1`` and ``g2`` are the prior's density and its first two derivatives
     at theta0, in the user parameter.
 
-    ``plans`` maps each side of theta0 (-1 or +1) to its quadrature plan: one
-    slot per batch of :func:`~bfdr.numkernel.integrate` (batch 0 holds DE
-    levels 0-2, batch j level 2 + j). As :func:`~bfdr.exact.exact_joint`
-    runs, it sets slot b, once, to the :class:`QuadratureBatch` of the b-th
-    batch of nodes toward that side's end; ``edge_cdf`` maps each tail edge
-    to the prior's CDF there. Two threads filling one slot assign equal values.
+    ``plan`` is the exact route's own record of the problem: only
+    :func:`~bfdr.exact.exact_joint` fills and reads it, and its layout is
+    that module's.
     """
 
     theta0: float
@@ -382,19 +379,7 @@ class Problem:
     g0: float
     g1: float
     g2: float
-    plans: dict = field(default_factory=lambda: {side: [None] * nk._BATCHES for side in (-1, 1)},
-                        repr=False, compare=False)
-    edge_cdf: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-class QuadratureBatch(NamedTuple):
-    """One slot of a :class:`Problem`'s quadrature plan: a batch's nodes, the
-    prior's density on them, and the model's terms there (those of
-    :attr:`ResolvedTest.terms`)."""
-
-    nodes: np.ndarray
-    g: np.ndarray
-    terms: tuple
+    plan: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -438,7 +423,9 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
     0 for a :class:`LocationModel`); (3) the prior's support inside the
     model's parameter interval; (4) theta0 inside the prior's open support and
     an alternative mass in (0, 1), else :class:`~bfdr.priors.PriorError`;
-    (5) finite mu and finite, positive sigma at theta0. Else :class:`ModelError`.
+    (5) finite mu and finite, positive sigma at theta0; (6) finite g, g1 and
+    g2 at theta0, else :class:`~bfdr.priors.PriorError`. Rules 1-3 and 5
+    raise :class:`ModelError`.
 
     Rule 1 and the model's class are checked on every call. The problems
     accepted last are kept, up to 32, keyed by the model and prior objects
@@ -455,7 +442,7 @@ def check_problem(model, prior: Prior, theta0: float, alpha: float) -> Problem:
 
 @functools.lru_cache(maxsize=32)
 def _problem(model, prior: Prior, theta0_hex: str) -> Problem:
-    """The rest of :func:`check_problem`: rules 2-5 and the terms at theta0."""
+    """The rest of :func:`check_problem`: rules 2-6 and the terms at theta0."""
     theta0 = float.fromhex(theta0_hex)
     _check_theta0(model, theta0)
     th = np.asarray(theta0, dtype=float)
@@ -474,7 +461,10 @@ def _problem(model, prior: Prior, theta0_hex: str) -> Problem:
         if not (math.isfinite(mu0) and 0.0 < sigma0 < math.inf):
             raise ModelError(f"need finite mu, sigma > 0 at theta0={theta0}, got {mu0}, {sigma0}")
         rho30, rho40 = float(model.rho3(th)), float(model.rho4(th))
-    g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
+    with np.errstate(all="ignore"):
+        g0, g1, g2 = (float(d(th)) for d in (prior.g, prior.g1, prior.g2))
+    if not all(map(math.isfinite, (g0, g1, g2))):
+        raise PriorError(f"need finite g, g1, g2 at theta0={theta0}, got {g0}, {g1}, {g2}")
     return Problem(theta0, lam, mu0, sigma0, rho30, rho40, g0, g1, g2)
 
 

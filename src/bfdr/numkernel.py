@@ -11,7 +11,6 @@ levels agree. Its nodes and weights are a module-level table built once.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -62,20 +61,11 @@ _BATCH_TABLES = {
     c: [(_TABLE[c][lo:hi], _TABLE[c + 1][lo:hi]) for lo, hi in zip(_BATCH_STARTS, _ENDS[_FIRST_STOP:])]
     for c in (0, 2)
 }
-#: By column, the table index of the farthest distance (infinite side) or
-#: fraction (finite side) on levels 0..k, and that node's value.
-_FARTHEST = {c: [int(np.argmax(_TABLE[c][:end])) for end in _ENDS] for c in (0, 2)}
-_EDGES = {c: [float(_TABLE[c][i]) for i in at] for c, at in _FARTHEST.items()}
-
-
-def _batch_offset(i: int):
-    """The batch holding table index ``i``, and its offset there."""
-    b = bisect.bisect_right(_BATCH_STARTS, i) - 1
-    return b, i - _BATCH_STARTS[b]
-
-
-#: By column, where the farthest node of batches 0..j lies: its batch and its offset there.
-_EDGE_AT = {c: [_batch_offset(i) for i in at[_FIRST_STOP:]] for c, at in _FARTHEST.items()}
+#: By column, the farthest distance (infinite side) or fraction (finite side) on levels 0..k.
+_EDGES = {c: [float(_TABLE[c][:end].max()) for end in _ENDS] for c in (0, 2)}
+#: The batch whose last node is the farthest of batches 0..j, on both columns:
+#: each batch's last node is its farthest, and both columns rise with t.
+_EDGE_BATCH = [int(np.argmax([u[-1] for u, _ in _BATCH_TABLES[0][: j + 1]])) for j in range(_BATCHES)]
 #: Each level k: where its nodes start and end in the table, and its step 2**-(k+1) in t.
 _LEVELS = [(_ENDS[k - 1] if k else 0, _ENDS[k], 2.0 ** -(k + 1)) for k in range(_TOP_LEVEL + 1)]
 
@@ -158,7 +148,7 @@ def integrate(
     so the call for batch j may read what a caller kept for batch j. Along
     the table column ``col`` (0 toward an infinite end, 2 toward a finite
     one), the outermost node of levels 0..k is ``_EDGES[col][k]``, and that
-    of batches 0..j lies in the batch and at the offset ``_EDGE_AT[col][j]``.
+    of batches 0..j is the last node of batch ``_EDGE_BATCH[j]``.
     It stops at level k >= 2 once
     |I_k - I_{k-1}| + 64 eps |I_k| <= ``abs_tol`` (> 0); that sum is the
     bound, plus ``tail(edge)`` when given: a bound on the integral beyond the

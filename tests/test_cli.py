@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from bfdr import cli, models, priors
+from bfdr import cli, expansions, models, priors
 from bfdr.numkernel import IntegralValue, QuadratureNonConvergence
 
 from test_layout import perfbench_model_specs
@@ -102,6 +102,32 @@ class TestCoeffs:
         assert len(rows) == 1
         assert float(rows[0]["c1"]) == pytest.approx(0.016670169437766601, abs=1e-9)
         assert float(rows[0]["d1"]) == pytest.approx(1.3290734831629425, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    @pytest.mark.parametrize("spec, prior_spec", [("normal-median", "normal:1"),
+                                                  ("cauchy-median", "cauchy:1")])
+    def test_median_row_carries_its_parity_and_n(self, spec, prior_spec, n, capsys):
+        code, out, _ = run_cli(["coeffs", "--model", spec, "--prior", prior_spec,
+                                "--alpha", "0.05", "--n", str(n)], capsys)
+        assert code == 0
+        header, [row] = parse_csv(out)
+        assert header[:5] == ["alpha", "statistic", "parity", "lambda_alt", "n"]
+        assert (row["statistic"], row["parity"], row["n"]) == (
+            "median", "odd" if n % 2 else "even", str(n))
+        coeffs = expansions.median_coefficients(
+            cli._build_model(spec)[0], priors.parse_prior_spec(prior_spec), 0.05, n)
+        assert header[5:] == [f"{kind}{i}" for kind in ("a", "at", "b", "c", "d") for i in (1, 2, 3)]
+        for name in ["lambda_alt", *header[5:]]:  # + 0.0: the CLI prints -0.0 as 0
+            assert row[name] == f"{getattr(coeffs, name) + 0.0:.10g}", name
+
+    def test_mean_row_takes_n_as_a_column_only(self, capsys):
+        argv = ["coeffs", *_NORMAL_MEAN, "--alpha", "0.05"]
+        _, plain, _ = run_cli(argv, capsys)
+        code, with_n, _ = run_cli(argv + ["--n", "10"], capsys)
+        assert code == 0
+        (header, [row]), (header_n, [row_n]) = parse_csv(plain), parse_csv(with_n)
+        assert header_n == header[:4] + ["n"] + header[4:]
+        assert row_n.pop("n") == "10" and row_n == row
 
     def test_median_requires_n(self, capsys):
         code, out, err = run_cli(
@@ -394,6 +420,22 @@ class TestValidationAndErrors:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert json.loads(err)["violations"] == [violation]
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--model", "normal-mean", "--prior", "normal:1e-105", "--alpha", "0.05",
+         "--n", "10"],
+        ["sim", "--model", "normal-mean", "--prior", "normal:1e-105", "--alpha", "0.05",
+         "--n", "10", "--m", "200", "--seed", "1"],
+        ["nalpha", *_NORMAL_MEAN, "--alpha", "0.05", "--tau-grid", "1e-105"],
+        ["spiky", *_NORMAL_MEAN, "--alpha", "0.05", "--n", "10", "--tau-grid", "1,1e-105"],
+    ], ids=["rates", "sim", "nalpha", "spiky"])
+    def test_a_prior_whose_g2_overflows_at_theta0_is_a_config_error(self, argv, capsys):
+        # tau**3 = 1e-315 passes the tau rule, but g2(0) = g2_unit(0) / tau**3
+        # is -inf: refused by check_problem's rule 6, not printed as rates
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["violations"] == [
+            "need finite g, g1, g2 at theta0=0.0, got 3.989422804014327e+104, -0.0, -inf"]
 
     @pytest.mark.parametrize("spec", ["f-mode1:2:0.03", "t:0.05:1"])
     def test_a_refused_prior_is_named_by_the_spec_as_typed(self, spec, capsys):

@@ -9,6 +9,7 @@ exact arithmetic.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ class TestBuiltinModels:
         with pytest.raises(models.ModelError, match="cdf"):
             models.LocationModel("bad", NLOC.f0, NLOC.f0p, NLOC.f0pp, NLOC.cdf,
                                  ppf=lambda u: 2 * NLOC.ppf(u))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: dataclasses.replace(NORMAL, theta_lo=1.0, theta_hi=1.0),
+         "empty parameter interval (1.0, 1.0)"),
+        (lambda: dataclasses.replace(NORMAL, theta_lo=2.0, theta_hi=-2.0),
+         "empty parameter interval (2.0, -2.0)"),
+        (lambda: dataclasses.replace(NLOC, f0=0.0), "f(0) must be positive"),
+        (lambda: dataclasses.replace(NLOC, f0=-NLOC.f0), "f(0) must be positive"),
+        (lambda: dataclasses.replace(NLOC, cdf=lambda x: NLOC.cdf(np.asarray(x) - 0.5),
+                                     ppf=lambda u: NLOC.ppf(u) + 0.5),
+         "standard member must have median 0"),
+    ], ids=["equal-ends", "reversed-ends", "f0-zero", "f0-negative", "median-not-0"])
+    def test_the_constructor_refuses(self, build, message):
+        with pytest.raises(models.ModelError, match=re.escape(message)):
+            build()
 
     def test_sampler_must_follow_the_mean_statistic_cdf(self):
         with pytest.raises(models.ModelError, match="sample_from_uniform"):

@@ -318,14 +318,17 @@ class TestNodeTable:
 
     def test_batches_tile_the_table_and_hold_each_edge(self):
         # batch 0 is levels 0-2 and batch j level 2 + j; the farthest node of
-        # batches 0..j is the one _EDGE_AT places, whatever batch holds it
+        # batches 0..j is the last node of the batch _EDGE_BATCH names, on
+        # both columns: the first batch up to level 4, the level-5 batch after
+        assert nk._EDGE_BATCH == [0, 0, 0, 3, 3, 3, 3]
         for col, batches in nk._BATCH_TABLES.items():
             assert len(batches) == nk._BATCHES
             assert [u.size for u, _ in batches] == np.diff([0] + nk._ENDS[nk._FIRST_STOP:]).tolist()
             for i in (0, 1):
                 np.testing.assert_array_equal(np.concatenate([b[i] for b in batches]), nk._TABLE[col + i])
-            for j, (b, offset) in enumerate(nk._EDGE_AT[col]):
-                assert b <= j and batches[b][0][offset] == nk._EDGES[col][nk._FIRST_STOP + j]
+            for j, b in enumerate(nk._EDGE_BATCH):
+                farthest = max(u.max() for u, _ in batches[: j + 1])
+                assert batches[b][0][-1] == farthest == nk._EDGES[col][nk._FIRST_STOP + j]
 
 
 class TestConfigValidation:

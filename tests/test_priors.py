@@ -30,6 +30,7 @@ ALL_BUILTINS = [
     priors.f_mode1_prior(2.0, 2.0),
     priors.f_mode1_prior(3.0, 4.0),
 ]
+_N01 = ALL_BUILTINS[0]
 
 
 class TestBuiltinClosedForms:
@@ -242,6 +243,18 @@ class TestValidation:
 
         with pytest.raises(priors.PriorError, match="mass"):
             priors.make_prior(base.g, base.g1, base.g2, base.support, cdf=cdf, ppf=base.ppf)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"support": (1.0, 1.0)}, "empty support (1.0, 1.0)"),
+        ({"support": (2.0, -2.0)}, "empty support (2.0, -2.0)"),
+        ({"g2": lambda x: np.asarray(_N01.g2(x)) + 0.01}, "g2 disagrees with finite differences"),
+        ({"g2": lambda x: -np.asarray(_N01.g2(x))}, "g2 disagrees with finite differences"),
+    ], ids=["equal-ends", "reversed-ends", "g2-shifted", "g2-negated"])
+    def test_make_prior_refuses(self, change, message):
+        parts = {"g": _N01.g, "g1": _N01.g1, "g2": _N01.g2, "support": _N01.support,
+                 "cdf": _N01.cdf, "ppf": _N01.ppf, **change}
+        with pytest.raises(priors.PriorError, match=re.escape(message)):
+            priors.make_prior(**parts)
 
     def test_wrong_derivative_rejected(self):
         base = priors.normal_prior(1.0)

@@ -3,15 +3,16 @@
 The memo (``models._problem``, an ``lru_cache`` of 32 entries) is keyed by
 the model and prior objects themselves, which compare and hash by identity,
 and by the bits of theta0. Each kept ``models.Problem`` holds lambda, the
-model's and the prior's terms at theta0, one quadrature plan per side (for
-each batch reached so far: its nodes, the prior's density there and the
-model's terms there) and the prior's CDF at each tail edge. A problem asks
-the prior and the model for each of these once. Every number the exact and
-series routes give on a warm prior must equal, as ``float.hex``, the number
-on a fresh copy of the prior or after the memo is cleared, whatever was
-asked before and in whichever order; a refused problem is not kept. The tail
-term of each side's bound, whose power is read at the outermost node's
-(batch, offset), must equal the same sum taken from scalar calls.
+model's and the prior's terms at theta0, and the exact route's plan: per
+side, for each batch reached so far, its nodes, the prior's density there
+and the model's terms there, and the prior mass beyond each tail edge. A
+problem asks the prior and the model for each of these once. Every number
+the exact and series routes give on a warm prior must equal, as
+``float.hex``, the number on a fresh copy of the prior or after the memo is
+cleared, whatever was asked before and in whichever order; a refused
+problem is not kept. The tail term of each side's bound, whose power is
+read at the last node of the batch that holds the edge, must equal the same
+sum taken from scalar calls.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ import pytest
 
 from bfdr import cli, exact, expansions, models, mtsim, priors
 from bfdr import numkernel as nk
+from bfdr._special import _sp
 from bfdr.models import TestSetup
 
 from oracles import scalar_de
@@ -184,8 +186,9 @@ def test_the_memo_keeps_the_last_32_problems():
 
 
 def _filled(problem):
-    """The number of slots set in each side's plan, as {side: count}."""
-    return {side: sum(batch is not None for batch in plan) for side, plan in problem.plans.items()}
+    """The number of batches set in each side's plan, as {side: count}."""
+    return {side: sum(batch is not None for batch in problem.plan.get(side, ([],))[0])
+            for side in (-1, 1)}
 
 
 def test_each_theta0_keeps_its_own_batches_and_edges():
@@ -195,30 +198,33 @@ def test_each_theta0_keeps_its_own_batches_and_edges():
         exact.exact_joint(model, prior, TestSetup("mean_ump", theta0, 0.05, 10))
     assert not [v for v in vars(prior).values() if isinstance(v, models.Problem)]
     sizes = np.diff(nk._BATCH_STARTS + [nk._ENDS[-1]]).tolist()
-    # each problem's plans and edges are its own theta0's: one plan a side,
-    # a slot a batch, set from the first batch on; each slot's nodes lie on
-    # that side of theta0, with the prior's density and the model's terms
-    # there; and each edge is the node of a kept slot at its (batch, offset)
+    # each problem's plan is its own theta0's: one a side, a slot a batch,
+    # set from the first batch on; each slot's nodes lie on that side of
+    # theta0, with the prior's density and the model's terms there; and each
+    # mass kept is the prior's beyond the last node of a batch that holds an
+    # edge, on that side
     for theta0 in theta0s:
         kept = models.check_problem(model, prior, theta0, 0.05)
-        assert sorted(kept.plans) == [-1, 1]
-        for away, plan in kept.plans.items():
+        assert sorted(kept.plan) == [-1, 1]
+        edges = 0
+        for away, (batches, masses) in kept.plan.items():
             reached = _filled(kept)[away]
-            assert len(plan) == nk._BATCHES and reached >= 1
-            assert all(batch is None for batch in plan[reached:])
-            for size, batch in zip(sizes, plan[:reached]):
-                assert isinstance(batch, models.QuadratureBatch) and batch.nodes.size == size
-                assert np.all(away * (batch.nodes - theta0) >= 0.0)
-                assert batch.g.tobytes() == prior.g(batch.nodes).tobytes()
-                drop, sigma = batch.terms
-                assert drop.tobytes() == (theta0 - batch.nodes).tobytes()
+            assert len(batches) == len(masses) == nk._BATCHES and reached >= 1
+            assert all(batch is None for batch in batches[reached:])
+            for size, (nodes, g, terms) in zip(sizes, batches[:reached]):
+                assert nodes.size == size and np.all(away * (nodes - theta0) >= 0.0)
+                assert g.tobytes() == prior.g(nodes).tobytes()
+                drop, sigma = terms
+                assert drop.tobytes() == (theta0 - nodes).tobytes()
                 assert sigma.tobytes() == np.ones(size).tobytes()
-        assert len(kept.edge_cdf) >= 2
-        for edge in kept.edge_cdf:
-            side = 1 if edge > theta0 else -1
-            plan = kept.plans[side]
-            assert any(plan[b] is not None and plan[b].nodes[offset] == edge
-                       for b, offset in nk._EDGE_AT[0])
+            for b, mass in enumerate(masses):
+                if mass is None:
+                    continue
+                assert b in nk._EDGE_BATCH and b < reached
+                cdf = float(prior.cdf(batches[b][0][-1]))
+                assert mass == (cdf if away == -1 else 1.0 - cdf)
+                edges += 1
+        assert edges >= 2
 
 
 def _counted(obj, names=("g", "g1", "g2", "cdf")):
@@ -365,41 +371,75 @@ def test_an_unhashable_object_that_is_no_model_is_refused_by_the_model_rule():
             models.check_problem(model, prior, 0.0, 0.05)
 
 
-@pytest.mark.parametrize("spec, prior_spec, alpha, n, levels", [
+def _widening_normal():
+    """N(theta, (1 + |theta|)**2), test-only: the pivot sqrt(n)(Xbar - theta)/sigma(theta)
+    is exactly standard normal, and power tends to Phi(+-sqrt(n)) in the
+    tails, not to 0 or 1, so the tail term of each side's bound is not 0."""
+
+    def sigma(th):
+        return 1.0 + np.abs(np.asarray(th, dtype=float))
+
+    def zeros(th):
+        return np.zeros_like(np.asarray(th, dtype=float))
+
+    return models.ExpFamilyModel(
+        "widening-normal", -np.inf, np.inf, mu=lambda th: np.asarray(th, dtype=float),
+        sigma=sigma, rho3=zeros, rho4=zeros,
+        mean_statistic_cdf=lambda th, n, t: _sp.ndtr(t),
+        mean_statistic_isf=lambda th, n, q: -_sp.ndtri(q),
+        sample_from_uniform=lambda th, u: th + sigma(th) * _sp.ndtri(u))
+
+
+#: Test-only models by spec, as ``cli._build_model`` returns the built-ins.
+_TEST_MODELS = {"widening-normal": (_widening_normal(), "mean_ump", 0.0)}
+
+
+@pytest.mark.parametrize("spec, prior_spec, alpha, n, abs_tol, levels", [
     # the one rate-grid side that stops at level 5: its outermost node is
     # in the level-5 batch, not the first
-    ("cauchy-median", "cauchy:1", 1e-6, 4, 5),
+    pytest.param("cauchy-median", "cauchy:1", 1e-6, 4, nk.ABS_TOL, (2, 5),
+                 id="cauchy-median-cauchy:1-1e-06-4-5"),
     # exp-rate's alternative runs toward the finite end 0
-    ("exp-rate", "gamma-mode1:2", 0.05, 10, None),
+    pytest.param("exp-rate", "gamma-mode1:2", 0.05, 10, nk.ABS_TOL, (2, 2),
+                 id="exp-rate-gamma-mode1:2-0.05-10-None"),
+    # a tail term that is not 0: at the first batch's edge, at level 6 (the
+    # edge in the level-5 batch) and at level 7
+    *[pytest.param("widening-normal", "t:0.5:1", alpha, n, abs_tol, (level, level),
+                   id=f"widening-normal-t:0.5:1-{alpha}-{n}-{abs_tol}")
+      for n, abs_tol, level in ((1, nk.ABS_TOL, 2), (1, 1e-9, 6), (4, 1e-10, 7))
+      for alpha in (0.05, 0.3)],
 ])
-def test_the_tail_term_equals_its_scalar_sum(spec, prior_spec, alpha, n, levels):
-    model, statistic, theta0 = cli._build_model(spec)
+def test_the_tail_term_equals_its_scalar_sum(spec, prior_spec, alpha, n, abs_tol, levels):
+    model, statistic, theta0 = _TEST_MODELS.get(spec) or cli._build_model(spec)
     prior = priors.parse_prior_spec(prior_spec)
     setup = TestSetup(statistic, theta0, alpha, n)
-    side = exact.exact_joint(model, prior, setup).A_tilde
+    joint = exact.exact_joint(model, prior, setup, abs_tol)
     test = models.resolve_test(model, dataclasses.replace(prior), setup)
-    away = test.direction  # the alternative's side, weighing acceptance
-
-    def weight(p):
-        return 1.0 - p
-
     lo, hi = prior.support
-    end = lo if away == -1 else hi
-    infinite = np.isinf(end)
-    length, col = (prior.quadrature_scale, 0) if infinite else (abs(end - theta0), 2)
-    assert infinite == (levels is not None)
-    value, err, nodes, converged = scalar_de(
-        lambda x: weight(test.power(x)) * prior.g(x), theta0, end, nk.ABS_TOL,
-        prior.quadrature_scale)
-    level = nk._ENDS.index(nodes)
-    assert converged and side.panels == nodes
-    if levels is not None:
-        assert level == levels and nk._EDGES[col][level] > nk._EDGES[col][nk._FIRST_STOP]
-    edge = theta0 + away * length * nk._EDGES[col][level]
-    p = weight(min(max(test.power(edge), 0.0), 1.0))
-    mass = float(prior.cdf(edge)) if away == -1 else 1.0 - float(prior.cdf(edge))
-    assert side.value.hex() == value.hex()
-    assert side.error_bound.hex() == (err + p * mass + nk.ABS_TOL / 10.0).hex()
+    tails = []
+    # the null weighs rejection against the power direction, the alternative
+    # acceptance with it
+    for side, alt, level in ((joint.A, False, levels[0]), (joint.A_tilde, True, levels[1])):
+        away = test.direction if alt else -test.direction
+
+        def weight(p):
+            return 1.0 - p if alt else p
+
+        end = lo if away == -1 else hi
+        length, col = (prior.quadrature_scale, 0) if np.isinf(end) else (abs(end - theta0), 2)
+        value, err, nodes, converged = scalar_de(
+            lambda x: weight(test.power(x)) * prior.g(x), theta0, end, abs_tol,
+            prior.quadrature_scale)
+        assert converged and side.panels == nodes == nk._ENDS[level]
+        edge = theta0 + away * length * nk._EDGES[col][level]
+        p = weight(min(max(test.power(edge), 0.0), 1.0))
+        mass = float(prior.cdf(edge)) if away == -1 else 1.0 - float(prior.cdf(edge))
+        assert side.value.hex() == value.hex()
+        assert side.error_bound.hex() == (err + p * mass + abs_tol / 10.0).hex()
+        tails.append(p * mass)
+    if spec in _TEST_MODELS:
+        # the tail term is most of the bound, which it keeps below 1e-7
+        assert min(tails) > abs_tol and joint.A.error_bound < 1e-7 > joint.A_tilde.error_bound
 
 
 @pytest.mark.parametrize("spec, prior_spec", PAIRS)

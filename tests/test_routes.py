@@ -48,12 +48,9 @@ def _outcome(route):
     return "ok"
 
 
-@pytest.mark.parametrize("spec, prior_spec, theta0", MATRIX)
-def test_every_route_answers_or_refuses_alike(spec, prior_spec, theta0):
-    model, statistic, _ = cli._build_model(spec)
-    prior = priors.parse_prior_spec(prior_spec)
-    alpha, n = 0.05, 10
-    setup = TestSetup(statistic, theta0, alpha, n)
+def _routes(model, prior, setup):
+    """The series, exact and simulator routes and ``resolve_test`` alone on ``setup``."""
+    statistic, theta0, alpha, n = setup.statistic, setup.theta0, setup.alpha, setup.n
 
     def series():
         if statistic == "mean_ump":
@@ -71,9 +68,36 @@ def test_every_route_answers_or_refuses_alike(spec, prior_spec, theta0):
     def resolve_alone():
         models.resolve_test(model, prior, setup)
 
-    outcomes = {_outcome(route) for route in (series, exact_route, simulator, resolve_alone)}
+    return {"series": series, "exact": exact_route, "simulator": simulator,
+            "resolve_test": resolve_alone}
+
+
+@pytest.mark.parametrize("spec, prior_spec, theta0", MATRIX)
+def test_every_route_answers_or_refuses_alike(spec, prior_spec, theta0):
+    model, statistic, _ = cli._build_model(spec)
+    prior = priors.parse_prior_spec(prior_spec)
+    alpha = 0.05
+    routes = _routes(model, prior, TestSetup(statistic, theta0, alpha, 10))
+    outcomes = {_outcome(route) for route in routes.values()}
     assert len(outcomes) == 1, outcomes
     assert outcomes == {_outcome(lambda: models.check_problem(model, prior, theta0, alpha))}
+
+
+@pytest.mark.parametrize("prior_spec", ["normal:1e-105", "cauchy:1e-105", "t:4:1e-105"])
+@pytest.mark.parametrize("spec", ["normal-mean", "normal-median", "cauchy-median"])
+def test_a_spiky_prior_whose_g2_overflows_is_refused_alike(spec, prior_spec):
+    # tau**3 = 1e-315 is a double, but g2(0) = g2_unit(0) / tau**3 is -inf:
+    # check_problem's rule 6 refuses it on every route, before any warning
+    model, statistic, theta0 = cli._build_model(spec)
+    setup = TestSetup(statistic, theta0, 0.05, 10)
+    for route in _routes(model, priors.parse_prior_spec(prior_spec), setup).values():
+        with pytest.raises(priors.PriorError, match=r"need finite g, g1, g2 at theta0=0\.0, got "
+                                                    r"[0-9.e+]+, -0\.0, -inf$"):
+            route()
+    # a scale whose g2 stays finite is answered
+    spiky = priors.parse_prior_spec(prior_spec.replace("1e-105", "1e-100"))
+    assert {name: _outcome(route) for name, route in _routes(model, spiky, setup).items()} == {
+        name: "ok" for name in ("series", "exact", "simulator", "resolve_test")}
 
 
 def test_exact_joint_and_the_sweep_check_once_through_resolve_test(monkeypatch):
